@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import InvalidSpec
+from .errors import IncompatibleField, InvalidSpec
 from .exactnum import (
     HighPrec,
     QuadIrr,
@@ -206,7 +206,7 @@ def _check_unit_circle(sin: Scalar, cos: Scalar) -> None:
     def square_or_none(s):
         try:
             return s * s
-        except Exception:
+        except (IncompatibleField, TypeError):
             return None
 
     s2, c2 = square_or_none(sin), square_or_none(cos)
@@ -217,7 +217,7 @@ def _check_unit_circle(sin: Scalar, cos: Scalar) -> None:
     else:
         try:
             total = s2 + c2
-        except Exception as exc:
+        except (IncompatibleField, TypeError) as exc:
             raise InvalidSpec(f"sin^2 + cos^2 not verifiable: {exc}") from exc
     if compare(total, rational(1)) != 0:
         raise InvalidSpec("sin^2 + cos^2 != 1")

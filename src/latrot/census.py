@@ -2,29 +2,29 @@
 
 A *collision point* is a lattice point that is the image of two distinct
 lattice points under the discretized rotation; a *hole* has no preimage
-at all.  Both are counted over |x|,|y| <= M by two independent routes:
+at all.  Both are counted over |x|,|y| <= M by two independent routes,
+each reading the images of a domain window that holds every preimage of
+the target window (the rotation is an isometry and quantization moves
+points by less than sqrt(2)):
 
-* characterization (floor mode only):
-  - collisions: any colliding pair is a unit-distance neighbor pair, and
-    the pair {p, p+e} collides iff the fractional parts of the two
-    rotation forms at p land in a half-open box determined by the
-    rotated step e.  Scanning the domain window and testing the four
-    neighbor systems enumerates every collision image.
+* characterization (floor mode only), read off the floor-image grid:
+  - collisions: every colliding pair is a unit-distance neighbor pair
+    and no image has more than two preimages, so the collision images
+    are the shared images of right and up neighbor pairs.
   - holes: (n, m) has no preimage iff some cell's four corner images are
     exactly the four orthogonal neighbors of (n, m), in a fixed order
     determined by the angle's quadrant (the rotated cell then covers
-    T_(n,m) up to corner triangles that belong to neighbors).  Scanning
-    cells for that pattern enumerates every hole.  Note the weaker test
-    "no corner of the cell *containing* the inverse-rotated point maps
-    onto (n, m)" is necessary but not sufficient; see hole_test_exact.
-* brute force (any rounding mode): enumerate the discretized map over a
-  domain window large enough to contain every preimage of the target
-  window (the rotation is an isometry and quantization moves points by
-  less than sqrt(2)), histogram the images, and read off multiplicities.
+    T_(n,m) up to corner triangles that belong to neighbors).  Note the
+    weaker test "no corner of the cell *containing* the inverse-rotated
+    point maps onto (n, m)" is necessary but not sufficient; see
+    hole_test_exact.
+* brute force (any rounding mode): histogram the images and read off
+  multiplicities.
 
 Scans run banded over rows: memory stays bounded, bands can be handed to
-worker threads, and the merge (integer sums / set unions, applied in
-band order) is independent of the thread count.
+worker threads, and the merge (integer sums and index lists, sorted at
+the end) is independent of the thread count.  Points the float
+prefilter flags are re-decided exactly on the calling thread.
 """
 
 from __future__ import annotations
@@ -39,17 +39,9 @@ import numpy as np
 
 from .angle import AngleContext, angle_text
 from .errors import CapExceeded, DegenerateCounts, UnsupportedMode
-from .exactnum import HALF, ONE, ZERO, Scalar, compare, floor_exact, frac_part
-from .exactnum import rational as rational_const
-from .kernels import LinearForm, make_form, rotation_forms
-from .rotation import (
-    RoundingMode,
-    _combine,
-    cell_corners,
-    discrete_rotate,
-    quantize,
-    rotate_inverse,
-)
+from .exactnum import HALF, ZERO, compare, floor_exact
+from .kernels import make_form
+from .rotation import RoundingMode, cell_corners, discrete_rotate, quantize, rotate_inverse
 
 DEFAULT_ORACLE_CAP = 512
 _BAND_TARGET = 1 << 20  # points per band
@@ -114,85 +106,13 @@ def _sorted_points(idx: np.ndarray, M: int) -> list[tuple[int, int]]:
     return [(int(x), int(y)) for x, y in zip(xs[order], ys[order])]
 
 
-# --------------------------------------------------------------------------
-# Neighbor boxes for the collision characterization
-# --------------------------------------------------------------------------
-
-_DIRS = ((0, 1), (1, 0), (0, -1), (-1, 0))
-
-
-def _max_scalar(a: Scalar, b: Scalar) -> Scalar:
-    return a if compare(a, b) >= 0 else b
-
-
-def _min_scalar(a: Scalar, b: Scalar) -> Scalar:
-    return a if compare(a, b) <= 0 else b
-
-
-def _shift_box(c: Scalar) -> tuple[Scalar, Scalar]:
-    """floor(L) == floor(L + c) for |c| <= 1 iff {L} in [lo, hi)."""
-    return _max_scalar(ZERO, -c), _min_scalar(ONE, ONE - c)
-
-
-def neighbor_boxes(ctx: AngleContext) -> list[tuple[tuple[int, int], tuple, tuple]]:
-    """Per neighbor step e: the box [lo1,hi1) x [lo2,hi2) on the
-    fractional parts of the two rotation forms that makes p and p+e
-    share their floor image."""
-    out = []
-    for da, db in _DIRS:
-        c1 = ctx.cos * da - ctx.sin * db
-        c2 = ctx.sin * da + ctx.cos * db
-        out.append(((da, db), _shift_box(c1), _shift_box(c2)))
-    return out
-
-
-def _coeff_sign(ctx: AngleContext, c: tuple[int, int, int]) -> int:
-    """Sign of c0 + c1*sin + c2*cos.  The zero vector is decided
-    symbolically, so exact ties (e.g. a fractional part equal to the
-    bound 'sin' itself) never stall precision escalation."""
-    if c == (0, 0, 0):
-        return 0
-    try:
-        value = ctx.sin * c[1] + ctx.cos * c[2] + rational_const(c[0])
-    except Exception:
-        from .exactnum import as_highprec
-
-        value = (
-            as_highprec(ctx.sin) * c[1]
-            + as_highprec(ctx.cos) * c[2]
-            + rational_const(c[0])
-        )
-    return compare(value, ZERO)
-
-
-def _coeff_sub(a, b):
-    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
-
-
-def _coeff_box_contains(ctx, f, c) -> bool:
-    """{L} in [max(0, -c), min(1, 1-c)) with everything expressed as
-    integer coefficients over (1, sin, cos)."""
-    s = _coeff_sign(ctx, c)
-    lo = (0, 0, 0) if s >= 0 else (-c[0], -c[1], -c[2])
-    hi = (1 - c[0], -c[1], -c[2]) if s >= 0 else (1, 0, 0)
-    return (
-        _coeff_sign(ctx, _coeff_sub(f, lo)) >= 0
-        and _coeff_sign(ctx, _coeff_sub(hi, f)) > 0
-    )
-
-
 def collision_site_exact(ctx: AngleContext, a: int, b: int):
     """Exact per-point evaluation: the floor image of (a, b) and the
-    neighbor steps whose collision system fires there."""
+    neighbor steps whose floor image equals it (a scalar reference; the
+    census re-decides flagged points with _exact_images)."""
     image = discrete_rotate(ctx, (a, b))
-    f1 = (-image[0], -b, a)  # {L1} = -floor + a*cos - b*sin
-    f2 = (-image[1], a, b)
-    fired = []
-    for da, db in _DIRS:
-        c1 = (0, -db, da)  # L1 shift when stepping to the neighbor
-        c2 = (0, da, db)
-        if _coeff_box_contains(ctx, f1, c1) and _coeff_box_contains(ctx, f2, c2):
-            fired.append((da, db))
+    steps = ((0, 1), (1, 0), (0, -1), (-1, 0))
+    fired = [e for e in steps if discrete_rotate(ctx, (a + e[0], b + e[1])) == image]
     return image, fired
 
 
@@ -250,8 +170,184 @@ def hole_pattern_exact(ctx: AngleContext, a: int, b: int) -> tuple[int, int] | N
 
 
 # --------------------------------------------------------------------------
-# Characterization censuses
+# Lattice points to images: the one kernel every scan runs
 # --------------------------------------------------------------------------
+
+def _domain_radius(M: int) -> int:
+    """Radius of the domain window that holds every preimage of the
+    window |x|,|y| <= M + 1, so also every corner of a hole's cell."""
+    return _ceil_sqrt2(M + 2) + 2
+
+
+def _image_forms(ctx: AngleContext, R: int, mode: RoundingMode):
+    """The two coordinate forms whose floors are the images under mode
+    (round is floor of the form shifted by 1/2; trunc adjusts floor)."""
+    gamma = HALF if mode is RoundingMode.ROUND else ZERO
+    return (
+        make_form(ctx.cos, -ctx.sin, gamma, max_abs=R),
+        make_form(ctx.sin, ctx.cos, gamma, max_abs=R),
+    )
+
+
+def _band(cols: np.ndarray, blo: int, bhi: int):
+    """Lattice points of rows blo..bhi as broadcast (A, B) views of shape
+    (rows, cols); A[i, j] = cols[j], B[i, j] = blo + i."""
+    rows = np.arange(blo, bhi + 1, dtype=np.int64)
+    return np.broadcast_arrays(cols[None, :], rows[:, None])
+
+
+def _images(forms, A, B, mode: RoundingMode = RoundingMode.FLOOR):
+    """Images of the points (A, B) under mode; returns (X, Y, unc), where
+    unc (None for exact kernels) flags the entries to re-decide."""
+    k1, k2 = forms
+    (X, u1), (Y, u2) = k1.floor(A, B), k2.floor(A, B)
+    flags = [u1, u2]
+    if mode is RoundingMode.TRUNC:
+        (z1, u3), (z2, u4) = k1.frac_zero(A, B), k2.frac_zero(A, B)
+        flags += [u3, u4]
+        X = X + ((X < 0) & ~z1)
+        Y = Y + ((Y < 0) & ~z2)
+    flags = [u for u in flags if u is not None]
+    return X, Y, np.logical_or.reduce(flags) if flags else None
+
+
+def _exact_images(ctx, forms, A, B, mode=RoundingMode.FLOOR, memo=None):
+    """_images with the flagged entries re-decided by the exact scalar
+    layer.  Call it on the calling thread only: HighPrec evaluation uses
+    mpmath's process-global precision."""
+    X, Y, unc = _images(forms, A, B, mode)
+    if unc is not None:
+        memo = {} if memo is None else memo
+        for i in zip(*np.nonzero(unc)):
+            p = (int(A[i]), int(B[i]))
+            if p not in memo:
+                memo[p] = discrete_rotate(ctx, p, mode)
+            X[i], Y[i] = memo[p]
+    return X, Y
+
+
+# --------------------------------------------------------------------------
+# Characterization censuses: one pass over the floor-image grid
+# --------------------------------------------------------------------------
+
+# A shape is a tuple of offsets from an anchor point; its copies are read
+# off the image grid.  Collisions are right and up neighbour pairs;
+# holes are cells, corners in cell_corners order.
+_PAIRS = (((0, 0), (1, 0)), ((0, 0), (0, 1)))
+_CELLS = (((0, 0), (1, 0), (0, 1), (1, 1)),)
+
+
+def _shared_image(imgs):
+    """Pairs whose two images agree; the shared image is the collision."""
+    (X0, Y0), (X1, Y1) = imgs
+    return (X0 == X1) & (Y0 == Y1), X0, Y0
+
+
+def _surrounded(pattern):
+    """Cells whose corner images are the four neighbours of one point, in
+    the quadrant's order; that point is the hole."""
+    (px, py), rest = pattern[0], pattern[1:]
+
+    def test(imgs):
+        (X0, Y0), others = imgs[0], imgs[1:]
+        hit = np.ones(X0.shape, dtype=bool)
+        for (X, Y), (dx, dy) in zip(others, rest):
+            hit &= (X - X0 == dx - px) & (Y - Y0 == dy - py)
+        return hit, X0 - px, Y0 - py
+
+    return test
+
+
+def _anchors_touching(flagged: np.ndarray, shape, R: int):
+    """Anchors (A, B) of the copies of shape inside the domain that have
+    a corner at a flagged point."""
+    w = max(da for da, _ in shape)
+    h = max(db for _, db in shape)
+    cand = np.concatenate([flagged - np.array(off) for off in shape])
+    a, b = cand[:, 0], cand[:, 1]
+    cand = np.unique(cand[(a >= -R) & (a <= R - w) & (b >= -R) & (b <= R - h)], axis=0)
+    return cand[:, 0], cand[:, 1]
+
+
+def _grid_census(ctx, M, kind, keep_points, threads):
+    """(count, window indices or None) of collision images or holes.
+
+    One banded pass computes the floor images of the domain once per
+    point; each band reads a one-row halo above it, so every pair and
+    cell anchored in the band is read there.  A collision has exactly
+    two preimages, a unit-neighbour pair, and a hole exactly one pattern
+    cell, so counts are plain sums.  Copies with a corner the float
+    prefilter flagged are left to the calling thread, which re-decides
+    them from exact images.
+    """
+    R = _domain_radius(M)
+    W = 2 * M + 1
+    forms = _image_forms(ctx, R, RoundingMode.FLOOR)
+    cols = np.arange(-R, R + 1, dtype=np.int64)
+    if kind is CensusKind.COLLISIONS:
+        shapes, found = _PAIRS, _shared_image
+    else:
+        shapes, found = _CELLS, _surrounded(_HOLE_PATTERNS[_quadrant(ctx)])
+
+    def tally(hit, N, Mv):
+        hit &= (np.abs(N) <= M) & (np.abs(Mv) <= M)
+        idx = (N[hit] + M) * W + (Mv[hit] + M) if keep_points else None
+        return int(np.count_nonzero(hit)), idx
+
+    def worker(span):
+        blo, bhi = span
+        A, B = _band(cols, blo, min(bhi + 1, R))
+        X, Y, unc = _images(forms, A, B)
+        rows = bhi - blo + 1
+        tallies = []
+        for shape in shapes:
+            nr = min(rows, X.shape[0] - max(db for _, db in shape))
+            nc = X.shape[1] - max(da for da, _ in shape)
+            hit, N, Mv = found(
+                [(X[db:db + nr, da:da + nc], Y[db:db + nr, da:da + nc]) for da, db in shape]
+            )
+            if unc is not None:
+                for da, db in shape:
+                    hit &= ~unc[db:db + nr, da:da + nc]
+            tallies.append(tally(hit, N, Mv))
+        own = None if unc is None else unc[:rows]
+        if own is None or not own.any():
+            return tallies, None
+        return tallies, np.stack([A[:rows][own], B[:rows][own]], axis=1)
+
+    tallies, flagged = [], []
+    for band_tallies, band_flagged in _run_bands(-R, R, 2 * R + 1, worker, threads):
+        tallies += band_tallies
+        if band_flagged is not None:
+            flagged.append(band_flagged)
+    if flagged:
+        flagged = np.concatenate(flagged)
+        memo: dict = {}
+        for shape in shapes:
+            A, B = _anchors_touching(flagged, shape, R)
+            imgs = [_exact_images(ctx, forms, A + da, B + db, memo=memo) for da, db in shape]
+            tallies.append(tally(*found(imgs)))
+    count = sum(n for n, _ in tallies)
+    if not keep_points:
+        return count, None
+    return count, np.concatenate([idx for _, idx in tallies])
+
+
+def _characterization_report(ctx, M, kind, keep_points, threads, count_pairs=False):
+    start = time.perf_counter()
+    count, idx = _grid_census(ctx, M, kind, keep_points, threads)
+    return CensusReport(
+        angle=angle_text(ctx),
+        mode=RoundingMode.FLOOR,
+        M=M,
+        kind=kind,
+        count=count,
+        points=_sorted_points(idx, M) if keep_points else None,
+        method=Method.CHARACTERIZATION,
+        elapsed_ms=(time.perf_counter() - start) * 1000,
+        pair_count=count if count_pairs else None,
+    )
+
 
 def collision_census(
     ctx: AngleContext,
@@ -271,70 +367,8 @@ def collision_census(
             cap=oracle_cap, keep_points=keep_points, threads=threads,
             count_pairs=count_pairs,
         )
-    start = time.perf_counter()
-    R = _ceil_sqrt2(M) + 2
-    W = 2 * M + 1
-    k1, k2 = rotation_forms(ctx, max_abs=R)
-    boxes = neighbor_boxes(ctx)
-    cols = np.arange(-R, R + 1, dtype=np.int64)
-
-    def worker(span):
-        blo, bhi = span
-        rows = np.arange(blo, bhi + 1, dtype=np.int64)
-        A, B = np.meshgrid(cols, rows)
-        A, B = A.ravel(), B.ravel()
-        F1, u1 = k1.floor(A, B)
-        F2, u2 = k2.floor(A, B)
-        unc = _or_masks(u1, u2)
-        dir_masks = []
-        for _, (lo1, hi1), (lo2, hi2) in boxes:
-            m1a, ua = k1.frac_lt(A, B, lo1, strict=True)
-            m1b, ub = k1.frac_lt(A, B, hi1, strict=True)
-            m2a, uc = k2.frac_lt(A, B, lo2, strict=True)
-            m2b, ud = k2.frac_lt(A, B, hi2, strict=True)
-            for u in (ua, ub, uc, ud):
-                unc = _or_masks(unc, u)
-            dir_masks.append(~m1a & m1b & ~m2a & m2b)
-        inwin = (np.abs(F1) <= M) & (np.abs(F2) <= M)
-        hit_any = np.zeros(A.shape, dtype=bool)
-        matches = 0
-        for m in dir_masks:
-            if unc is not None:
-                m &= ~unc
-            matches += int((m & inwin).sum())
-            hit_any |= m
-        hit = hit_any & inwin
-        idx = (F1[hit] + M) * W + (F2[hit] + M)
-        flagged = (
-            np.stack([A[unc], B[unc]], axis=1) if unc is not None and unc.any() else None
-        )
-        return np.unique(idx), matches, flagged
-
-    results = _run_bands(-R, R, 2 * R + 1, worker, threads)
-    chunks = [r[0] for r in results]
-    matches = sum(r[1] for r in results)
-    for r in results:
-        if r[2] is None:
-            continue
-        for a, b in r[2]:
-            image, fired = collision_site_exact(ctx, int(a), int(b))
-            if fired and abs(image[0]) <= M and abs(image[1]) <= M:
-                chunks.append(
-                    np.array([(image[0] + M) * W + (image[1] + M)], dtype=np.int64)
-                )
-                matches += len(fired)
-    idx = np.unique(np.concatenate(chunks)) if chunks else np.array([], dtype=np.int64)
-    elapsed = (time.perf_counter() - start) * 1000
-    return CensusReport(
-        angle=angle_text(ctx),
-        mode=mode,
-        M=M,
-        kind=CensusKind.COLLISIONS,
-        count=int(idx.size),
-        points=_sorted_points(idx, M) if keep_points else None,
-        method=Method.CHARACTERIZATION,
-        elapsed_ms=elapsed,
-        pair_count=(matches // 2) if count_pairs else None,
+    return _characterization_report(
+        ctx, M, CensusKind.COLLISIONS, keep_points, threads, count_pairs
     )
 
 
@@ -354,71 +388,7 @@ def hole_census(
             ctx, M, mode, CensusKind.HOLES,
             cap=oracle_cap, keep_points=keep_points, threads=threads,
         )
-    start = time.perf_counter()
-    W = 2 * M + 1
-    R = _ceil_sqrt2(M + 1) + 2
-    pattern = _HOLE_PATTERNS[_quadrant(ctx)]
-    corner_forms = []
-    for ea, eb in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        g1 = _combine(ctx.cos, ea, -ctx.sin, eb)
-        g2 = _combine(ctx.sin, ea, ctx.cos, eb)
-        corner_forms.append(
-            (
-                make_form(ctx.cos, -ctx.sin, g1, max_abs=R),
-                make_form(ctx.sin, ctx.cos, g2, max_abs=R),
-            )
-        )
-    cols = np.arange(-R, R + 1, dtype=np.int64)
-
-    def worker(span):
-        blo, bhi = span
-        rows = np.arange(blo, bhi + 1, dtype=np.int64)
-        A, B = np.meshgrid(cols, rows)
-        A, B = A.ravel(), B.ravel()
-        unc = None
-        imgs = []
-        for k1e, k2e in corner_forms:
-            X, u1 = k1e.floor(A, B)
-            Y, u2 = k2e.floor(A, B)
-            unc = _or_masks(unc, _or_masks(u1, u2))
-            imgs.append((X, Y))
-        N = imgs[0][0] - pattern[0][0]
-        Mv = imgs[0][1] - pattern[0][1]
-        match = np.ones(A.shape, dtype=bool)
-        for (X, Y), (dx, dy) in zip(imgs[1:], pattern[1:]):
-            match &= (X == N + dx) & (Y == Mv + dy)
-        match &= (np.abs(N) <= M) & (np.abs(Mv) <= M)
-        if unc is not None:
-            match &= ~unc
-        idx = (N[match] + M) * W + (Mv[match] + M)
-        flagged = (
-            np.stack([A[unc], B[unc]], axis=1) if unc is not None and unc.any() else None
-        )
-        return np.unique(idx), flagged
-
-    results = _run_bands(-R, R, 2 * R + 1, worker, threads)
-    chunks = [r[0] for r in results]
-    for r in results:
-        if r[1] is None:
-            continue
-        for a, b in r[1]:
-            found = hole_pattern_exact(ctx, int(a), int(b))
-            if found is not None and abs(found[0]) <= M and abs(found[1]) <= M:
-                chunks.append(
-                    np.array([(found[0] + M) * W + (found[1] + M)], dtype=np.int64)
-                )
-    idx = np.unique(np.concatenate(chunks)) if chunks else np.array([], dtype=np.int64)
-    elapsed = (time.perf_counter() - start) * 1000
-    return CensusReport(
-        angle=angle_text(ctx),
-        mode=mode,
-        M=M,
-        kind=CensusKind.HOLES,
-        count=int(idx.size),
-        points=_sorted_points(idx, M) if keep_points else None,
-        method=Method.CHARACTERIZATION,
-        elapsed_ms=elapsed,
-    )
+    return _characterization_report(ctx, M, CensusKind.HOLES, keep_points, threads)
 
 
 def _pick_method(method: Method | None, mode: RoundingMode) -> Method:
@@ -434,33 +404,6 @@ def _pick_method(method: Method | None, mode: RoundingMode) -> Method:
 # --------------------------------------------------------------------------
 # Brute-force oracle
 # --------------------------------------------------------------------------
-
-def _quantize_arrays(ctx, k1, k2, k1r, k2r, A, B, mode):
-    """Images of (A, B) under the chosen rounding; returns (X, Y, unc)."""
-    if mode is RoundingMode.ROUND:
-        X, u1 = k1r.floor(A, B)
-        Y, u2 = k2r.floor(A, B)
-        unc = _or_masks(u1, u2)
-        return X, Y, unc
-    X, u1 = k1.floor(A, B)
-    Y, u2 = k2.floor(A, B)
-    unc = _or_masks(u1, u2)
-    if mode is RoundingMode.TRUNC:
-        z1, u3 = k1.frac_zero(A, B)
-        z2, u4 = k2.frac_zero(A, B)
-        unc = _or_masks(unc, _or_masks(u3, u4))
-        X = X + ((X < 0) & ~z1)
-        Y = Y + ((Y < 0) & ~z2)
-    return X, Y, unc
-
-
-def _or_masks(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return a | b
-
 
 def brute_force_census(
     ctx: AngleContext,
@@ -478,7 +421,6 @@ def brute_force_census(
         raise CapExceeded(f"brute-force window M={M} exceeds the cap {cap}")
     start = time.perf_counter()
     counts = _image_histogram(ctx, M, mode, threads)
-    W = 2 * M + 1
     if kind is CensusKind.COLLISIONS:
         mask = counts >= 2
         pair_count = int(sum(math.comb(int(c), 2) for c in counts[mask])) if count_pairs else None
@@ -500,47 +442,29 @@ def brute_force_census(
     )
 
 
-def _domain_radius(M: int) -> int:
-    return _ceil_sqrt2(M + 2) + 2
-
-
-def _brute_forms(ctx, R):
-    k1, k2 = rotation_forms(ctx, max_abs=R)
-    k1r = make_form(ctx.cos, -ctx.sin, HALF, max_abs=R)
-    k2r = make_form(ctx.sin, ctx.cos, HALF, max_abs=R)
-    return k1, k2, k1r, k2r
-
-
 def _image_histogram(ctx, M, mode, threads) -> np.ndarray:
     R = _domain_radius(M)
     W = 2 * M + 1
-    k1, k2, k1r, k2r = _brute_forms(ctx, R)
+    forms = _image_forms(ctx, R, mode)
     cols = np.arange(-R, R + 1, dtype=np.int64)
 
     def worker(span):
-        blo, bhi = span
-        rows = np.arange(blo, bhi + 1, dtype=np.int64)
-        A, B = np.meshgrid(cols, rows)
-        A, B = A.ravel(), B.ravel()
-        X, Y, unc = _quantize_arrays(ctx, k1, k2, k1r, k2r, A, B, mode)
+        A, B = _band(cols, *span)
+        X, Y, unc = _images(forms, A, B, mode)
+        keep = (np.abs(X) <= M) & (np.abs(Y) <= M)
+        flagged = None
         if unc is not None and unc.any():
-            flagged = np.stack([A[unc], B[unc]], axis=1)
-            keep = ~unc
-            A, B, X, Y = A[keep], B[keep], X[keep], Y[keep]
-        else:
-            flagged = None
-        inwin = (np.abs(X) <= M) & (np.abs(Y) <= M)
-        idx = (X[inwin] + M) * W + (Y[inwin] + M)
-        return idx, flagged
+            flagged = A[unc], B[unc]
+            keep &= ~unc
+        return (X[keep] + M) * W + (Y[keep] + M), flagged
 
     counts = np.zeros(W * W, dtype=np.int64)
     for idx, flagged in _run_bands(-R, R, 2 * R + 1, worker, threads):
         counts += np.bincount(idx, minlength=W * W)
         if flagged is not None:
-            for a, b in flagged:
-                x, y = discrete_rotate(ctx, (int(a), int(b)), mode)
-                if abs(x) <= M and abs(y) <= M:
-                    counts[(x + M) * W + (y + M)] += 1
+            X, Y = _exact_images(ctx, forms, *flagged, mode)
+            inwin = (np.abs(X) <= M) & (np.abs(Y) <= M)
+            np.add.at(counts, (X[inwin] + M) * W + (Y[inwin] + M), 1)
     return counts
 
 
@@ -553,18 +477,13 @@ def collision_preimages(
     W = 2 * M + 1
     hot = counts >= 2
     R = _domain_radius(M)
-    k1, k2, k1r, k2r = _brute_forms(ctx, R)
+    forms = _image_forms(ctx, R, mode)
     cols = np.arange(-R, R + 1, dtype=np.int64)
     out: dict[tuple[int, int], list[tuple[int, int]]] = {}
 
     for blo, bhi in _bands(-R, R, 2 * R + 1):
-        rows = np.arange(blo, bhi + 1, dtype=np.int64)
-        A, B = np.meshgrid(cols, rows)
-        A, B = A.ravel(), B.ravel()
-        X, Y, unc = _quantize_arrays(ctx, k1, k2, k1r, k2r, A, B, mode)
-        if unc is not None and unc.any():
-            for i in np.nonzero(unc)[0]:
-                X[i], Y[i] = discrete_rotate(ctx, (int(A[i]), int(B[i])), mode)
+        A, B = _band(cols, blo, bhi)
+        X, Y = _exact_images(ctx, forms, A, B, mode)
         inwin = (np.abs(X) <= M) & (np.abs(Y) <= M)
         idx = (X + M) * W + (Y + M)
         sel = inwin & hot[np.clip(idx, 0, W * W - 1)]

@@ -17,7 +17,11 @@ Arithmetic between exact variants stays exact; anything mixed with a
 ``HighPrec`` degrades to ``HighPrec``.  Quadratic irrationals over
 different radicands cannot be combined (:class:`IncompatibleField`).
 
-All values are immutable and safe to share between workers.
+All values are immutable.  Exact variants are safe to share between
+threads; HighPrec evaluation runs inside mpmath's process-global working
+precision (``mp.workprec``), so decide HighPrec values on one thread.
+Floors and comparisons read interval endpoints exactly, never at
+mpmath's ambient precision.
 """
 
 from __future__ import annotations
@@ -236,7 +240,7 @@ HALF = Rational(1, 2)
 # use mpmath's exact libmp kernels so dyadic chains stay exact.
 # --------------------------------------------------------------------------
 
-from mpmath.libmp import mpf_add, mpf_mul, mpf_neg  # noqa: E402
+from mpmath.libmp import mpf_add, mpf_mul, mpf_neg, mpf_sign, mpf_sub, to_int  # noqa: E402
 
 
 def _ulp(x, bits):
@@ -277,8 +281,6 @@ class HighPrec(Scalar):
 
 
 def _dyadic_leaf(x: mpf, bits: int) -> HighPrec:
-    x = +x  # normalize to mpf
-
     def fn(_bits, _x=x):
         return _x, mpf(0)
 
@@ -355,7 +357,7 @@ def _hp_add(a: HighPrec, b: HighPrec) -> HighPrec:
         am, ar = a.eval(req)
         bm, br = b.eval(req)
         if ar == 0 and br == 0:
-            return mpf(mpf_add(am._mpf_, bm._mpf_, 0, "n")), mpf(0)  # exact
+            return mp.make_mpf(mpf_add(am._mpf_, bm._mpf_)), mpf(0)  # exact
         with mp.workprec(req + 8):
             mid = am + bm
             rad = ar + br + _ulp(mid, req)
@@ -373,7 +375,7 @@ def _hp_mul(a: HighPrec, b: HighPrec) -> HighPrec:
         if (am == 0 and ar == 0) or (bm == 0 and br == 0):
             return mpf(0), mpf(0)
         if ar == 0 and br == 0:
-            return mpf(mpf_mul(am._mpf_, bm._mpf_, 0, "n")), mpf(0)  # exact
+            return mp.make_mpf(mpf_mul(am._mpf_, bm._mpf_)), mpf(0)  # exact
         with mp.workprec(req + 8):
             mid = am * bm
             rad = abs(am) * br + abs(bm) * ar + ar * br + _ulp(mid, req)
@@ -385,7 +387,7 @@ def _hp_mul(a: HighPrec, b: HighPrec) -> HighPrec:
 def _hp_neg(a: HighPrec) -> HighPrec:
     def fn(req):
         am, ar = a.eval(req)
-        return mpf(mpf_neg(am._mpf_, 0, "n")), ar
+        return mp.make_mpf(mpf_neg(am._mpf_)), ar
 
     return HighPrec(fn, a.precision_bits)
 
@@ -477,6 +479,13 @@ def _sign_p_plus_q_sqrt(A: int, B: int, d: int) -> int:
     return 1 if rhs > lhs else -1 if rhs < lhs else 0
 
 
+def _enclosure(mid, rad):
+    """Endpoints mid - rad and mid + rad as raw libmp values, computed
+    exactly: rounding them at mpmath's ambient precision could move an
+    endpoint across the integer or the zero being decided."""
+    return mpf_sub(mid._mpf_, rad._mpf_), mpf_add(mid._mpf_, rad._mpf_)
+
+
 def floor_exact(s: Scalar) -> int:
     """Provably correct floor(s).
 
@@ -493,9 +502,9 @@ def floor_exact(s: Scalar) -> int:
         bits = max(16, s.precision_bits)
         while True:
             mid, rad = s.eval(bits)
-            lo, hi = mid - rad, mid + rad
-            flo = int(mpmath.floor(lo))
-            if flo == int(mpmath.floor(hi)):
+            lo, hi = _enclosure(mid, rad)
+            flo = to_int(lo, "f")
+            if flo == to_int(hi, "f"):
                 return flo
             if bits >= MAX_PRECISION_BITS:
                 raise UndecidableAtPrecision(
@@ -513,13 +522,13 @@ def compare(s1, s2) -> int:
         diff = _hp_add(as_highprec(s1), _hp_neg(as_highprec(s2)))
         bits = max(16, diff.precision_bits)
         while True:
-            mid, rad = diff.eval(bits)
-            if rad == 0:
-                return (mid > 0) - (mid < 0)
-            if mid - rad > 0:
+            lo, hi = _enclosure(*diff.eval(bits))
+            if mpf_sign(lo) > 0:
                 return 1
-            if mid + rad < 0:
+            if mpf_sign(hi) < 0:
                 return -1
+            if mpf_sign(lo) == mpf_sign(hi) == 0:
+                return 0
             if bits >= MAX_PRECISION_BITS:
                 raise UndecidableAtPrecision(
                     f"comparison undecided at {bits} bits"

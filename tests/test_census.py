@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from latrot import census
 from latrot.angle import context_from_text
 from latrot.census import (
     CensusKind,
@@ -12,13 +15,15 @@ from latrot.census import (
     growth_fit,
     hole_census,
     hole_test_exact,
-    neighbor_boxes,
 )
 from latrot.errors import CapExceeded, DegenerateCounts, UnsupportedMode
-from latrot.exactnum import ZERO, compare, rational
+from latrot.exactnum import compare, rational
 from latrot.kernels import make_form, rotation_forms
 from latrot.rotation import RoundingMode, discrete_rotate
 
+FLOAT_PI4 = "rad:~" + repr(math.pi / 4)
+CROSS_FIELD = "quad:sin=sqrt(3)/3,cos=sqrt(6)/3"
+BIG_TRIPLE = "pyth:39999,400,40001"
 EXACT_ANGLES = ["pi/4", "pi/6", "pi/3", "pyth:3,4,5", "pyth:5,12,13"]
 QUADRANT_ANGLES = ["pi*3/4", "pi*7/6", "pi*7/4", "pyth:-3,4,5", "pyth:3,-4,5"]
 
@@ -188,14 +193,20 @@ def test_growth_fit_exponents_small():
         growth_fit(ctx, [16, 32])
 
 
-def test_threads_do_not_change_results():
-    ctx = context_from_text("pyth:5,12,13")
-    a = collision_census(ctx, 20, keep_points=True, threads=1)
-    b = collision_census(ctx, 20, keep_points=True, threads=4)
-    assert (a.count, a.points) == (b.count, b.points)
-    ha = hole_census(ctx, 20, keep_points=True, threads=1)
-    hb = hole_census(ctx, 20, keep_points=True, threads=4)
-    assert (ha.count, ha.points) == (hb.count, hb.points)
+def test_threads_do_not_change_results(monkeypatch):
+    # One-row bands, so every pair and cell straddles a band edge, and
+    # angles whose float prefilter flags points for exact re-decision.
+    monkeypatch.setattr(census, "_BAND_TARGET", 1)
+    for text in ["pyth:5,12,13", "rad:~1.0", FLOAT_PI4]:
+        ctx = context_from_text(text)
+        for run, kind in (
+            (collision_census, CensusKind.COLLISIONS),
+            (hole_census, CensusKind.HOLES),
+        ):
+            a = run(ctx, 20, keep_points=True, threads=1)
+            b = run(ctx, 20, keep_points=True, threads=4)
+            o = brute_force_census(ctx, 20, RoundingMode.FLOOR, kind, keep_points=True)
+            assert (a.count, a.points) == (b.count, b.points) == (o.count, o.points), text
 
 
 def test_points_sorted_by_y_then_x():
@@ -205,22 +216,32 @@ def test_points_sorted_by_y_then_x():
 
 
 def test_kernels_match_exact_layer():
+    # Census and oracle share one kernel; this checks it against the
+    # scalar exact layer, on flat samples and on 2-D band-shaped views.
     rng = np.random.default_rng(11)
-    for text in EXACT_ANGLES + ["rad:~1.0"]:
+    cols = np.arange(-200, 201, 37, dtype=np.int64)
+    rows = np.arange(-190, 201, 41, dtype=np.int64)
+    bandA, bandB = np.broadcast_arrays(cols[None, :], rows[:, None])
+    t = rational(20000, 40001)  # squared sign tests at q = 40001 trip the int64 guard
+    for text in EXACT_ANGLES + ["rad:~1.0", QUADRANT_ANGLES[1], CROSS_FIELD, BIG_TRIPLE]:
         ctx = context_from_text(text)
         k1, k2 = rotation_forms(ctx, max_abs=200)
-        X = rng.integers(-200, 201, size=150)
-        Y = rng.integers(-200, 201, size=150)
-        F1, u1 = k1.floor(X, Y)
-        F2, u2 = k2.floor(X, Y)
-        for i in range(len(X)):
-            x, y = int(X[i]), int(Y[i])
-            e = discrete_rotate(ctx, (x, y))
-            got = (
-                F1[i] if (u1 is None or not u1[i]) else k1.exact_floor(x, y),
-                F2[i] if (u2 is None or not u2[i]) else k2.exact_floor(x, y),
-            )
-            assert got == e
+        flat = (rng.integers(-200, 201, size=150), rng.integers(-200, 201, size=150))
+        for X, Y in (flat, (bandA, bandB)):
+            F1, u1 = k1.floor(X, Y)
+            F2, u2 = k2.floor(X, Y)
+            L1, u3 = k1.frac_lt(X, Y, t)
+            assert F1.shape == F2.shape == L1.shape == X.shape
+            for i in np.ndindex(X.shape):
+                x, y = int(X[i]), int(Y[i])
+                e = discrete_rotate(ctx, (x, y))
+                got = (
+                    F1[i] if (u1 is None or not u1[i]) else k1.exact_floor(x, y),
+                    F2[i] if (u2 is None or not u2[i]) else k2.exact_floor(x, y),
+                )
+                assert got == e, (text, x, y)
+                if u3 is None or not u3[i]:
+                    assert L1[i] == k1.exact_frac_lt(x, y, t), (text, x, y)
 
 
 def test_collision_site_exact_agrees_with_neighbors():
@@ -235,10 +256,3 @@ def test_collision_site_exact_agrees_with_neighbors():
                     if discrete_rotate(ctx, (a + da, b + db)) == image
                 ]
                 assert fired == truth, (text, a, b)
-
-
-def test_neighbor_boxes_interval_shapes():
-    ctx = context_from_text("pyth:3,4,5")
-    for _, (lo1, hi1), (lo2, hi2) in neighbor_boxes(ctx):
-        assert compare(lo1, ZERO) >= 0 and compare(hi1, rational(1)) <= 0
-        assert compare(lo2, ZERO) >= 0 and compare(hi2, rational(1)) <= 0

@@ -216,6 +216,19 @@ def test_highprec_compare_escalates():
         compare(a * a, rational(2))  # exactly equal, radii never vanish
 
 
+def test_highprec_decisions_keep_full_precision():
+    # -16 - 1.06e-16 rounds to -16.0 at mpmath's ambient 53 bits; the
+    # leaf, exact sums and products, floors and comparisons must all use
+    # the value's own 128 bits.
+    x = highprec("-16.000000000000000106", 128)
+    assert floor_exact(x) == -17
+    assert floor_exact(-x) == 16
+    assert compare(x, rational(-16)) < 0
+    assert floor_exact(x + 16) == -1
+    assert floor_exact(x * 1 + highprec("16", 128)) == -1
+    assert compare(x * 2, rational(-32)) < 0
+
+
 def test_parse_format_roundtrip_exact():
     cases = [
         "3/5",

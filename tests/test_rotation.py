@@ -1,4 +1,7 @@
 import itertools
+import math
+
+from mpmath import mp, mpf
 
 from latrot.angle import context_from_text
 from latrot.exactnum import compare, floor_exact, frac_in, quad, rational
@@ -112,3 +115,18 @@ def test_cardinal_discrete_equals_linear():
         x, y = rotate(ctx, p)
         assert (floor_exact(x), floor_exact(y)) == discrete_rotate(ctx, p)
         assert discrete_rotate(ctx, p) == (p[1], -p[0])
+
+
+def test_float_angle_images_match_a_512_bit_floor():
+    # rad:~ angles a few ulps from a rational one put images within
+    # 1e-16 of an integer: (-16, -8) maps to y = -16 - 1.06e-16.
+    text = repr(math.atan2(3, 4))
+    ctx = context_from_text("rad:~" + text)
+    with mp.workprec(128):
+        theta = mpf(text)  # the angle as the 128-bit spec stores it
+    with mp.workprec(512):
+        c, s = mp.cos(theta), mp.sin(theta)
+        for x, y in itertools.product(range(-16, 17), repeat=2):
+            want = (int(mp.floor(x * c - y * s)), int(mp.floor(x * s + y * c)))
+            assert discrete_rotate(ctx, (x, y)) == want, (x, y)
+    assert discrete_rotate(ctx, (-16, -8))[1] == -17
