@@ -39,8 +39,8 @@ import numpy as np
 
 from .angle import AngleContext, angle_text
 from .errors import CapExceeded, DegenerateCounts, UnsupportedMode
-from .exactnum import HALF, ZERO, compare, floor_exact
-from .kernels import make_form
+from .exactnum import ZERO, compare, floor_exact
+from .kernels import image_forms
 from .rotation import RoundingMode, cell_corners, discrete_rotate, quantize, rotate_inverse
 
 DEFAULT_ORACLE_CAP = 512
@@ -179,16 +179,6 @@ def _domain_radius(M: int) -> int:
     return _ceil_sqrt2(M + 2) + 2
 
 
-def _image_forms(ctx: AngleContext, R: int, mode: RoundingMode):
-    """The two coordinate forms whose floors are the images under mode
-    (round is floor of the form shifted by 1/2; trunc adjusts floor)."""
-    gamma = HALF if mode is RoundingMode.ROUND else ZERO
-    return (
-        make_form(ctx.cos, -ctx.sin, gamma, max_abs=R),
-        make_form(ctx.sin, ctx.cos, gamma, max_abs=R),
-    )
-
-
 def _band(cols: np.ndarray, blo: int, bhi: int):
     """Lattice points of rows blo..bhi as broadcast (A, B) views of shape
     (rows, cols); A[i, j] = cols[j], B[i, j] = blo + i."""
@@ -282,7 +272,7 @@ def _grid_census(ctx, M, kind, keep_points, threads):
     """
     R = _domain_radius(M)
     W = 2 * M + 1
-    forms = _image_forms(ctx, R, RoundingMode.FLOOR)
+    forms = image_forms(ctx, RoundingMode.FLOOR, max_abs=R)
     cols = np.arange(-R, R + 1, dtype=np.int64)
     if kind is CensusKind.COLLISIONS:
         shapes, found = _PAIRS, _shared_image
@@ -445,7 +435,7 @@ def brute_force_census(
 def _image_histogram(ctx, M, mode, threads) -> np.ndarray:
     R = _domain_radius(M)
     W = 2 * M + 1
-    forms = _image_forms(ctx, R, mode)
+    forms = image_forms(ctx, mode, max_abs=R)
     cols = np.arange(-R, R + 1, dtype=np.int64)
 
     def worker(span):
@@ -477,7 +467,7 @@ def collision_preimages(
     W = 2 * M + 1
     hot = counts >= 2
     R = _domain_radius(M)
-    forms = _image_forms(ctx, R, mode)
+    forms = image_forms(ctx, mode, max_abs=R)
     cols = np.arange(-R, R + 1, dtype=np.int64)
     out: dict[tuple[int, int], list[tuple[int, int]]] = {}
 

@@ -329,8 +329,7 @@ def _handle_udist(ns, out, started):
     if ns.residue:
         count = udist_mod.count_solutions_residue(ns.ctx, ns.box, ns.M, parity)
     else:
-        count = udist_mod.count_solutions(ns.ctx, ns.box, ns.M, parity,
-                                          threads=ns.threads)
+        count = udist_mod.count_solutions(ns.ctx, ns.box, ns.M, parity)
     total = (2 * ns.M + 1) ** 2
     ratio = count / total if total else 0.0
     angle = ns.ctx.canonical_text()

@@ -1,36 +1,42 @@
-"""Vectorized evaluation of the linear forms behind every lattice scan.
+"""Evaluation of the linear forms behind every lattice scan and orbit step.
 
 Every census / solution counter reduces to floors and fractional-part
 tests of L(x, y) = alpha*x + beta*y + gamma over integer windows, where
 the coefficients are the (exact or high-precision) sine/cosine of one
-angle.  Three kernel families:
+angle; an orbit step is the floor of the same forms at one point.  Two
+kernel families, each with vector methods for windows and one scalar
+point evaluator for orbit steps:
 
-* rational coefficients  -- L = (iA*x + iB*y + iG)/D: floor and
-  fractional part are single int64 divisions/mods, exact.
-* one quadratic field    -- L = (P + Q*sqrt(d))/D with integer P, Q:
-  floor(L) = (P + floor(Q*sqrt(d))) // D, and floor(Q*sqrt(d)) is an
-  integer square root, so everything stays exact in int64.  Fractional
-  comparisons reduce to the sign of A + B*sqrt(d), decided by squaring.
+* one quadratic field    -- L = (P + Q*sqrt(d))/D with integer P, Q
+  (rational coefficients are the Q = 0 case): floor(L) =
+  (P + floor(Q*sqrt(d))) // D, and floor(Q*sqrt(d)) is an integer square
+  root, so everything stays exact.  Fractional comparisons reduce to the
+  sign of A + B*sqrt(d), decided by squaring.
 * float prefilter        -- for high-precision or cross-field angles:
   evaluate in float64, flag any decision within a conservative slack of
   a boundary, and let the caller re-decide flagged points through the
   exact scalar layer.  The slack dominates the float64 error bound
   (~6*|L|*2^-53) by >100x, so unflagged decisions are provably correct.
 
-int64 overflow is guarded at construction from the window bound; forms
-whose intermediates could overflow fall back to per-point exact
-evaluation (slow, correct).
+The quadratic vector methods run in int64, guarded at construction by
+the window bound (and in frac_lt by the bound t).  A window past the
+guard, or a frac_lt bound over another quadratic field, runs through
+the float prefilter over the same coefficients, and the caller
+re-decides its flagged points exactly; the scalar point evaluator uses
+Python ints and needs no guard.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .angle import AngleContext
 from .errors import IncompatibleField
 from .exactnum import (
+    HALF,
     HighPrec,
     QuadIrr,
     Rational,
@@ -40,12 +46,13 @@ from .exactnum import (
     compare,
     floor_exact,
     frac_part,
-    rational,
 )
 from .rotation import RoundingMode, discrete_rotate
 
 _INT64_SAFE = 1 << 62
 _SQRT_SAFE = 1 << 52  # float-assisted isqrt is exact below this
+_REL_SLACK = 1e-12  # float slack per unit of |alpha*x| + |beta*y| + |gamma| + 1
+_MIN_SLACK = 1e-9
 
 
 def visqrt(x: np.ndarray) -> np.ndarray:
@@ -90,20 +97,20 @@ def _parts(s: Scalar) -> tuple[int, int, int, int | None]:
     raise TypeError(f"exact scalar expected, got {type(s).__name__}")
 
 
-
-
 class LinearForm:
     """L(x, y) = alpha*x + beta*y + gamma over integer points.
 
     Vector methods return (values, uncertain) where `uncertain` is None
-    for exact kernels, else a boolean mask of entries the caller must
-    re-decide via the exact_* methods.
+    when every entry is exact, else a boolean mask of entries the caller
+    must re-decide via the exact_* methods.  point(trunc) returns the
+    scalar evaluator (x, y) -> floor(L), or L truncated toward 0 when
+    trunc, with None where only the exact layer can decide.
     """
 
     def __init__(self, alpha: Scalar, beta: Scalar, gamma: Scalar):
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
 
-    # exact single-point fallbacks (shared by every kernel family)
+    # exact single-point decisions (shared by every kernel family)
 
     def exact_value(self, x: int, y: int) -> Scalar:
         try:
@@ -119,37 +126,17 @@ class LinearForm:
         return floor_exact(self.exact_value(x, y))
 
     def exact_frac_lt(self, x: int, y: int, t: Scalar, strict: bool = True) -> bool:
-        c = compare(frac_part(self.exact_value(x, y)), t)
+        f = frac_part(self.exact_value(x, y))
+        try:
+            c = compare(f, t)
+        except IncompatibleField:
+            # irrationals over different fields never coincide, so the
+            # high-precision comparison always separates them
+            c = compare(as_highprec(f), as_highprec(t))
         return c < 0 if strict else c <= 0
 
     def exact_frac_zero(self, x: int, y: int) -> bool:
         return compare(frac_part(self.exact_value(x, y)), ZERO) == 0
-
-    # slow exact vector path for overflow-prone coefficient sizes
-
-    def _slow_floor(self, X, Y):
-        flat = np.array(
-            [self.exact_floor(int(x), int(y)) for x, y in zip(X.ravel(), Y.ravel())],
-            dtype=np.int64,
-        )
-        return flat.reshape(X.shape), None
-
-    def _slow_frac_lt(self, X, Y, t, strict):
-        flat = np.array(
-            [
-                self.exact_frac_lt(int(x), int(y), t, strict)
-                for x, y in zip(X.ravel(), Y.ravel())
-            ],
-            dtype=bool,
-        )
-        return flat.reshape(X.shape), None
-
-    def _slow_frac_zero(self, X, Y):
-        flat = np.array(
-            [self.exact_frac_zero(int(x), int(y)) for x, y in zip(X.ravel(), Y.ravel())],
-            dtype=bool,
-        )
-        return flat.reshape(X.shape), None
 
 
 class QuadForm(LinearForm):
@@ -164,6 +151,7 @@ class QuadForm(LinearForm):
         self.pure_rational = d is None
         self.d = d or 2
         self.D = D
+        self.max_abs = max_abs
         self.pA, self.qA = pa * (D // da), qa * (D // da)
         self.pB, self.qB = pb * (D // db), qb * (D // db)
         self.pG, self.qG = pg * (D // dg), qg * (D // dg)
@@ -176,31 +164,38 @@ class QuadForm(LinearForm):
             and self._maxP + root < _INT64_SAFE
         )
 
-    def _numerators(self, X, Y):
+    @cached_property
+    def _prefilter(self) -> "FloatForm":
+        """The float prefilter over the same coefficients and window, for
+        vector calls past the int64 guard."""
+        return FloatForm(self.alpha, self.beta, self.gamma, self.max_abs)
+
+    def _floors(self, X, Y):
+        """Numerators P, Q of L = (P + Q*sqrt(d))/D, and floor(L)."""
         P = self.pA * X + self.pB * Y + self.pG
         Q = self.qA * X + self.qB * Y + self.qG
-        return P, Q
+        return P, Q, (P + vfloor_sqrt_multiple(Q, self.d)) // self.D
 
     def floor(self, X, Y):
         if not self.vector_ok:
-            return self._slow_floor(X, Y)
-        P, Q = self._numerators(X, Y)
-        return (P + vfloor_sqrt_multiple(Q, self.d)) // self.D, None
+            return self._prefilter.floor(X, Y)
+        return self._floors(X, Y)[2], None
 
     def frac_lt(self, X, Y, t: Scalar, strict: bool = True):
         tp, tq, tden, td = _parts(t)
-        if td is not None and not self.pure_rational and td != self.d:
-            raise IncompatibleField(
-                f"bound over sqrt({td}) against form over sqrt({self.d})"
-            )
         d_eff = td if (td is not None and self.pure_rational) else self.d
-        # sign tests square these; fall back if they could overflow
+        # sign tests square these; past the guard, or with a bound over
+        # another field, the prefilter decides
         maxA = abs(tp) * self.D + self._maxPf * tden
         maxB = abs(tq) * self.D + self._maxQ * tden
-        if not self.vector_ok or maxA * maxA >= _INT64_SAFE or maxB * maxB * d_eff >= _INT64_SAFE:
-            return self._slow_frac_lt(X, Y, t, strict)
-        P, Q = self._numerators(X, Y)
-        F = (P + vfloor_sqrt_multiple(Q, self.d)) // self.D
+        if (
+            not self.vector_ok
+            or td not in (None, d_eff)
+            or maxA * maxA >= _INT64_SAFE
+            or maxB * maxB * d_eff >= _INT64_SAFE
+        ):
+            return self._prefilter.frac_lt(X, Y, t, strict)
+        P, Q, F = self._floors(X, Y)
         Pf = P - F * self.D
         A = tp * self.D - Pf * tden
         B = tq * self.D - Q * tden
@@ -209,10 +204,34 @@ class QuadForm(LinearForm):
 
     def frac_zero(self, X, Y):
         if not self.vector_ok:
-            return self._slow_frac_zero(X, Y)
-        P, Q = self._numerators(X, Y)
-        F = (P + vfloor_sqrt_multiple(Q, self.d)) // self.D
+            return self._prefilter.frac_zero(X, Y)
+        P, Q, F = self._floors(X, Y)
         return (Q == 0) & (P - F * self.D == 0), None
+
+    def point(self, trunc: bool = False):
+        pA, pB, pG, qA, qB, qG = self.pA, self.pB, self.pG, self.qA, self.qB, self.qG
+        D, d, isqrt = self.D, self.d, math.isqrt
+        if self.pure_rational and not trunc:  # Q is 0: skip it on the orbit hot path
+            return lambda x, y: (pA * x + pB * y + pG) // D
+
+        def floor(x, y):
+            P = pA * x + pB * y + pG
+            Q = qA * x + qB * y + qG
+            if Q == 0:
+                return P // D
+            r = isqrt(Q * Q * d)
+            return (P + r) // D if Q > 0 else (P - r - 1) // D
+
+        def truncate(x, y):
+            P = pA * x + pB * y + pG
+            Q = qA * x + qB * y + qG
+            if Q == 0:
+                return P // D if P >= 0 else -(-P // D)
+            r = isqrt(Q * Q * d)  # L is irrational: truncate is floor + 1 below 0
+            F = (P + r) // D if Q > 0 else (P - r - 1) // D
+            return F + 1 if F < 0 else F
+
+        return truncate if trunc else floor
 
 
 class FloatForm(LinearForm):
@@ -223,32 +242,44 @@ class FloatForm(LinearForm):
         super().__init__(alpha, beta, gamma)
         self.fa, self.fb, self.fg = float(alpha), float(beta), float(gamma)
         span = (abs(self.fa) + abs(self.fb)) * max_abs + abs(self.fg) + 1
-        self.slack = max(1e-9, span * 1e-12)
-        self.vector_ok = True
+        self.slack = max(_MIN_SLACK, span * _REL_SLACK)
 
-    def _value(self, X, Y):
-        return self.fa * X + self.fb * Y + self.fg
-
-    def floor(self, X, Y):
-        L = self._value(X, Y)
+    def _floors(self, X, Y):
+        """floor(L), {L}, and the entries within the slack of an integer."""
+        L = self.fa * X + self.fb * Y + self.fg
         F = np.floor(L)
         f = L - F
-        unc = (f < self.slack) | (f > 1 - self.slack)
+        return F, f, (f < self.slack) | (f > 1 - self.slack)
+
+    def floor(self, X, Y):
+        F, _, unc = self._floors(X, Y)
         return F.astype(np.int64), unc
 
     def frac_lt(self, X, Y, t: Scalar, strict: bool = True):
-        L = self._value(X, Y)
-        f = L - np.floor(L)
+        _, f, unc = self._floors(X, Y)
         ft = float(t)
-        unc = (f < self.slack) | (f > 1 - self.slack) | (np.abs(f - ft) < self.slack)
         mask = (f < ft) if strict else (f <= ft)
-        return mask, unc
+        return mask, unc | (np.abs(f - ft) < self.slack)
 
     def frac_zero(self, X, Y):
-        L = self._value(X, Y)
-        f = L - np.floor(L)
-        unc = (f < self.slack) | (f > 1 - self.slack)
-        return np.zeros(L.shape, dtype=bool), unc
+        _, f, unc = self._floors(X, Y)
+        return np.zeros(f.shape, dtype=bool), unc
+
+    def point(self, trunc: bool = False):
+        fa, fb, fg, floor = self.fa, self.fb, self.fg, math.floor
+        # the window slack with |x| + |y| >= max(|x|, |y|) as the window
+        k = (abs(fa) + abs(fb)) * _REL_SLACK
+        k0 = (abs(fg) + 1) * _REL_SLACK
+
+        def value(x, y):
+            L = fa * x + fb * y + fg
+            F = floor(L)
+            s = max(_MIN_SLACK, (abs(x) + abs(y)) * k + k0)
+            if not s <= L - F <= 1 - s:
+                return None
+            return F + 1 if trunc and F < 0 else F  # L is not an integer
+
+        return value
 
 
 def make_form(
@@ -264,115 +295,47 @@ def make_form(
     return QuadForm(alpha, beta, gamma, ds.pop() if ds else None, max_abs)
 
 
-def rotation_forms(ctx: AngleContext, *, max_abs: int) -> tuple[LinearForm, LinearForm]:
-    """The two coordinate forms of the rotation itself."""
-    return (
-        make_form(ctx.cos, -ctx.sin, max_abs=max_abs),
-        make_form(ctx.sin, ctx.cos, max_abs=max_abs),
-    )
-
-
-def inverse_rotation_forms(
-    ctx: AngleContext, *, max_abs: int
+def image_forms(
+    ctx: AngleContext, mode: RoundingMode, *, max_abs: int
 ) -> tuple[LinearForm, LinearForm]:
+    """The two coordinate forms of the rotation whose floors are the
+    images under mode: round is the floor of the form shifted by 1/2;
+    trunc adds 1 to the floor where the value is negative and not an
+    integer."""
+    gamma = HALF if mode is RoundingMode.ROUND else ZERO
     return (
-        make_form(ctx.cos, ctx.sin, max_abs=max_abs),
-        make_form(-ctx.sin, ctx.cos, max_abs=max_abs),
+        make_form(ctx.cos, -ctx.sin, gamma, max_abs=max_abs),
+        make_form(ctx.sin, ctx.cos, gamma, max_abs=max_abs),
     )
-
-
-# --------------------------------------------------------------------------
-# Scalar-speed step functions for orbit iteration
-# --------------------------------------------------------------------------
-
-def _floor_quad_scalar(P: int, Q: int, D: int, d: int) -> int:
-    if Q == 0:
-        return P // D
-    r = math.isqrt(Q * Q * d)
-    return (P + (r if Q > 0 else -r - 1)) // D
 
 
 def make_step(ctx: AngleContext, mode: RoundingMode = RoundingMode.FLOOR):
     """A fast exact (x, y) -> (x', y') closure for one angle and mode.
 
-    Exact integer arithmetic whenever sin/cos live in one quadratic
-    field (this covers every pi-multiple, Pythagorean and same-field
-    angle; no floating point is involved).  High-precision angles use a
-    float64 fast path whose decisions are provably correct outside a
-    slack band, with exact escalation inside it.
+    Each coordinate is its image form's point evaluator: exact integer
+    arithmetic whenever sin/cos live in one quadratic field (every
+    pi-multiple, Pythagorean and same-field angle), else float64 whose
+    decisions are provably correct outside the slack, with the point
+    re-decided exactly inside it.
     """
     if not isinstance(mode, RoundingMode):
         raise TypeError(f"mode must be a RoundingMode, got {mode!r}")
-    coeffs = (ctx.cos, ctx.sin)
-    if not any(isinstance(c, HighPrec) for c in coeffs):
-        ds = {c.d for c in coeffs if isinstance(c, QuadIrr)}
-        if len(ds) <= 1:
-            d = ds.pop() if ds else 2
-            pc, qc, dc, _ = _parts(ctx.cos)
-            ps, qs, dsn, _ = _parts(ctx.sin)
-            D = math.lcm(dc, dsn)
-            pc, qc = pc * (D // dc), qc * (D // dc)
-            ps, qs = ps * (D // dsn), qs * (D // dsn)
+    trunc = mode is RoundingMode.TRUNC
+    k1, k2 = image_forms(ctx, mode, max_abs=0)
+    f1, f2 = k1.point(trunc), k2.point(trunc)
+    if isinstance(k1, QuadForm):
 
-            if mode is RoundingMode.FLOOR:
+        def step(p):
+            x, y = p
+            return f1(x, y), f2(x, y)
 
-                def step(p):
-                    x, y = p
-                    return (
-                        _floor_quad_scalar(pc * x - ps * y, qc * x - qs * y, D, d),
-                        _floor_quad_scalar(ps * x + pc * y, qs * x + qc * y, D, d),
-                    )
+    else:
 
-            elif mode is RoundingMode.ROUND:
-
-                def step(p):
-                    x, y = p
-                    return (
-                        _floor_quad_scalar(
-                            2 * (pc * x - ps * y) + D, 2 * (qc * x - qs * y), 2 * D, d
-                        ),
-                        _floor_quad_scalar(
-                            2 * (ps * x + pc * y) + D, 2 * (qs * x + qc * y), 2 * D, d
-                        ),
-                    )
-
-            else:
-
-                def trunc1(P, Q):
-                    F = _floor_quad_scalar(P, Q, D, d)
-                    if F >= 0 or (Q == 0 and P - F * D == 0):
-                        return F
-                    return F + 1
-
-                def step(p):
-                    x, y = p
-                    return (
-                        trunc1(pc * x - ps * y, qc * x - qs * y),
-                        trunc1(ps * x + pc * y, qs * x + qc * y),
-                    )
-
-            return step
-
-    # high-precision / cross-field: float fast path, exact inside the slack
-    fc, fs = float(ctx.cos), float(ctx.sin)
-    shift = 0.5 if mode is RoundingMode.ROUND else 0.0
-
-    def step(p):
-        x, y = p
-        slack = max(1e-9, (abs(x) + abs(y) + 1) * 1e-12)
-        ok = True
-        out = []
-        for L in (fc * x - fs * y + shift, fs * x + fc * y + shift):
-            F = math.floor(L)
-            f = L - F
-            if f < slack or f > 1 - slack:
-                ok = False
-                break
-            if mode is RoundingMode.TRUNC and F < 0:
-                F += 1  # frac is provably nonzero here
-            out.append(F)
-        if ok:
-            return out[0], out[1]
-        return discrete_rotate(ctx, p, mode)
+        def step(p):
+            x, y = p
+            a, b = f1(x, y), f2(x, y)
+            if a is None or b is None:
+                return discrete_rotate(ctx, p, mode)
+            return a, b
 
     return step

@@ -30,7 +30,8 @@ import numpy as np
 from .angle import AngleContext, RationalPythagorean
 from .errors import InvalidSpec
 from .exactnum import Rational, Scalar, ZERO, ONE, compare, rational
-from .kernels import rotation_forms
+from .kernels import image_forms
+from .rotation import RoundingMode
 
 
 class Parity(Enum):
@@ -143,10 +144,9 @@ def count_solutions(
     box: InequalityBox,
     M: int,
     parity: Parity = Parity.ALL,
-    threads: int = 1,
 ) -> int:
     """Direct windowed count of {L1} in [0,t1) and {L2} in [0,t2)."""
-    k1, k2 = rotation_forms(ctx, max_abs=M)
+    k1, k2 = image_forms(ctx, RoundingMode.FLOOR, max_abs=M)
     vals = _coord_values(M, parity)
     total = 0
     # row-banded like the censuses; rows are x2 slices

@@ -17,8 +17,8 @@ from latrot.census import (
     hole_test_exact,
 )
 from latrot.errors import CapExceeded, DegenerateCounts, UnsupportedMode
-from latrot.exactnum import compare, rational
-from latrot.kernels import make_form, rotation_forms
+from latrot.exactnum import compare, quad, rational
+from latrot.kernels import image_forms
 from latrot.rotation import RoundingMode, discrete_rotate
 
 FLOAT_PI4 = "rad:~" + repr(math.pi / 4)
@@ -222,16 +222,23 @@ def test_kernels_match_exact_layer():
     cols = np.arange(-200, 201, 37, dtype=np.int64)
     rows = np.arange(-190, 201, 41, dtype=np.int64)
     bandA, bandB = np.broadcast_arrays(cols[None, :], rows[:, None])
-    t = rational(20000, 40001)  # squared sign tests at q = 40001 trip the int64 guard
+    # squared sign tests at q = 40001 trip the int64 guard; sqrt(3)/3 lies
+    # over another field than the sqrt(2) and cross-field forms
+    bounds = (rational(20000, 40001), quad(0, 1, 3, 3))
     for text in EXACT_ANGLES + ["rad:~1.0", QUADRANT_ANGLES[1], CROSS_FIELD, BIG_TRIPLE]:
         ctx = context_from_text(text)
-        k1, k2 = rotation_forms(ctx, max_abs=200)
+        k1, k2 = image_forms(ctx, RoundingMode.FLOOR, max_abs=200)
         flat = (rng.integers(-200, 201, size=150), rng.integers(-200, 201, size=150))
         for X, Y in (flat, (bandA, bandB)):
             F1, u1 = k1.floor(X, Y)
             F2, u2 = k2.floor(X, Y)
-            L1, u3 = k1.frac_lt(X, Y, t)
-            assert F1.shape == F2.shape == L1.shape == X.shape
+            lts = [k1.frac_lt(X, Y, t) for t in bounds]
+            assert F1.shape == F2.shape == lts[0][0].shape == lts[1][0].shape == X.shape
+            if text == BIG_TRIPLE:
+                # past the guard the float prefilter decides; it flags
+                # only the points it cannot (integral values, {L} = t)
+                u3 = lts[0][1]
+                assert u3 is not None and np.count_nonzero(u3) < 0.01 * X.size
             for i in np.ndindex(X.shape):
                 x, y = int(X[i]), int(Y[i])
                 e = discrete_rotate(ctx, (x, y))
@@ -240,8 +247,18 @@ def test_kernels_match_exact_layer():
                     F2[i] if (u2 is None or not u2[i]) else k2.exact_floor(x, y),
                 )
                 assert got == e, (text, x, y)
-                if u3 is None or not u3[i]:
-                    assert L1[i] == k1.exact_frac_lt(x, y, t), (text, x, y)
+                for t, (L, u) in zip(bounds, lts):
+                    if u is None or not u[i]:
+                        assert L[i] == k1.exact_frac_lt(x, y, t), (text, x, y, t)
+
+
+def test_exact_frac_lt_across_fields():
+    # the value lies over sqrt(6) and the bound over sqrt(3)
+    ctx = context_from_text(CROSS_FIELD)
+    k1, _ = image_forms(ctx, RoundingMode.FLOOR, max_abs=10)
+    assert k1.exact_frac_lt(2, 0, ctx.sin) is False  # {2*sqrt(6)/3} ~ 0.633
+    assert k1.exact_frac_lt(1, 0, ctx.sin) is False  # sqrt(6)/3 ~ 0.816
+    assert k1.exact_frac_lt(0, -1, ctx.sin, strict=False) is True  # equal
 
 
 def test_collision_site_exact_agrees_with_neighbors():

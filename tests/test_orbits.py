@@ -1,8 +1,11 @@
+import math
+
 import pytest
 
 from latrot.angle import context_from_text
 from latrot.errors import HypothesisViolated
 from latrot.exactnum import floor_exact, quad
+from latrot.kernels import make_step
 from latrot.orbits import (
     OrbitCaps,
     OrbitStatus,
@@ -16,6 +19,11 @@ from latrot.orbits import (
     verify_period8,
 )
 from latrot.rotation import RoundingMode, discrete_rotate
+
+FLOAT_PI4 = "rad:~" + repr(math.pi / 4)
+CROSS_FIELD = "quad:sin=sqrt(3)/3,cos=sqrt(6)/3"
+EXACT_ANGLES = ["pi/4", "pi/6", "pi/3", "pyth:3,4,5", "pyth:5,12,13"]
+QUADRANT_ANGLES = ["pi*3/4", "pi*7/6", "pi*7/4", "pyth:-3,4,5", "pyth:3,-4,5"]
 
 PI4_CHAIN_9 = [
     (9, 0), (6, 6), (0, 8), (-6, 5), (-8, -1), (-5, -7), (1, -9), (7, -6), (9, 0),
@@ -179,3 +187,23 @@ def test_numeric_angle_orbit():
     for _ in range(rec.preperiod + rec.period):
         path.append(discrete_rotate(ctx, path[-1]))
     assert path[rec.preperiod + rec.period] == path[rec.preperiod]
+
+
+def test_step_matches_discrete_rotate():
+    # Exact angles step in integers.  The cross-field and float angles step
+    # in float64 and re-decide points inside the slack (the float pi/4
+    # diagonals, the origin); their discrete_rotate costs ~0.5 ms a point,
+    # so they take every third row and column of the window.
+    window = range(-30, 31)
+    huge = [(2**40, 3), (-(2**40) + 7, 2**40 - 1), (5, -(2**40)), (2**40 + 12345, -(2**39))]
+    cases = [(text, window, []) for text in EXACT_ANGLES + QUADRANT_ANGLES]
+    cases += [(text, window[::3], []) for text in (CROSS_FIELD, "rad:~1.0")]
+    cases += [(FLOAT_PI4, window[::3], huge)]
+    cases += [(text, [], huge) for text in ("pi/4", "pyth:39999,400,40001")]
+    for text, coords, extra in cases:
+        ctx = context_from_text(text)
+        points = [(x, y) for x in coords for y in coords] + extra
+        for mode in RoundingMode:
+            step = make_step(ctx, mode)
+            for p in points:
+                assert step(p) == discrete_rotate(ctx, p, mode), (text, mode, p)

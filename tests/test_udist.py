@@ -93,8 +93,11 @@ def test_congruence_examples_and_random():
 
 
 def test_direct_and_residue_counters_agree():
-    box = InequalityBox(rational(1, 2), rational(1, 2))
-    for text in ["pyth:3,4,5", "pyth:5,12,13", "pyth:-3,4,5", "pyth:4,3,5"]:
+    half = InequalityBox(rational(1, 2), rational(1, 2))
+    cases = [(text, half) for text in ["pyth:3,4,5", "pyth:5,12,13", "pyth:-3,4,5", "pyth:4,3,5"]]
+    # a bound with denominator q = 40001 trips the direct scan's int64 guard
+    cases.append(("pyth:39999,400,40001", InequalityBox(rational(20000, 40001), rational(1, 2))))
+    for text, box in cases:
         ctx = context_from_text(text)
         for M in (7, 40):
             for parity in Parity:
