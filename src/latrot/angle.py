@@ -43,8 +43,7 @@ from .exactnum import (
     rational,
 )
 
-import mpmath
-from mpmath import mp, mpf
+from mpmath.libmp import from_man_exp, mpf_add, mpf_cos, mpf_sin, round_nearest, round_up
 
 
 # --------------------------------------------------------------------------
@@ -231,15 +230,13 @@ def _numeric_sincos(theta: HighPrec) -> tuple[HighPrec, HighPrec]:
     def make(fun):
         def fn(b):
             tm, tr = theta.eval(b + 16)
-            with mp.workprec(b + 16):
-                mid = fun(tm)
             # |sin'|, |cos'| <= 1, so the input radius passes through
-            rad = tr + mpf(2) ** (4 - b)
-            return mid, rad
+            rad = mpf_add(tr, from_man_exp(1, 4 - b), b + 16, round_up)
+            return fun(tm, b + 16, round_nearest), rad
 
         return HighPrec(fn, bits)
 
-    return make(mpmath.sin), make(mpmath.cos)
+    return make(mpf_sin), make(mpf_cos)
 
 
 # --------------------------------------------------------------------------

@@ -23,8 +23,8 @@ points by less than sqrt(2)):
 
 Scans run banded over rows: memory stays bounded, bands can be handed to
 worker threads, and the merge (integer sums and index lists, sorted at
-the end) is independent of the thread count.  Points the float
-prefilter flags are re-decided exactly on the calling thread.
+the end) is independent of the thread count.  Each band re-decides the
+points its float prefilter flags exactly, on its own thread.
 """
 
 from __future__ import annotations
@@ -201,18 +201,13 @@ def _images(forms, A, B, mode: RoundingMode = RoundingMode.FLOOR):
     return X, Y, np.logical_or.reduce(flags) if flags else None
 
 
-def _exact_images(ctx, forms, A, B, mode=RoundingMode.FLOOR, memo=None):
-    """_images with the flagged entries re-decided by the exact scalar
-    layer.  Call it on the calling thread only: HighPrec evaluation uses
-    mpmath's process-global precision."""
+def _exact_images(ctx, forms, A, B, mode=RoundingMode.FLOOR):
+    """Exact images (X, Y) of the points (A, B): _images with the flagged
+    entries re-decided by the exact scalar layer, which is thread-safe."""
     X, Y, unc = _images(forms, A, B, mode)
     if unc is not None:
-        memo = {} if memo is None else memo
         for i in zip(*np.nonzero(unc)):
-            p = (int(A[i]), int(B[i]))
-            if p not in memo:
-                memo[p] = discrete_rotate(ctx, p, mode)
-            X[i], Y[i] = memo[p]
+            X[i], Y[i] = discrete_rotate(ctx, (int(A[i]), int(B[i])), mode)
     return X, Y
 
 
@@ -248,17 +243,6 @@ def _surrounded(pattern):
     return test
 
 
-def _anchors_touching(flagged: np.ndarray, shape, R: int):
-    """Anchors (A, B) of the copies of shape inside the domain that have
-    a corner at a flagged point."""
-    w = max(da for da, _ in shape)
-    h = max(db for _, db in shape)
-    cand = np.concatenate([flagged - np.array(off) for off in shape])
-    a, b = cand[:, 0], cand[:, 1]
-    cand = np.unique(cand[(a >= -R) & (a <= R - w) & (b >= -R) & (b <= R - h)], axis=0)
-    return cand[:, 0], cand[:, 1]
-
-
 def _grid_census(ctx, M, kind, keep_points, threads):
     """(count, window indices or None) of collision images or holes.
 
@@ -266,9 +250,8 @@ def _grid_census(ctx, M, kind, keep_points, threads):
     point; each band reads a one-row halo above it, so every pair and
     cell anchored in the band is read there.  A collision has exactly
     two preimages, a unit-neighbour pair, and a hole exactly one pattern
-    cell, so counts are plain sums.  Copies with a corner the float
-    prefilter flagged are left to the calling thread, which re-decides
-    them from exact images.
+    cell, so counts are plain sums.  Each band re-decides the points its
+    float prefilter flags, halo row included, and reads exact images.
     """
     R = _domain_radius(M)
     W = 2 * M + 1
@@ -287,36 +270,17 @@ def _grid_census(ctx, M, kind, keep_points, threads):
     def worker(span):
         blo, bhi = span
         A, B = _band(cols, blo, min(bhi + 1, R))
-        X, Y, unc = _images(forms, A, B)
+        X, Y = _exact_images(ctx, forms, A, B)
         rows = bhi - blo + 1
         tallies = []
         for shape in shapes:
             nr = min(rows, X.shape[0] - max(db for _, db in shape))
             nc = X.shape[1] - max(da for da, _ in shape)
-            hit, N, Mv = found(
-                [(X[db:db + nr, da:da + nc], Y[db:db + nr, da:da + nc]) for da, db in shape]
-            )
-            if unc is not None:
-                for da, db in shape:
-                    hit &= ~unc[db:db + nr, da:da + nc]
-            tallies.append(tally(hit, N, Mv))
-        own = None if unc is None else unc[:rows]
-        if own is None or not own.any():
-            return tallies, None
-        return tallies, np.stack([A[:rows][own], B[:rows][own]], axis=1)
-
-    tallies, flagged = [], []
-    for band_tallies, band_flagged in _run_bands(-R, R, 2 * R + 1, worker, threads):
-        tallies += band_tallies
-        if band_flagged is not None:
-            flagged.append(band_flagged)
-    if flagged:
-        flagged = np.concatenate(flagged)
-        memo: dict = {}
-        for shape in shapes:
-            A, B = _anchors_touching(flagged, shape, R)
-            imgs = [_exact_images(ctx, forms, A + da, B + db, memo=memo) for da, db in shape]
+            imgs = [(X[db:db + nr, da:da + nc], Y[db:db + nr, da:da + nc]) for da, db in shape]
             tallies.append(tally(*found(imgs)))
+        return tallies
+
+    tallies = [t for band in _run_bands(-R, R, 2 * R + 1, worker, threads) for t in band]
     count = sum(n for n, _ in tallies)
     if not keep_points:
         return count, None
@@ -440,21 +404,13 @@ def _image_histogram(ctx, M, mode, threads) -> np.ndarray:
 
     def worker(span):
         A, B = _band(cols, *span)
-        X, Y, unc = _images(forms, A, B, mode)
+        X, Y = _exact_images(ctx, forms, A, B, mode)
         keep = (np.abs(X) <= M) & (np.abs(Y) <= M)
-        flagged = None
-        if unc is not None and unc.any():
-            flagged = A[unc], B[unc]
-            keep &= ~unc
-        return (X[keep] + M) * W + (Y[keep] + M), flagged
+        return (X[keep] + M) * W + (Y[keep] + M)
 
     counts = np.zeros(W * W, dtype=np.int64)
-    for idx, flagged in _run_bands(-R, R, 2 * R + 1, worker, threads):
+    for idx in _run_bands(-R, R, 2 * R + 1, worker, threads):
         counts += np.bincount(idx, minlength=W * W)
-        if flagged is not None:
-            X, Y = _exact_images(ctx, forms, *flagged, mode)
-            inwin = (np.abs(X) <= M) & (np.abs(Y) <= M)
-            np.add.at(counts, (X[inwin] + M) * W + (Y[inwin] + M), 1)
     return counts
 
 

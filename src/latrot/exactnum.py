@@ -7,21 +7,21 @@ Three representations cover everything the lattice machinery needs:
   squarefree d >= 2.  Floors and comparisons are decided purely by integer
   square comparisons, never by floating point.
 * ``HighPrec``    -- a lazily re-evaluable dyadic interval (midpoint +
-  error radius) backed by mpmath.  Every derived value can be recomputed
-  at any working precision, so floor/comparison decisions escalate
-  precision (doubling, up to a cap) until they are certain.  If a value
-  sits exactly on a boundary the operation raises
+  error radius) on raw ``mpmath.libmp`` values.  Every derived value can
+  be recomputed at any working precision, so floor/comparison decisions
+  escalate precision (doubling, up to a cap) until they are certain.  If
+  a value sits exactly on a boundary the operation raises
   :class:`UndecidableAtPrecision` rather than guessing.
 
 Arithmetic between exact variants stays exact; anything mixed with a
 ``HighPrec`` degrades to ``HighPrec``.  Quadratic irrationals over
 different radicands cannot be combined (:class:`IncompatibleField`).
 
-All values are immutable.  Exact variants are safe to share between
-threads; HighPrec evaluation runs inside mpmath's process-global working
-precision (``mp.workprec``), so decide HighPrec values on one thread.
-Floors and comparisons read interval endpoints exactly, never at
-mpmath's ambient precision.
+All values are immutable and safe to share between threads.  Every
+HighPrec operation passes its precision and rounding mode explicitly:
+midpoints round to nearest, radii round up, and nothing reads mpmath's
+process-global working precision.  Floors and comparisons read interval
+endpoints exactly.
 """
 
 from __future__ import annotations
@@ -32,8 +32,28 @@ import os
 import re
 from fractions import Fraction
 
-import mpmath
-from mpmath import mp, mpf
+from mpmath.libmp import (
+    fzero,
+    from_float,
+    from_int,
+    from_man_exp,
+    from_rational,
+    from_str,
+    mpf_abs,
+    mpf_add,
+    mpf_div,
+    mpf_mul,
+    mpf_mul_int,
+    mpf_neg,
+    mpf_sign,
+    mpf_sqrt,
+    mpf_sub,
+    round_nearest,
+    round_up,
+    to_float,
+    to_int,
+    to_str,
+)
 
 from .errors import IncompatibleField, InvalidSpec, UndecidableAtPrecision
 
@@ -233,20 +253,28 @@ HALF = Rational(1, 2)
 # --------------------------------------------------------------------------
 # HighPrec: lazily re-evaluable dyadic intervals.
 #
-# A node carries fn(bits) -> (mid, rad), both mpf, guaranteeing
-# |true - mid| <= rad when evaluated at working precision `bits`.  Radii
-# shrink like 2^-bits, so escalation terminates for any value that is not
-# exactly on the decision boundary.  Sums/products of radius-zero nodes
-# use mpmath's exact libmp kernels so dyadic chains stay exact.
+# A node carries fn(bits) -> (mid, rad), both raw libmp values,
+# guaranteeing |true - mid| <= rad when evaluated at working precision
+# `bits`.  Radii shrink like 2^-bits, so escalation terminates for any
+# value that is not exactly on the decision boundary.  Sums/products of
+# radius-zero nodes are exact, so dyadic chains stay exact.
 # --------------------------------------------------------------------------
 
-from mpmath.libmp import mpf_add, mpf_mul, mpf_neg, mpf_sign, mpf_sub, to_int  # noqa: E402
+_EXACT_ZERO = (fzero, fzero)
 
 
 def _ulp(x, bits):
-    if x == 0:
-        return mpf(2) ** (-bits)
-    return mpf(2) ** (mpmath.mag(x) - bits + 1)
+    """One unit in the last place of x at `bits` (2^-bits for x = 0)."""
+    _, man, exp, bc = x
+    return from_man_exp(1, exp + bc - bits + 1 if man else -bits)
+
+
+def _radius(prec, *terms):
+    """Sum of nonnegative radius terms, rounded up."""
+    total = fzero
+    for t in terms:
+        total = mpf_add(total, t, prec, round_up)
+    return total
 
 
 class HighPrec(Scalar):
@@ -258,16 +286,17 @@ class HighPrec(Scalar):
         self._cache = {}
 
     def eval(self, bits: int):
-        """(mid, rad) with |true - mid| <= rad, at working precision `bits`."""
+        """(mid, rad) as raw libmp values with |true - mid| <= rad, at
+        working precision `bits`."""
         got = self._cache.get(bits)
-        if got is None:
+        if got is None:  # threads racing here compute equal values
             got = self._fn(bits)
             self._cache[bits] = got
         return got
 
     def __float__(self):
         mid, _ = self.eval(max(64, self.precision_bits))
-        return float(mid)
+        return to_float(mid, rnd=round_nearest)
 
     def __eq__(self, other):
         return self is other
@@ -276,47 +305,28 @@ class HighPrec(Scalar):
         return id(self)
 
     def __repr__(self):
-        mid, rad = self.eval(self.precision_bits)
-        return f"HighPrec(~{mpmath.nstr(mid, 12)}, bits={self.precision_bits})"
-
-
-def _dyadic_leaf(x: mpf, bits: int) -> HighPrec:
-    def fn(_bits, _x=x):
-        return _x, mpf(0)
-
-    return HighPrec(fn, bits)
+        mid, _ = self.eval(self.precision_bits)
+        return f"HighPrec(~{to_str(mid, 12)}, bits={self.precision_bits})"
 
 
 def highprec(value, precision_bits: int | None = None) -> HighPrec:
-    """Leaf HighPrec from a decimal string, int, float or mpf.
+    """Leaf HighPrec from a decimal string, int or float.
 
     The stored value is the dyadic obtained by rounding at
     ``precision_bits``; from then on it is treated as exact (radius 0).
     """
     bits = precision_bits or default_precision_bits()
     if isinstance(value, str):
-        with mp.workprec(bits):
-            x = mpf(value)
-    elif isinstance(value, (int, float, mpf)):
-        with mp.workprec(bits):
-            x = mpf(value)
+        x = from_str(value, bits, round_nearest)
+    elif isinstance(value, int):
+        x = from_int(value, bits, round_nearest)
+    elif isinstance(value, float):
+        x = from_float(value, bits, round_nearest)
     else:
         raise InvalidSpec(f"cannot build HighPrec from {type(value).__name__}")
-    if not mpmath.isfinite(x):
+    if not x[1] and x != fzero:  # libmp's inf, -inf and nan
         raise InvalidSpec("HighPrec values must be finite")
-    return _dyadic_leaf(x, bits)
-
-
-def _int_leaf_fn(n: int):
-    def fn(bits):
-        if n == 0 or abs(n) < (1 << bits):
-            with mp.workprec(max(bits, abs(n).bit_length() + 4)):
-                return mpf(n), mpf(0)
-        with mp.workprec(bits):
-            x = mpf(n)
-            return x, _ulp(x, bits)
-
-    return fn
+    return HighPrec(lambda _bits: (x, fzero), bits)
 
 
 def as_highprec(s: Scalar | int | Fraction, precision_bits: int | None = None) -> HighPrec:
@@ -328,23 +338,23 @@ def as_highprec(s: Scalar | int | Fraction, precision_bits: int | None = None) -
     if isinstance(s, Rational):
         num, den = s.numerator, s.denominator
 
-        def fn(b, num=num, den=den):
-            with mp.workprec(b + 8):
-                x = mpf(num) / mpf(den)
+        def fn(b):
+            x = from_rational(num, den, b + 8, round_nearest)
             if den & (den - 1) == 0 and abs(num) < (1 << b):
-                return x, mpf(0)  # dyadic, exactly representable
+                return x, fzero  # dyadic, exactly representable
             return x, _ulp(x, b)
 
         return HighPrec(fn, bits)
     if isinstance(s, QuadIrr):
         p, q, d, den = s.p, s.q, s.d, s.den
+        # an integer bound on (|p| + |q|*sqrt(d))/den + 1
+        scale = (abs(p) + abs(q) * (math.isqrt(d) + 1)) // den + 2
 
-        def fn(b, p=p, q=q, d=d, den=den):
-            with mp.workprec(b + 16):
-                root = mpmath.sqrt(d)
-                x = (p + q * root) / den
-                scale = (abs(p) + abs(q) * root) / den + 1
-            return x, scale * mpf(2) ** (-b - 8)
+        def fn(b):
+            w, rnd = b + 16, round_nearest
+            qroot = mpf_mul_int(mpf_sqrt(from_int(d), w, rnd), q, w, rnd)
+            x = mpf_div(mpf_add(qroot, from_int(p), w, rnd), from_int(den), w, rnd)
+            return x, from_man_exp(scale, -b - 8)
 
         return HighPrec(fn, bits)
     raise InvalidSpec(f"cannot render {type(s).__name__} as HighPrec")
@@ -354,14 +364,11 @@ def _hp_add(a: HighPrec, b: HighPrec) -> HighPrec:
     bits = max(a.precision_bits, b.precision_bits)
 
     def fn(req):
-        am, ar = a.eval(req)
-        bm, br = b.eval(req)
-        if ar == 0 and br == 0:
-            return mp.make_mpf(mpf_add(am._mpf_, bm._mpf_)), mpf(0)  # exact
-        with mp.workprec(req + 8):
-            mid = am + bm
-            rad = ar + br + _ulp(mid, req)
-        return mid, rad
+        (am, ar), (bm, br) = a.eval(req), b.eval(req)
+        if ar == fzero and br == fzero:
+            return mpf_add(am, bm), fzero  # exact
+        mid = mpf_add(am, bm, req + 8, round_nearest)
+        return mid, _radius(req + 8, ar, br, _ulp(mid, req))
 
     return HighPrec(fn, bits)
 
@@ -370,16 +377,21 @@ def _hp_mul(a: HighPrec, b: HighPrec) -> HighPrec:
     bits = max(a.precision_bits, b.precision_bits)
 
     def fn(req):
-        am, ar = a.eval(req)
-        bm, br = b.eval(req)
-        if (am == 0 and ar == 0) or (bm == 0 and br == 0):
-            return mpf(0), mpf(0)
-        if ar == 0 and br == 0:
-            return mp.make_mpf(mpf_mul(am._mpf_, bm._mpf_)), mpf(0)  # exact
-        with mp.workprec(req + 8):
-            mid = am * bm
-            rad = abs(am) * br + abs(bm) * ar + ar * br + _ulp(mid, req)
-        return mid, rad
+        av, bv = a.eval(req), b.eval(req)
+        if _EXACT_ZERO in (av, bv):
+            return _EXACT_ZERO
+        (am, ar), (bm, br) = av, bv
+        if ar == fzero and br == fzero:
+            return mpf_mul(am, bm), fzero  # exact
+        w = req + 8
+        mid = mpf_mul(am, bm, w, round_nearest)
+        return mid, _radius(
+            w,
+            mpf_mul(mpf_abs(am), br, w, round_up),
+            mpf_mul(mpf_abs(bm), ar, w, round_up),
+            mpf_mul(ar, br, w, round_up),
+            _ulp(mid, req),
+        )
 
     return HighPrec(fn, bits)
 
@@ -387,7 +399,7 @@ def _hp_mul(a: HighPrec, b: HighPrec) -> HighPrec:
 def _hp_neg(a: HighPrec) -> HighPrec:
     def fn(req):
         am, ar = a.eval(req)
-        return mp.make_mpf(mpf_neg(am._mpf_)), ar
+        return mpf_neg(am), ar
 
     return HighPrec(fn, a.precision_bits)
 
@@ -480,10 +492,9 @@ def _sign_p_plus_q_sqrt(A: int, B: int, d: int) -> int:
 
 
 def _enclosure(mid, rad):
-    """Endpoints mid - rad and mid + rad as raw libmp values, computed
-    exactly: rounding them at mpmath's ambient precision could move an
-    endpoint across the integer or the zero being decided."""
-    return mpf_sub(mid._mpf_, rad._mpf_), mpf_add(mid._mpf_, rad._mpf_)
+    """Endpoints mid - rad and mid + rad, computed exactly: rounding them
+    could move an endpoint across the integer or the zero being decided."""
+    return mpf_sub(mid, rad), mpf_add(mid, rad)
 
 
 def floor_exact(s: Scalar) -> int:
@@ -509,7 +520,7 @@ def floor_exact(s: Scalar) -> int:
             if bits >= MAX_PRECISION_BITS:
                 raise UndecidableAtPrecision(
                     f"floor undecided at {bits} bits (value within "
-                    f"{mpmath.nstr(rad, 5)} of an integer)"
+                    f"{to_str(rad, 5)} of an integer)"
                 )
             bits *= 2
     raise TypeError(f"not a Scalar: {type(s).__name__}")
@@ -655,7 +666,7 @@ def format_scalar(s: Scalar) -> str:
         return core if s.den == 1 else f"{core}/{s.den}"
     if isinstance(s, HighPrec):
         mid, _ = s.eval(s.precision_bits)
-        sign, man, exp, _ = mid._mpf_
+        sign, man, exp, _ = mid
         if man == 0 and exp == 0:
             dec = "0"
         else:

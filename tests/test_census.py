@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -195,18 +196,27 @@ def test_growth_fit_exponents_small():
 
 def test_threads_do_not_change_results(monkeypatch):
     # One-row bands, so every pair and cell straddles a band edge, and
-    # angles whose float prefilter flags points for exact re-decision.
+    # angles whose float prefilter flags points for exact re-decision,
+    # which runs in the pool threads; a short switch interval interleaves
+    # their evaluations of the shared sin/cos nodes.
     monkeypatch.setattr(census, "_BAND_TARGET", 1)
-    for text in ["pyth:5,12,13", "rad:~1.0", FLOAT_PI4]:
-        ctx = context_from_text(text)
-        for run, kind in (
-            (collision_census, CensusKind.COLLISIONS),
-            (hole_census, CensusKind.HOLES),
-        ):
-            a = run(ctx, 20, keep_points=True, threads=1)
-            b = run(ctx, 20, keep_points=True, threads=4)
-            o = brute_force_census(ctx, 20, RoundingMode.FLOOR, kind, keep_points=True)
-            assert (a.count, a.points) == (b.count, b.points) == (o.count, o.points), text
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for text in ["pyth:5,12,13", "rad:~1.0", FLOAT_PI4, CROSS_FIELD]:
+            ctx = context_from_text(text)
+            for run, kind in (
+                (collision_census, CensusKind.COLLISIONS),
+                (hole_census, CensusKind.HOLES),
+            ):
+                a = run(ctx, 20, keep_points=True, threads=1)
+                b = run(ctx, 20, keep_points=True, threads=4)
+                o = brute_force_census(
+                    ctx, 20, RoundingMode.FLOOR, kind, keep_points=True, threads=4
+                )
+                assert (a.count, a.points) == (b.count, b.points) == (o.count, o.points), text
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_points_sorted_by_y_then_x():

@@ -1,9 +1,14 @@
+import ast
 import math
+import pathlib
+import threading
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
+from mpmath.libmp import mpf_abs, mpf_cmp, mpf_sub
 
 from latrot.errors import IncompatibleField, InvalidSpec, UndecidableAtPrecision
 from latrot.exactnum import (
@@ -227,6 +232,57 @@ def test_highprec_decisions_keep_full_precision():
     assert floor_exact(x + 16) == -1
     assert floor_exact(x * 1 + highprec("16", 128)) == -1
     assert compare(x * 2, rational(-32)) < 0
+
+
+def test_highprec_evaluation_ignores_global_precision():
+    # Two threads flip mpmath's process-global precision while this thread
+    # evaluates fresh nodes at 1024 bits; every enclosure must still hold.
+    with mp.workprec(4000):
+        ref = ((1 + 3 * mp.sqrt(2)) / 7)._mpf_
+    saved, stop = mp.prec, threading.Event()
+
+    def churn():
+        while not stop.is_set():
+            with mp.workprec(20):
+                pass
+
+    threads = [threading.Thread(target=churn, daemon=True) for _ in range(2)]
+    for t in threads:
+        t.start()
+    try:
+        broken = 0
+        for _ in range(4000):
+            mid, rad = (as_highprec(quad(1, 3, 2, 7)) * 1).eval(1024)
+            broken += mpf_cmp(mpf_abs(mpf_sub(mid, ref)), rad) > 0
+    finally:
+        stop.set()
+        for t in threads:
+            t.join(timeout=10)
+        mp.prec = saved  # interleaved workprec exits can leave it at 20
+    assert not any(t.is_alive() for t in threads)
+    assert broken == 0
+
+
+def test_src_never_touches_global_precision():
+    # Evaluation is thread-safe only while no code reads or sets mpmath's
+    # process-global precision: only explicit-precision libmp calls.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "latrot"
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        for word in ("workprec", "mp.prec", "mp.dps"):
+            assert word not in text, (path.name, word)
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            for name in names:
+                libmp = (name + ".").startswith("mpmath.libmp.")
+                assert libmp or not name.startswith("mpmath."), (path.name, node.lineno, name)
 
 
 def test_parse_format_roundtrip_exact():
