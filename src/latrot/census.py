@@ -40,7 +40,7 @@ import numpy as np
 from .angle import AngleContext, angle_text
 from .errors import CapExceeded, DegenerateCounts, UnsupportedMode
 from .exactnum import ZERO, compare, floor_exact
-from .kernels import image_forms
+from .kernels import _band, _domain_radius, _exact_images, image_forms
 from .rotation import RoundingMode, cell_corners, discrete_rotate, quantize, rotate_inverse
 
 DEFAULT_ORACLE_CAP = 512
@@ -76,10 +76,6 @@ class GrowthFit:
     counts: list[int]
     exponent: float
     r_squared: float
-
-
-def _ceil_sqrt2(m: int) -> int:
-    return 0 if m == 0 else math.isqrt(2 * m * m) + 1
 
 
 def _bands(lo: int, hi: int, width: int):
@@ -170,48 +166,6 @@ def hole_pattern_exact(ctx: AngleContext, a: int, b: int) -> tuple[int, int] | N
 
 
 # --------------------------------------------------------------------------
-# Lattice points to images: the one kernel every scan runs
-# --------------------------------------------------------------------------
-
-def _domain_radius(M: int) -> int:
-    """Radius of the domain window that holds every preimage of the
-    window |x|,|y| <= M + 1, so also every corner of a hole's cell."""
-    return _ceil_sqrt2(M + 2) + 2
-
-
-def _band(cols: np.ndarray, blo: int, bhi: int):
-    """Lattice points of rows blo..bhi as broadcast (A, B) views of shape
-    (rows, cols); A[i, j] = cols[j], B[i, j] = blo + i."""
-    rows = np.arange(blo, bhi + 1, dtype=np.int64)
-    return np.broadcast_arrays(cols[None, :], rows[:, None])
-
-
-def _images(forms, A, B, mode: RoundingMode = RoundingMode.FLOOR):
-    """Images of the points (A, B) under mode; returns (X, Y, unc), where
-    unc (None for exact kernels) flags the entries to re-decide."""
-    k1, k2 = forms
-    (X, u1), (Y, u2) = k1.floor(A, B), k2.floor(A, B)
-    flags = [u1, u2]
-    if mode is RoundingMode.TRUNC:
-        (z1, u3), (z2, u4) = k1.frac_zero(A, B), k2.frac_zero(A, B)
-        flags += [u3, u4]
-        X = X + ((X < 0) & ~z1)
-        Y = Y + ((Y < 0) & ~z2)
-    flags = [u for u in flags if u is not None]
-    return X, Y, np.logical_or.reduce(flags) if flags else None
-
-
-def _exact_images(ctx, forms, A, B, mode=RoundingMode.FLOOR):
-    """Exact images (X, Y) of the points (A, B): _images with the flagged
-    entries re-decided by the exact scalar layer, which is thread-safe."""
-    X, Y, unc = _images(forms, A, B, mode)
-    if unc is not None:
-        for i in zip(*np.nonzero(unc)):
-            X[i], Y[i] = discrete_rotate(ctx, (int(A[i]), int(B[i])), mode)
-    return X, Y
-
-
-# --------------------------------------------------------------------------
 # Characterization censuses: one pass over the floor-image grid
 # --------------------------------------------------------------------------
 
@@ -270,7 +224,7 @@ def _grid_census(ctx, M, kind, keep_points, threads):
     def worker(span):
         blo, bhi = span
         A, B = _band(cols, blo, min(bhi + 1, R))
-        X, Y = _exact_images(ctx, forms, A, B)
+        X, Y = _exact_images(ctx, forms, A, B, RoundingMode.FLOOR, discrete_rotate)
         rows = bhi - blo + 1
         tallies = []
         for shape in shapes:
@@ -404,7 +358,7 @@ def _image_histogram(ctx, M, mode, threads) -> np.ndarray:
 
     def worker(span):
         A, B = _band(cols, *span)
-        X, Y = _exact_images(ctx, forms, A, B, mode)
+        X, Y = _exact_images(ctx, forms, A, B, mode, discrete_rotate)
         keep = (np.abs(X) <= M) & (np.abs(Y) <= M)
         return (X[keep] + M) * W + (Y[keep] + M)
 
@@ -429,7 +383,7 @@ def collision_preimages(
 
     for blo, bhi in _bands(-R, R, 2 * R + 1):
         A, B = _band(cols, blo, bhi)
-        X, Y = _exact_images(ctx, forms, A, B, mode)
+        X, Y = _exact_images(ctx, forms, A, B, mode, discrete_rotate)
         inwin = (np.abs(X) <= M) & (np.abs(Y) <= M)
         idx = (X + M) * W + (Y + M)
         sel = inwin & hot[np.clip(idx, 0, W * W - 1)]

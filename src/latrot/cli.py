@@ -196,6 +196,8 @@ def parse_args(argv) -> argparse.Namespace:
         raise UsageError("--emit-points with csv output needs --points-file")
     if getattr(ns, "amax", None) is not None and ns.amax < 1:
         raise UsageError("--amax must be positive")
+    if getattr(ns, "amax", None) is not None and ns.amax > orbits_mod.PERIOD8_AMAX_LIMIT:
+        raise UsageError(f"--amax must be at most {orbits_mod.PERIOD8_AMAX_LIMIT}")
     return ns
 
 
@@ -208,9 +210,9 @@ def _caps(ns) -> orbits_mod.OrbitCaps:
     return orbits_mod.OrbitCaps(**kwargs)
 
 
-def _emit_json(out, payload: dict, elapsed_ms: float) -> None:
+def _emit_json(out, payload: dict, elapsed_ms: float, **meta) -> None:
     payload = dict(payload)
-    payload["meta"] = {"elapsed_ms": round(elapsed_ms, 3)}
+    payload["meta"] = {"elapsed_ms": round(elapsed_ms, 3), **meta}
     out.write(json.dumps(payload) + "\n")
 
 
@@ -412,7 +414,8 @@ def _handle_sweep(ns, out, started):
         }
         if summary.absorbed_all is not None:
             payload["absorbed_all"] = summary.absorbed_all
-        _emit_json(out, payload, (time.perf_counter() - started) * 1000)
+        _emit_json(out, payload, (time.perf_counter() - started) * 1000,
+                   scalar_starts=summary.scalar_starts)
     else:
         out.write("period,count\n")
         for p, c in sorted(summary.histogram.items()):

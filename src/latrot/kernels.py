@@ -24,6 +24,10 @@ guard, or a frac_lt bound over another quadratic field, runs through
 the float prefilter over the same coefficients, and the caller
 re-decides its flagged points exactly; the scalar point evaluator uses
 Python ints and needs no guard.
+
+_exact_images is the one image kernel every scan runs: the censuses'
+image grids, the orbit sweeps' successor arrays and the period-8 chains
+all read their images of lattice points from it.
 """
 
 from __future__ import annotations
@@ -173,6 +177,8 @@ class QuadForm(LinearForm):
     def _floors(self, X, Y):
         """Numerators P, Q of L = (P + Q*sqrt(d))/D, and floor(L)."""
         P = self.pA * X + self.pB * Y + self.pG
+        if self.pure_rational:  # Q is 0: skip the square root
+            return P, np.zeros_like(P), P // self.D
         Q = self.qA * X + self.qB * Y + self.qG
         return P, Q, (P + vfloor_sqrt_multiple(Q, self.d)) // self.D
 
@@ -307,6 +313,54 @@ def image_forms(
         make_form(ctx.cos, -ctx.sin, gamma, max_abs=max_abs),
         make_form(ctx.sin, ctx.cos, gamma, max_abs=max_abs),
     )
+
+
+# --------------------------------------------------------------------------
+# Lattice points to images: the one kernel every scan runs
+# --------------------------------------------------------------------------
+
+def _ceil_sqrt2(m: int) -> int:
+    return 0 if m == 0 else math.isqrt(2 * m * m) + 1
+
+
+def _domain_radius(M: int) -> int:
+    """Radius of the domain window that holds every preimage of the
+    window |x|,|y| <= M + 1, so also every corner of a hole's cell."""
+    return _ceil_sqrt2(M + 2) + 2
+
+
+def _band(cols: np.ndarray, blo: int, bhi: int):
+    """Lattice points of rows blo..bhi as broadcast (A, B) views of shape
+    (rows, cols); A[i, j] = cols[j], B[i, j] = blo + i."""
+    rows = np.arange(blo, bhi + 1, dtype=np.int64)
+    return np.broadcast_arrays(cols[None, :], rows[:, None])
+
+
+def _images(forms, A, B, mode: RoundingMode = RoundingMode.FLOOR):
+    """Images of the points (A, B) under mode; returns (X, Y, unc), where
+    unc (None for exact kernels) flags the entries to re-decide."""
+    k1, k2 = forms
+    (X, u1), (Y, u2) = k1.floor(A, B), k2.floor(A, B)
+    flags = [u1, u2]
+    if mode is RoundingMode.TRUNC:
+        (z1, u3), (z2, u4) = k1.frac_zero(A, B), k2.frac_zero(A, B)
+        flags += [u3, u4]
+        X = X + ((X < 0) & ~z1)
+        Y = Y + ((Y < 0) & ~z2)
+    flags = [u for u in flags if u is not None]
+    return X, Y, np.logical_or.reduce(flags) if flags else None
+
+
+def _exact_images(ctx, forms, A, B, mode, rotate):
+    """Exact images (X, Y) of the points (A, B): _images with the flagged
+    entries re-decided by rotate, the exact scalar map discrete_rotate
+    (thread-safe).  Each scan passes the name it imported, so a trace
+    counts the re-decisions under the module that asked for them."""
+    X, Y, unc = _images(forms, A, B, mode)
+    if unc is not None:
+        for i in zip(*np.nonzero(unc)):
+            X[i], Y[i] = rotate(ctx, (int(A[i]), int(B[i])), mode)
+    return X, Y
 
 
 def make_step(ctx: AngleContext, mode: RoundingMode = RoundingMode.FLOOR):

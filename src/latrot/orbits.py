@@ -1,14 +1,32 @@
 """Orbit iteration, cycle detection, and the period-8 family at 45 degrees.
 
-Cycle detection uses a visited-map (giving preperiod and period in one
-pass) with Brent's constant-memory algorithm as the fallback for runs
-whose step budget exceeds the memory budget.  Window sweeps memoize
-across starts: once a state's eventual period is known, every later
-orbit through it stops immediately, which makes full-window sweeps
-near-linear in the number of distinct states touched.
+Cycle detection of one start uses a visited-map (giving preperiod and
+period in one pass) with Brent's constant-memory algorithm as the
+fallback for runs whose step budget exceeds the memory budget.
 
-All 45-degree arithmetic is exact: floors of k/sqrt(2) and k*sqrt(2)
-are integer square-root comparisons, never floating point.
+Window sweeps read every start's eventual period off one successor
+array.  The exact image kernel the censuses run (kernels._exact_images)
+maps every point of a window |x|,|y| <= R, a margin past the domain
+radius of the start window, to its image's index; an image outside the
+window goes to a sink, its own successor.  Pointer doubling, rounds of
+label = min(label, label[jump]) and jump = jump[jump] until 2^k steps
+cover every node's depth and every cycle, lands every node on its cycle
+and labels each cycle by its smallest node, so a cycle's period is the
+count of its label among the cycle nodes.
+
+The memoized scalar walk (once a state's eventual period is known,
+every later orbit through it stops there) answers the whole window
+instead when the vector pass cannot show the same answer: a start
+reaches the sink even in the wider retry window, an explicit max_radius
+falls inside the window, or the depth bound plus the longest period
+exceeds max_steps.  Under a binding step budget the walk's undetermined
+count depends on its scan order, so the fallback never covers part of a
+window.
+
+The period-8 family is checked in lockstep: every candidate's
+eight-step chain runs through the same image kernel.  All 45-degree
+arithmetic is exact: floors of k/sqrt(2) and k*sqrt(2) are integer
+square-root comparisons, never floating point.
 """
 
 from __future__ import annotations
@@ -17,11 +35,15 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 from .angle import AngleContext, PiMultiple, resolve
 from .errors import HypothesisViolated
 from .exactnum import compare, floor_exact, frac_in, frac_part, quad, rational
-from .kernels import make_step
+from .kernels import _SQRT_SAFE, _band, _domain_radius, _exact_images, image_forms, make_step, visqrt
 from .rotation import LatticePoint, RoundingMode, discrete_rotate
+
+_BAND_POINTS = 1 << 20  # points per band of a successor or candidate scan
 
 
 class OrbitStatus(Enum):
@@ -59,6 +81,7 @@ class SweepSummary:
     undetermined: int
     escaped: int
     absorbed_all: bool | None = None  # trunc mode: every orbit reached (0,0)?
+    scalar_starts: int = field(default=0, compare=False)  # starts the scalar walk answered
 
     @property
     def total(self) -> int:
@@ -154,7 +177,100 @@ def orbit_sweep(
     mode: RoundingMode = RoundingMode.FLOOR,
     caps: OrbitCaps = OrbitCaps(),
 ) -> SweepSummary:
-    """Cycle-detect every start in |x|,|y| <= M, memoizing across starts.
+    """Eventual period of every start in |x|,|y| <= M.
+
+    Read off one successor array by pointer doubling; the memoized scalar
+    walk answers the whole window instead when the vector pass cannot show
+    that it gives the same summary.
+    """
+    summary = _vector_sweep(ctx, M, mode, caps)
+    return summary if summary is not None else _scalar_sweep(ctx, M, mode, caps)
+
+
+def _vector_sweep(ctx, M, mode, caps) -> SweepSummary | None:
+    """The sweep read off the successor array of a window |x|,|y| <= R
+    that holds every start with a margin for the orbits' drift; a window
+    where some start's orbit leaves it is retried once with the wider
+    margin.  None when a start still reaches the sink, max_radius falls
+    inside the window, or the step budget could bind (the depth bound plus
+    the longest period exceeds max_steps): there the scalar walk's answer
+    depends on its caps and on its scan order."""
+    # Floor orbits at generic angles drift further as M grows: rad:~0.3
+    # needs 16 rows at M=200 and 32 at M=600, which the retry holds.
+    for margin in (2, 8 + M // 8):
+        R = _domain_radius(M) + margin
+        if caps.max_radius is not None and caps.max_radius < R:
+            return None
+        W = 2 * R + 1
+        sink = W * W
+        succ = _successors(ctx, mode, R)
+        jump, label, on_cycle, depth = _cycles(succ)
+        del succ
+        ends = label[jump[:sink].reshape(W, W)[R - M:R + M + 1, R - M:R + M + 1]]
+        del jump
+        if not (ends == sink).any():
+            break
+    else:
+        return None
+    period = np.bincount(label[on_cycle])[ends]  # nodes on each start's cycle
+    if depth + int(period.max()) > caps.max_steps:
+        return None
+    values, counts = np.unique(period, return_counts=True)
+    absorbed = None
+    if mode is RoundingMode.TRUNC:  # (0, 0) is fixed, so it labels its own cycle
+        absorbed = bool((ends == R * W + R).all())
+    return SweepSummary(M, dict(zip(values.tolist(), counts.tolist())), 0, 0, absorbed)
+
+
+def _successors(ctx, mode, R) -> np.ndarray:
+    """succ[i] is the index of the image of point i of |x|,|y| <= R (row
+    by row, x fastest); every image outside the window goes to the sink,
+    index (2R+1)^2, which is its own successor."""
+    W = 2 * R + 1
+    sink = W * W
+    succ = np.empty(sink + 1, dtype=np.int32 if sink < 2**31 - 1 else np.int64)
+    succ[sink] = sink
+    forms = image_forms(ctx, mode, max_abs=R)
+    cols = np.arange(-R, R + 1, dtype=np.int64)
+    rows = max(1, _BAND_POINTS // W)
+    for blo in range(-R, R + 1, rows):
+        bhi = min(R, blo + rows - 1)
+        X, Y = _exact_images(ctx, forms, *_band(cols, blo, bhi), mode, discrete_rotate)
+        inside = (np.abs(X) <= R) & (np.abs(Y) <= R)
+        succ[(blo + R) * W:(bhi + R + 1) * W] = np.where(inside, (Y + R) * W + X + R, sink).ravel()
+    return succ
+
+
+def _cycles(succ):
+    """Pointer doubling on the functional graph succ.
+
+    Round k sets label = min(label, label[jump]) and then jump = jump[jump],
+    so jump = succ^(2^k) and label[i] is the smallest node among i's next
+    2^k.  The image of jump shrinks to the cycle nodes; once it stops
+    shrinking every node of the previous image is on a cycle, and once label
+    agrees along every cycle each cycle node carries its cycle's smallest
+    node.  Returns (jump, label, on_cycle, depth), where every node lies at
+    most depth steps before its cycle.
+    """
+    jump = succ.copy()
+    label = np.arange(succ.size, dtype=succ.dtype)
+    on_cycle = np.zeros(succ.size, dtype=bool)
+    on_cycle[succ] = True
+    size = np.count_nonzero(on_cycle)
+    rounds = 0
+    while True:
+        np.minimum(label, label[jump], out=label)
+        jump = jump[jump]
+        rounds += 1
+        on_cycle[:] = False
+        on_cycle[jump] = True
+        shrunk, size = size, np.count_nonzero(on_cycle)
+        if size == shrunk and ((label[succ] == label) | ~on_cycle).all():
+            return jump, label, on_cycle, 2 ** (rounds - 1)
+
+
+def _scalar_sweep(ctx, M, mode, caps) -> SweepSummary:
+    """The memoized scalar walk over every start, in row order.
 
     One window-level escape radius (10^6*M + 10^3 unless capped
     explicitly) keeps the memoized facts start-independent.
@@ -187,6 +303,7 @@ def orbit_sweep(
         undetermined,
         escaped,
         absorbed_all if mode is RoundingMode.TRUNC else None,
+        scalar_starts=(2 * M + 1) ** 2,
     )
 
 
@@ -233,6 +350,9 @@ def quarter_turn_context() -> AngleContext:
     return resolve(PiMultiple(1, 4))
 
 
+PERIOD8_AMAX_LIMIT = math.isqrt(_SQRT_SAFE // 2)  # 2*a^2 stays where visqrt is exact
+
+
 def period8_candidates(a_max: int, closed_endpoints: bool = True) -> list[int]:
     """All a in [1, a_max] with w = floor(a/sqrt2) satisfying
     floor(sqrt2*w) = a-1 and {a/sqrt2} in [1-1/sqrt2, sqrt2-1].
@@ -240,28 +360,28 @@ def period8_candidates(a_max: int, closed_endpoints: bool = True) -> list[int]:
     The right endpoint matters: the eight-step return chain branches on
     {a/sqrt2} against sqrt2-1 at its fifth step, and every a beyond that
     threshold demonstrably breaks the chain (a = 5 already does).  Pure
-    integer square comparisons throughout; the left endpoint is never
-    attained, the right one exactly at a = 2, which closed_endpoints
-    keeps (the chain does close there).
+    integer square comparisons throughout, vectorized in int64 below
+    PERIOD8_AMAX_LIMIT; the left endpoint is never attained, the right one
+    exactly at a = 2, which closed_endpoints keeps (the chain does close
+    there).
     """
-    out = []
-    for a in range(1, a_max + 1):
-        w = math.isqrt(a * a // 2)  # floor(a/sqrt2)
-        if math.isqrt(2 * w * w) != a - 1:
-            continue
-        if (a + 1) ** 2 < 2 * (w + 1) ** 2:  # {a/sqrt2} >= 1 - 1/sqrt2
-            continue
+    if a_max > PERIOD8_AMAX_LIMIT:
+        raise ValueError(
+            f"a_max={a_max} exceeds {PERIOD8_AMAX_LIMIT}, past which the integer "
+            "square roots are no longer exact"
+        )
+    out: list[int] = []
+    for lo in range(1, a_max + 1, _BAND_POINTS):
+        a = np.arange(lo, min(a_max, lo + _BAND_POINTS - 1) + 1, dtype=np.int64)
+        w = visqrt(a * a // 2)  # floor(a/sqrt2)
+        ok = ((a - 1) ** 2 <= 2 * w * w) & (2 * w * w < a * a)  # floor(sqrt2*w) = a-1
+        ok &= (a + 1) ** 2 >= 2 * (w + 1) ** 2  # {a/sqrt2} >= 1 - 1/sqrt2
         # {a/sqrt2} <= sqrt2 - 1  <=>  a - 2 <= sqrt2*(w - 1)
         s, t = a - 2, w - 1
-        if t >= 0:
-            upper_ok = s <= 0 or s * s < 2 * t * t
-            if not closed_endpoints and s == 0 and t == 0:
-                upper_ok = False  # a = 2 sits exactly on the endpoint
-        else:
-            upper_ok = s < 0 and s * s > 2 * t * t
-        if not upper_ok:
-            continue
-        out.append(a)
+        ok &= np.where(t >= 0, (s <= 0) | (s * s < 2 * t * t), (s < 0) & (s * s > 2 * t * t))
+        if not closed_endpoints:
+            ok &= (s != 0) | (t != 0)  # a = 2 sits exactly on the endpoint
+        out += a[ok].tolist()
     return out
 
 
@@ -373,8 +493,6 @@ def verify_period8(
     after one step.  It is reported separately; strict_boundary=True
     treats it as a candidate so its failure shows up as a violation.
     """
-    ctx = quarter_turn_context()
-    step = make_step(ctx)
     candidates = period8_candidates(a_max, closed_endpoints=not open_endpoints)
     check = list(candidates)
     boundary: list[int] = []
@@ -383,16 +501,22 @@ def verify_period8(
             check = sorted(set(check) | {1})
         else:
             boundary.append(1)
+    ctx = quarter_turn_context()
+    max_abs = a_max + 12  # eight steps drift at most 8*sqrt2 from |(a, 0)|
+    forms = image_forms(ctx, RoundingMode.FLOOR, max_abs=max_abs)
     verified = 0
     violators: list[tuple[int, list[LatticePoint]]] = []
-    for a in check:
-        p = (a, 0)
-        chain = [p]
+    for lo in range(0, len(check), _BAND_POINTS):
+        a = np.asarray(check[lo:lo + _BAND_POINTS], dtype=np.int64)
+        X, Y = a, np.zeros_like(a)
+        chain = [(X, Y)]
         for _ in range(8):
-            p = step(p)
-            chain.append(p)
-        if p == (a, 0):
-            verified += 1
-        else:
-            violators.append((a, chain))
+            X, Y = _exact_images(ctx, forms, X, Y, RoundingMode.FLOOR, discrete_rotate)
+            if max(np.abs(X).max(), np.abs(Y).max()) > max_abs:
+                raise ArithmeticError("a period-8 chain left the window its forms are exact on")
+            chain.append((X, Y))
+        back = (X == a) & (Y == 0)
+        verified += int(np.count_nonzero(back))
+        for i in np.flatnonzero(~back):
+            violators.append((int(a[i]), [(int(cx[i]), int(cy[i])) for cx, cy in chain]))
     return Period8Report(a_max, candidates, verified, boundary, violators)

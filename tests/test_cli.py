@@ -161,6 +161,13 @@ def test_sweep_json_histogram_sorted():
     data = json.loads(out)
     assert data["histogram"] == [[1, 1], [4, 24]]
     assert data["undetermined"] == 0 and data["escaped"] == 0
+    assert data["meta"]["scalar_starts"] == 0
+    # a max_radius inside the vector pass's window hands it to the scalar walk
+    code, out, _ = run_cli("sweep", "--angle", "pi/2", "--M", "2", "--max-radius", "3",
+                           "--format", "json")
+    data = json.loads(out)
+    assert data["histogram"] == [[1, 1], [4, 24]]
+    assert data["meta"]["scalar_starts"] == 25
 
 
 def test_period8_cli():
@@ -171,6 +178,8 @@ def test_period8_cli():
                            "--format", "json")
     data = json.loads(out)
     assert [v["a"] for v in data["violators"]] == [1]
+    code, _, err = run_cli("period8", "--amax", str(10**9))
+    assert code == 2 and "--amax must be at most" in err
 
 
 def test_growth_cli_csv():

@@ -7,8 +7,10 @@ from latrot.errors import HypothesisViolated
 from latrot.exactnum import floor_exact, quad
 from latrot.kernels import make_step
 from latrot.orbits import (
+    PERIOD8_AMAX_LIMIT,
     OrbitCaps,
     OrbitStatus,
+    _scalar_sweep,
     brute_force_period8_filter,
     detect_cycle,
     orbit_path,
@@ -120,6 +122,28 @@ def test_verify_period8_reports():
     assert 2 not in openrep.candidates and openrep.ok
 
 
+def test_period8_lockstep_chains_match_scalar_steps():
+    # every checked a, stepped one at a time: the same verified count and
+    # the same violators, each with its orbit_path chain
+    quarter = quarter_turn_context()
+    for strict in (False, True):
+        for open_ in (False, True):
+            rep = verify_period8(3000, strict_boundary=strict, open_endpoints=open_)
+            check = sorted(set(rep.candidates) | ({1} if strict else set()))
+            chains = {a: orbit_path(quarter, (a, 0), n_steps=8) for a in check}
+            bad = [(a, c) for a, c in chains.items() if c[-1] != (a, 0)]
+            assert rep.verified == len(check) - len(bad)
+            assert rep.violators == bad
+            assert ([a for a, _ in bad] == [1]) is strict
+
+
+def test_period8_amax_past_the_isqrt_bound_is_rejected():
+    with pytest.raises(ValueError, match="exceeds"):
+        period8_candidates(PERIOD8_AMAX_LIMIT + 1)
+    with pytest.raises(ValueError, match="exceeds"):
+        verify_period8(PERIOD8_AMAX_LIMIT + 1)
+
+
 def test_sweep_cardinal():
     ctx = context_from_text("pi/2")
     s = orbit_sweep(ctx, 1)
@@ -207,3 +231,20 @@ def test_step_matches_discrete_rotate():
             step = make_step(ctx, mode)
             for p in points:
                 assert step(p) == discrete_rotate(ctx, p, mode), (text, mode, p)
+
+
+@pytest.mark.parametrize("text", EXACT_ANGLES + QUADRANT_ANGLES + ["rad:~1.0", FLOAT_PI4, CROSS_FIELD])
+def test_vector_sweep_matches_scalar_sweep(text):
+    # Default caps, a binding step budget and a max_radius inside the
+    # window, against the memoized scalar walk called directly.  The
+    # vector pass answers every default-cap window itself.
+    ctx = context_from_text(text)
+    for mode in RoundingMode:
+        for M in (0, 1, 5, 40):
+            for caps in (OrbitCaps(), OrbitCaps(max_steps=50), OrbitCaps(max_radius=M + 1)):
+                got = orbit_sweep(ctx, M, mode, caps)
+                assert got == _scalar_sweep(ctx, M, mode, caps), (mode, M, caps)
+                if caps == OrbitCaps():
+                    assert got.scalar_starts == 0, (mode, M)
+                if caps.max_radius is not None:
+                    assert got.scalar_starts == (2 * M + 1) ** 2
