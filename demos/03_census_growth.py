@@ -40,7 +40,8 @@ for mode in RoundingMode:
     c = brute_force_census(ctx, 24, mode, CensusKind.COLLISIONS)
     h = brute_force_census(ctx, 24, mode, CensusKind.HOLES)
     print(f"  pyth:3,4,5 {mode.value:5s}: collisions {c.count:4d}  holes {h.count:4d}")
-print("  (rounding a rational rotation to the nearest node is bijective)")
+print("  (rounding to the nearest node is bijective for twin triples such as 3-4-5,")
+print("   where a leg is one less than the hypotenuse; 8-15-17 is not)")
 
 print()
 print("== growth exponents, log-log fit over M = 64..512 ==")

@@ -10,8 +10,12 @@ point evaluator for orbit steps:
 * one quadratic field    -- L = (P + Q*sqrt(d))/D with integer P, Q
   (rational coefficients are the Q = 0 case): floor(L) =
   (P + floor(Q*sqrt(d))) // D, and floor(Q*sqrt(d)) is an integer square
-  root, so everything stays exact.  Fractional comparisons reduce to the
-  sign of A + B*sqrt(d), decided by squaring.
+  root, so everything stays exact.  A fractional test against a rational
+  bound t = tp/tden is one remainder: with N = P*tden +
+  floor(Q*tden*sqrt(d)), {L} < t iff N mod (D*tden) < tp*D, and {L} = t
+  iff they are equal and Q = 0.  The roots floor(Q*m*sqrt(d)) are read
+  from a per-form table over |Q| <= the window's bound, built on the
+  first call with at least as many points as the table has entries.
 * float prefilter        -- for high-precision or cross-field angles:
   evaluate in float64, flag any decision within a conservative slack of
   a boundary, and let the caller re-decide flagged points through the
@@ -19,8 +23,8 @@ point evaluator for orbit steps:
   (~6*|L|*2^-53) by >100x, so unflagged decisions are provably correct.
 
 The quadratic vector methods run in int64, guarded at construction by
-the window bound (and in frac_lt by the bound t).  A window past the
-guard, or a frac_lt bound over another quadratic field, runs through
+the window bound (and in frac_lt by the bound's denominator).  A window
+past the guard, or a frac_lt bound that is not rational, runs through
 the float prefilter over the same coefficients, and the caller
 re-decides its flagged points exactly; the scalar point evaluator uses
 Python ints and needs no guard.
@@ -74,22 +78,30 @@ def vfloor_sqrt_multiple(q: np.ndarray, d: int) -> np.ndarray:
     return np.where(q >= 0, r, -r - (q != 0))
 
 
-def vsign_p_plus_q_sqrt(A: np.ndarray, B: np.ndarray, d: int) -> np.ndarray:
-    """Elementwise sign of A + B*sqrt(d)."""
-    out = np.zeros(A.shape, dtype=np.int8)
-    pos = ((A >= 0) & (B > 0)) | ((A > 0) & (B >= 0))
-    neg = ((A <= 0) & (B < 0)) | ((A < 0) & (B <= 0))
-    out[pos] = 1
-    out[neg] = -1
-    mixed = (A > 0) & (B < 0)
-    if mixed.any():
-        diff = A[mixed] ** 2 - B[mixed] ** 2 * d
-        out[mixed] = np.sign(diff).astype(np.int8)
-    mixed = (A < 0) & (B > 0)
-    if mixed.any():
-        diff = B[mixed] ** 2 * d - A[mixed] ** 2
-        out[mixed] = np.sign(diff).astype(np.int8)
+def _compact(X: np.ndarray) -> np.ndarray:
+    """X with every broadcast (stride-0) axis cut to length 1."""
+    return X[tuple(slice(0, 1) if s == 0 else slice(None) for s in X.strides)]
+
+
+def _affine(a, b, c, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """a*X + b*Y + c, summed in that order.  On broadcast views such as
+    _band's, the products are taken over one row or column each, and
+    only the sums run over the full shape."""
+    aX, bY = a * _compact(X), b * _compact(Y)
+    shape = np.broadcast_shapes(X.shape, Y.shape)
+    out = np.add(aX, bY, out=np.empty(shape, np.result_type(aX, bY)))
+    if c:
+        out += c
     return out
+
+
+def _mod_inplace(N: np.ndarray, m: int) -> np.ndarray:
+    """N mod m for m > 0, written over N; numpy's int64 % by a scalar
+    runs several times slower than // by one."""
+    q = N // m
+    q *= m
+    N -= q
+    return N
 
 
 def _parts(s: Scalar) -> tuple[int, int, int, int | None]:
@@ -161,12 +173,13 @@ class QuadForm(LinearForm):
         self.pG, self.qG = pg * (D // dg), qg * (D // dg)
         self._maxP = (abs(self.pA) + abs(self.pB)) * max_abs + abs(self.pG)
         self._maxQ = (abs(self.qA) + abs(self.qB)) * max_abs + abs(self.qG)
-        root = math.isqrt(self._maxQ * self._maxQ * self.d) + 1
-        self._maxPf = D + root  # |P - floor*D| stays below D + |Q|*sqrt(d)
-        self.vector_ok = (
-            self._maxQ * self._maxQ * self.d < _SQRT_SAFE
-            and self._maxP + root < _INT64_SAFE
-        )
+        self._tables: dict[int, np.ndarray] = {}
+        self.vector_ok = self._fits(1)
+
+    def _fits(self, m: int) -> bool:
+        """The int64 guard for P*m + floor(Q*m*sqrt(d)) over the window."""
+        mQ2d = (self._maxQ * m) ** 2 * self.d
+        return mQ2d < _SQRT_SAFE and self._maxP * m + math.isqrt(mQ2d) + 1 < _INT64_SAFE
 
     @cached_property
     def _prefilter(self) -> "FloatForm":
@@ -174,45 +187,72 @@ class QuadForm(LinearForm):
         vector calls past the int64 guard."""
         return FloatForm(self.alpha, self.beta, self.gamma, self.max_abs)
 
-    def _floors(self, X, Y):
-        """Numerators P, Q of L = (P + Q*sqrt(d))/D, and floor(L)."""
-        P = self.pA * X + self.pB * Y + self.pG
-        if self.pure_rational:  # Q is 0: skip the square root
-            return P, np.zeros_like(P), P // self.D
-        Q = self.qA * X + self.qB * Y + self.qG
-        return P, Q, (P + vfloor_sqrt_multiple(Q, self.d)) // self.D
+    def _numerators(self, X, Y):
+        """P and Q of L = (P + Q*sqrt(d))/D; Q is None when it is 0."""
+        P = _affine(self.pA, self.pB, self.pG, X, Y)
+        if self.pure_rational:
+            return P, None
+        return P, _affine(self.qA, self.qB, self.qG, X, Y)
+
+    def _table(self, m: int) -> np.ndarray:
+        """floor(Q*m*sqrt(d)) at index Q + maxQ, for |Q| <= maxQ.  Built
+        whole before it is published, so threads can share it."""
+        table = self._tables.get(m)
+        if table is None:
+            n = self._maxQ
+            table = vfloor_sqrt_multiple(np.arange(-n, n + 1, dtype=np.int64) * m, self.d)
+            self._tables[m] = table
+        return table
+
+    def _floor_sqrt(self, Q, m: int):
+        """floor(Q*m*sqrt(d)): looked up when the call has at least as
+        many points as the table has entries, else computed directly."""
+        n = self._maxQ
+        if 2 * n + 1 <= Q.size:
+            idx = Q + n
+            # a Q outside the window's bound would wrap through a negative index
+            if not (idx.view(np.uint64) > 2 * n).any():
+                return np.take(self._table(m), idx)
+        return vfloor_sqrt_multiple(Q * m, self.d)
 
     def floor(self, X, Y):
         if not self.vector_ok:
             return self._prefilter.floor(X, Y)
-        return self._floors(X, Y)[2], None
+        P, Q = self._numerators(X, Y)
+        if Q is not None:
+            P += self._floor_sqrt(Q, 1)
+        return P // self.D, None
 
     def frac_lt(self, X, Y, t: Scalar, strict: bool = True):
-        tp, tq, tden, td = _parts(t)
-        d_eff = td if (td is not None and self.pure_rational) else self.d
-        # sign tests square these; past the guard, or with a bound over
-        # another field, the prefilter decides
-        maxA = abs(tp) * self.D + self._maxPf * tden
-        maxB = abs(tq) * self.D + self._maxQ * tden
-        if (
-            not self.vector_ok
-            or td not in (None, d_eff)
-            or maxA * maxA >= _INT64_SAFE
-            or maxB * maxB * d_eff >= _INT64_SAFE
-        ):
+        # with N = P*tden + floor(Q*tden*sqrt(d)), L = (N + phi)/(D*tden)
+        # for some 0 <= phi < 1, and phi = 0 exactly when Q = 0
+        if not isinstance(t, Rational):
             return self._prefilter.frac_lt(X, Y, t, strict)
-        P, Q, F = self._floors(X, Y)
-        Pf = P - F * self.D
-        A = tp * self.D - Pf * tden
-        B = tq * self.D - Q * tden
-        sign = vsign_p_plus_q_sqrt(A, B, d_eff)  # sign of t - {L}
-        return (sign > 0) if strict else (sign >= 0), None
+        tden = t.denominator
+        modulus, bound = self.D * tden, self.D * t.numerator
+        if not self._fits(tden) or modulus >= _INT64_SAFE or abs(bound) >= _INT64_SAFE:
+            return self._prefilter.frac_lt(X, Y, t, strict)
+        N, Q = self._numerators(X, Y)
+        N *= tden
+        if Q is not None:
+            N += self._floor_sqrt(Q, tden)
+        r = _mod_inplace(N, modulus)
+        if strict:
+            return r < bound, None
+        equal = r == bound
+        if Q is not None:
+            equal &= Q == 0
+        return (r < bound) | equal, None
 
     def frac_zero(self, X, Y):
+        # L is an integer iff Q = 0 and D divides P
         if not self.vector_ok:
             return self._prefilter.frac_zero(X, Y)
-        P, Q, F = self._floors(X, Y)
-        return (Q == 0) & (P - F * self.D == 0), None
+        P, Q = self._numerators(X, Y)
+        zero = _mod_inplace(P, self.D) == 0
+        if Q is not None:
+            zero &= Q == 0
+        return zero, None
 
     def point(self, trunc: bool = False):
         pA, pB, pG, qA, qB, qG = self.pA, self.pB, self.pG, self.qA, self.qB, self.qG
@@ -252,7 +292,7 @@ class FloatForm(LinearForm):
 
     def _floors(self, X, Y):
         """floor(L), {L}, and the entries within the slack of an integer."""
-        L = self.fa * X + self.fb * Y + self.fg
+        L = _affine(self.fa, self.fb, self.fg, X, Y)
         F = np.floor(L)
         f = L - F
         return F, f, (f < self.slack) | (f > 1 - self.slack)

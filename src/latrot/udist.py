@@ -28,6 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .angle import AngleContext, RationalPythagorean
+from .census import _BAND_TARGET
 from .errors import InvalidSpec
 from .exactnum import Rational, Scalar, ZERO, ONE, compare, rational
 from .kernels import image_forms
@@ -150,11 +151,9 @@ def count_solutions(
     vals = _coord_values(M, parity)
     total = 0
     # row-banded like the censuses; rows are x2 slices
-    band = max(1, (1 << 20) // max(1, len(vals)))
+    band = max(1, _BAND_TARGET // max(1, len(vals)))
     for start in range(0, len(vals), band):
-        rows = vals[start : start + band]
-        A, B = np.meshgrid(vals, rows)
-        A, B = A.ravel(), B.ravel()
+        A, B = np.broadcast_arrays(vals[None, :], vals[start : start + band, None])
         m1, u1 = k1.frac_lt(A, B, box.t1, strict=True)
         m2, u2 = k2.frac_lt(A, B, box.t2, strict=True)
         unc = None
@@ -164,7 +163,7 @@ def count_solutions(
         m = m1 & m2
         if unc is not None:
             m &= ~unc
-            for i in np.nonzero(unc)[0]:
+            for i in zip(*np.nonzero(unc)):
                 x, y = int(A[i]), int(B[i])
                 if k1.exact_frac_lt(x, y, box.t1) and k2.exact_frac_lt(x, y, box.t2):
                     total += 1

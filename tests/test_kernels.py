@@ -1,0 +1,117 @@
+"""The exact quadratic kernel: fractional-part tests by one remainder,
+checked against the scalar exact layer, and square roots read from the
+per-form table."""
+
+import sys
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from latrot import census, kernels
+from latrot.angle import context_from_text
+from latrot.census import CensusKind, brute_force_census, collision_census, hole_census
+from latrot.exactnum import rational
+from latrot.kernels import QuadForm, _band, image_forms, vfloor_sqrt_multiple
+from latrot.rotation import RoundingMode
+
+# quadratic fields sqrt(2) and sqrt(3), and rational angles (Q = 0)
+ANGLES = ["pi/4", "pi/6", "pi/3", "pi*7/6", "pi*3/4", "pyth:3,4,5", "pyth:-20,21,29"]
+R = 12
+MODES = [RoundingMode.FLOOR, RoundingMode.ROUND]
+
+
+def _window(R):
+    cols = np.arange(-R, R + 1, dtype=np.int64)
+    return _band(cols, -R, R)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    angle=st.sampled_from(ANGLES),
+    mode=st.sampled_from(MODES),
+    points=st.lists(st.tuples(st.integers(-R, R), st.integers(-R, R)), min_size=1, max_size=12),
+    tden=st.integers(1, 13),
+    data=st.data(),
+    strict=st.booleans(),
+)
+def test_frac_lt_matches_exact_layer(angle, mode, points, tden, data, strict):
+    t = rational(data.draw(st.integers(1, tden), label="tp"), tden)  # t = 1 included
+    X = np.array([x for x, _ in points], dtype=np.int64)
+    Y = np.array([y for _, y in points], dtype=np.int64)
+    # the same points alone (direct roots) and ahead of the whole window
+    # (enough points for the table)
+    A, B = _window(R)
+    big = (np.concatenate([X, A.ravel()]), np.concatenate([Y, B.ravel()]))
+    for k in image_forms(context_from_text(angle), mode, max_abs=R):
+        assert isinstance(k, QuadForm)
+        want = [k.exact_frac_lt(x, y, t, strict) for x, y in points]
+        for PX, PY in ((X, Y), big):
+            got, unc = k.frac_lt(PX, PY, t, strict)
+            assert unc is None
+            assert got[: len(points)].tolist() == want, (angle, mode, t, strict)
+
+
+def test_frac_lt_at_the_bound_itself():
+    # pi/6 at x = 0: L1 = -y/2, so {L1} = 1/2 exactly at odd y (Q = 0 and
+    # the remainder equals tp*D); 3-4-5 at x = 0: L1 = -3y/5 hits 2/5
+    A, B = _window(R)
+    column = (A[R + 1 : R + 4, R], B[R + 1 : R + 4, R])  # x = 0, y = 1..3
+    for angle, t in (("pi/6", rational(1, 2)), ("pyth:3,4,5", rational(2, 5))):
+        k1, _ = image_forms(context_from_text(angle), RoundingMode.FLOOR, max_abs=R)
+        for X, Y in ((A, B), column):  # table and direct roots
+            strict, _ = k1.frac_lt(X, Y, t, strict=True)
+            loose, _ = k1.frac_lt(X, Y, t, strict=False)
+            on = 0
+            for i in np.ndindex(X.shape):
+                x, y = int(X[i]), int(Y[i])
+                assert strict[i] == k1.exact_frac_lt(x, y, t)
+                assert loose[i] == k1.exact_frac_lt(x, y, t, strict=False)
+                on += bool(loose[i] and not strict[i])
+            assert on > 0, angle  # some point has {L} = t
+
+
+def test_table_and_direct_roots_agree():
+    for angle in ["pi/4", "pi/6", "pi*7/6"]:
+        ctx = context_from_text(angle)
+        for k in image_forms(ctx, RoundingMode.ROUND, max_abs=R):
+            assert not k._tables  # nothing is built up front
+            A, B = _window(R)
+            small = (A[3, 2:5], B[3, 2:5])
+            assert 3 < 2 * k._maxQ + 1 <= A.size
+            calls = ((k.floor, 1), (lambda X, Y: k.frac_lt(X, Y, rational(3, 7)), 7))
+            for call, m in calls:
+                assert call(*small)[0].tolist() == call(A, B)[0][3, 2:5].tolist()
+                assert m in k._tables  # the large call built its table
+                Q = k.qA * A + k.qB * B + k.qG
+                assert (k._floor_sqrt(Q, m) == vfloor_sqrt_multiple(Q * m, k.d)).all()
+            # a Q outside the table takes the direct root, never a wrapped index
+            Q = np.full(A.size, -k._maxQ - 1, dtype=np.int64)
+            Q[-1] = k._maxQ + 1
+            assert (k._floor_sqrt(Q, 1) == vfloor_sqrt_multiple(Q, k.d)).all()
+
+
+def test_threads_share_lazily_built_tables(monkeypatch):
+    # bands of four rows hold more points than a table has entries, so
+    # the first bands on the pool threads build the tables the rest read
+    made = []
+
+    def capture(*args, **kwargs):
+        forms = kernels.image_forms(*args, **kwargs)
+        assert not any(k._tables for k in forms)
+        made.append(forms)
+        return forms
+
+    monkeypatch.setattr(census, "image_forms", capture)
+    monkeypatch.setattr(census, "_BAND_TARGET", 4 * (2 * kernels._domain_radius(30) + 1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        ctx = context_from_text("pi/4")
+        for run, kind in ((collision_census, CensusKind.COLLISIONS), (hole_census, CensusKind.HOLES)):
+            a = run(ctx, 30, keep_points=True, threads=1)
+            b = run(ctx, 30, keep_points=True, threads=2)
+            o = brute_force_census(ctx, 30, RoundingMode.FLOOR, kind, keep_points=True)
+            assert (a.count, a.points) == (b.count, b.points) == (o.count, o.points)
+    finally:
+        sys.setswitchinterval(interval)
+    assert made and all(list(k._tables) == [1] for forms in made for k in forms)

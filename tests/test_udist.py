@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from latrot import udist
 from latrot.angle import context_from_text
 from latrot.errors import InvalidSpec
 from latrot.exactnum import quad, rational
@@ -95,7 +96,7 @@ def test_congruence_examples_and_random():
 def test_direct_and_residue_counters_agree():
     half = InequalityBox(rational(1, 2), rational(1, 2))
     cases = [(text, half) for text in ["pyth:3,4,5", "pyth:5,12,13", "pyth:-3,4,5", "pyth:4,3,5"]]
-    # a bound with denominator q = 40001 trips the direct scan's int64 guard
+    # a bound with denominator q = 40001: one remainder in int64 decides it
     cases.append(("pyth:39999,400,40001", InequalityBox(rational(20000, 40001), rational(1, 2))))
     for text, box in cases:
         ctx = context_from_text(text)
@@ -104,6 +105,19 @@ def test_direct_and_residue_counters_agree():
                 d = count_solutions(ctx, box, M, parity)
                 r = count_solutions_residue(ctx, box, M, parity)
                 assert d == r, (text, M, parity)
+
+
+def test_one_row_bands_keep_counts(monkeypatch):
+    # odd-odd rows step by 2, so a one-row band holds every other row
+    box = InequalityBox(rational(1, 2), rational(1, 3))
+    for text in ["pyth:3,4,5", "pi/6", "rad:~1.0"]:
+        ctx = context_from_text(text)
+        want = {p: count_solutions(ctx, box, 21, p) for p in Parity}
+        with monkeypatch.context() as m:
+            m.setattr(udist, "_BAND_TARGET", 1)
+            assert {p: count_solutions(ctx, box, 21, p) for p in Parity} == want, text
+        if text == "pyth:3,4,5":
+            assert want == {p: count_solutions_residue(ctx, box, 21, p) for p in Parity}
 
 
 def test_residue_counter_rejects_irrational():
