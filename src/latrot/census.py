@@ -21,10 +21,16 @@ points by less than sqrt(2)):
 * brute force (any rounding mode): histogram the images and read off
   multiplicities.
 
-Scans run banded over rows: memory stays bounded, bands can be handed to
-worker threads, and the merge (integer sums and index lists, sorted at
-the end) is independent of the thread count.  Each band re-decides the
-points its float prefilter flags exactly, on its own thread.
+The characterization clips its domain to the rotated square that holds
+every preimage of the window, half the area of the bounding square it
+sits in; brute force scans the whole bounding square, so it stays
+independent of that clip.
+
+Scans run over rows in kernels._bands' cache-sized bands: bands can be
+handed to worker threads, and the merge (integer sums and index lists,
+sorted at the end) is independent of the thread count.  Each band
+re-decides the points its float prefilter flags exactly, on its own
+thread.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -40,11 +46,10 @@ import numpy as np
 from .angle import AngleContext, angle_text
 from .errors import CapExceeded, DegenerateCounts, UnsupportedMode
 from .exactnum import ZERO, compare, floor_exact
-from .kernels import _band, _domain_radius, _exact_images, image_forms
+from .kernels import _band, _bands, _domain_radius, _exact_images, image_forms
 from .rotation import RoundingMode, cell_corners, discrete_rotate, quantize, rotate_inverse
 
 DEFAULT_ORACLE_CAP = 512
-_BAND_TARGET = 1 << 20  # points per band
 
 
 class CensusKind(Enum):
@@ -68,6 +73,7 @@ class CensusReport:
     method: Method
     elapsed_ms: float
     pair_count: int | None = None
+    scanned_pts: int = field(default=0, compare=False)  # domain points imaged
 
 
 @dataclass
@@ -76,14 +82,6 @@ class GrowthFit:
     counts: list[int]
     exponent: float
     r_squared: float
-
-
-def _bands(lo: int, hi: int, width: int):
-    rows = max(1, _BAND_TARGET // max(1, width))
-    b = lo
-    while b <= hi:
-        yield b, min(hi, b + rows - 1)
-        b += rows
 
 
 def _run_bands(lo, hi, width, worker, threads):
@@ -197,20 +195,62 @@ def _surrounded(pattern):
     return test
 
 
+def _row_spans(ctx, M, R):
+    """Column spans (lo, hi) of the domain rows b = -R..R, at index b + R:
+    row b's span holds every a whose rotated point A(a, b) = (a*cos -
+    b*sin, a*sin + b*cos) lies in [-M-2, M+3]^2; an empty span is
+    (R + 1, -R - 1).
+
+    A superset filter, not a floor decision.  A point whose floor image
+    lies in [-M-1, M+1]^2, as every point of a colliding pair and every
+    corner of a hole's cell in the window does, has A(a, b) in
+    [-M-1, M+2)^2, a unit inside that box on every side.  The spans solve
+    each coordinate a*k + off in [-M-2, M+3] for a, with float cos and
+    sin (k is one of them, off the other's term in b).  Over |a|, |b| <= R
+    the float coordinate is off from the exact one by at most
+    R*(|cos - cos_f| + |sin - sin_f|) plus the rounding of off, far below
+    that unit for any window a scan can hold (the float prefilter's much
+    finer slack assumes the same accuracy of cos_f and sin_f), so every
+    such a solves it.  Each bound on a, a quotient by k, is rounded
+    outward and widened by one column, which covers the rounding of the
+    quotient.  A k that is 0 in float bounds the row instead.
+    """
+    b = np.arange(-R, R + 1, dtype=np.float64)
+    c, s = float(ctx.cos), float(ctx.sin)
+    lo = np.full(b.size, -R, dtype=np.float64)
+    hi = np.full(b.size, R, dtype=np.float64)
+    L, H = -M - 2, M + 3
+    for k, off in ((c, -s * b), (s, c * b)):  # the coordinate a*k + off
+        if k == 0:
+            hi[(off < L) | (off > H)] = -R - 1
+            continue
+        t1, t2 = (L - off) / k, (H - off) / k
+        np.maximum(lo, np.floor(np.minimum(t1, t2)) - 1, out=lo)
+        np.minimum(hi, np.ceil(np.maximum(t1, t2)) + 1, out=hi)
+    empty = lo > hi
+    lo[empty], hi[empty] = R + 1, -R - 1
+    return lo.astype(np.int64), hi.astype(np.int64)
+
+
 def _grid_census(ctx, M, kind, keep_points, threads):
-    """(count, window indices or None) of collision images or holes.
+    """(count, window indices or None, points scanned) of collision
+    images or holes.
 
     One banded pass computes the floor images of the domain once per
     point; each band reads a one-row halo above it, so every pair and
-    cell anchored in the band is read there.  A collision has exactly
-    two preimages, a unit-neighbour pair, and a hole exactly one pattern
-    cell, so counts are plain sums.  Each band re-decides the points its
-    float prefilter flags, halo row included, and reads exact images.
+    cell anchored in the band is read there.  A band scans only the
+    columns of its rows' spans, halo row included (_row_spans), and a
+    band whose spans are all empty is skipped: every point of a pair or
+    cell that can count lies inside its row's span.  A collision has
+    exactly two preimages, a unit-neighbour pair, and a hole exactly one
+    pattern cell, so counts are plain sums.  Each band re-decides the
+    points its float prefilter flags, halo row included, and reads exact
+    images.
     """
     R = _domain_radius(M)
     W = 2 * M + 1
     forms = image_forms(ctx, RoundingMode.FLOOR, max_abs=R)
-    cols = np.arange(-R, R + 1, dtype=np.int64)
+    lo, hi = _row_spans(ctx, M, R)
     if kind is CensusKind.COLLISIONS:
         shapes, found = _PAIRS, _shared_image
     else:
@@ -223,7 +263,11 @@ def _grid_census(ctx, M, kind, keep_points, threads):
 
     def worker(span):
         blo, bhi = span
-        A, B = _band(cols, blo, min(bhi + 1, R))
+        top = min(bhi + 1, R)
+        c0, c1 = lo[blo + R:top + R + 1].min(), hi[blo + R:top + R + 1].max()
+        if c0 > c1:
+            return 0, []
+        A, B = _band(np.arange(c0, c1 + 1, dtype=np.int64), blo, top)
         X, Y = _exact_images(ctx, forms, A, B, RoundingMode.FLOOR, discrete_rotate)
         rows = bhi - blo + 1
         tallies = []
@@ -232,18 +276,20 @@ def _grid_census(ctx, M, kind, keep_points, threads):
             nc = X.shape[1] - max(da for da, _ in shape)
             imgs = [(X[db:db + nr, da:da + nc], Y[db:db + nr, da:da + nc]) for da, db in shape]
             tallies.append(tally(*found(imgs)))
-        return tallies
+        return X.size, tallies
 
-    tallies = [t for band in _run_bands(-R, R, 2 * R + 1, worker, threads) for t in band]
+    bands = _run_bands(-R, R, 2 * R + 1, worker, threads)
+    scanned = sum(n for n, _ in bands)
+    tallies = [t for _, band in bands for t in band]
     count = sum(n for n, _ in tallies)
     if not keep_points:
-        return count, None
-    return count, np.concatenate([idx for _, idx in tallies])
+        return count, None, scanned
+    return count, np.concatenate([idx for _, idx in tallies]), scanned
 
 
 def _characterization_report(ctx, M, kind, keep_points, threads, count_pairs=False):
     start = time.perf_counter()
-    count, idx = _grid_census(ctx, M, kind, keep_points, threads)
+    count, idx, scanned = _grid_census(ctx, M, kind, keep_points, threads)
     return CensusReport(
         angle=angle_text(ctx),
         mode=RoundingMode.FLOOR,
@@ -254,6 +300,7 @@ def _characterization_report(ctx, M, kind, keep_points, threads, count_pairs=Fal
         method=Method.CHARACTERIZATION,
         elapsed_ms=(time.perf_counter() - start) * 1000,
         pair_count=count if count_pairs else None,
+        scanned_pts=scanned,
     )
 
 
@@ -347,6 +394,7 @@ def brute_force_census(
         method=Method.BRUTE_FORCE,
         elapsed_ms=elapsed,
         pair_count=pair_count,
+        scanned_pts=(2 * _domain_radius(M) + 1) ** 2,
     )
 
 
@@ -362,10 +410,10 @@ def _image_histogram(ctx, M, mode, threads) -> np.ndarray:
         keep = (np.abs(X) <= M) & (np.abs(Y) <= M)
         return (X[keep] + M) * W + (Y[keep] + M)
 
-    counts = np.zeros(W * W, dtype=np.int64)
-    for idx in _run_bands(-R, R, 2 * R + 1, worker, threads):
-        counts += np.bincount(idx, minlength=W * W)
-    return counts
+    # one histogram of all bands' images: a histogram per band would
+    # allocate and add the whole window per band
+    idx = np.concatenate(_run_bands(-R, R, 2 * R + 1, worker, threads))
+    return np.bincount(idx, minlength=W * W)
 
 
 def collision_preimages(

@@ -7,8 +7,8 @@ or JSON report on stdout; diagnostics go to stderr.  Exit codes:
 2 usage error.
 
 Output is byte-identical across runs for identical inputs, except the
-timing: JSON isolates elapsed_ms in a "meta" block, CSV carries it as
-the spec'd trailing column.
+timing: JSON isolates elapsed_ms, with the scan counters, in a "meta"
+block, CSV carries it as the spec'd trailing column.
 """
 
 from __future__ import annotations
@@ -279,7 +279,7 @@ def _handle_census(ns, out, started):
             payload["pair_count"] = rep.pair_count
         if ns.emit_points:
             payload["points"] = [[x, y] for x, y in rep.points or []]
-        _emit_json(out, payload, rep.elapsed_ms)
+        _emit_json(out, payload, rep.elapsed_ms, scanned_pts=rep.scanned_pts)
     else:
         out.write("angle,mode,kind,M,count,method,elapsed_ms\n")
         out.write(

@@ -32,6 +32,11 @@ Python ints and needs no guard.
 _exact_images is the one image kernel every scan runs: the censuses'
 image grids, the orbit sweeps' successor arrays and the period-8 chains
 all read their images of lattice points from it.
+
+Banding lives here too.  Every vector scan walks its window through
+_bands, in bands of about _BAND_POINTS points: small enough that a
+band's int64 temporaries (512 KiB each) stay in a core's L2 cache, and
+large enough that numpy's per-call overhead stays small.
 """
 
 from __future__ import annotations
@@ -61,6 +66,7 @@ _INT64_SAFE = 1 << 62
 _SQRT_SAFE = 1 << 52  # float-assisted isqrt is exact below this
 _REL_SLACK = 1e-12  # float slack per unit of |alpha*x| + |beta*y| + |gamma| + 1
 _MIN_SLACK = 1e-9
+_BAND_POINTS = 1 << 16  # points per band of every vector scan
 
 
 def visqrt(x: np.ndarray) -> np.ndarray:
@@ -367,6 +373,14 @@ def _domain_radius(M: int) -> int:
     """Radius of the domain window that holds every preimage of the
     window |x|,|y| <= M + 1, so also every corner of a hole's cell."""
     return _ceil_sqrt2(M + 2) + 2
+
+
+def _bands(lo: int, hi: int, width: int):
+    """Consecutive spans (blo, bhi) that cover lo..hi, each of as many
+    rows of width points as _BAND_POINTS holds (at least one)."""
+    rows = max(1, _BAND_POINTS // max(1, width))
+    for blo in range(lo, hi + 1, rows):
+        yield blo, min(hi, blo + rows - 1)
 
 
 def _band(cols: np.ndarray, blo: int, bhi: int):

@@ -40,10 +40,8 @@ import numpy as np
 from .angle import AngleContext, PiMultiple, resolve
 from .errors import HypothesisViolated
 from .exactnum import compare, floor_exact, frac_in, frac_part, quad, rational
-from .kernels import _SQRT_SAFE, _band, _domain_radius, _exact_images, image_forms, make_step, visqrt
+from .kernels import _SQRT_SAFE, _band, _bands, _domain_radius, _exact_images, image_forms, make_step, visqrt
 from .rotation import LatticePoint, RoundingMode, discrete_rotate
-
-_BAND_POINTS = 1 << 20  # points per band of a successor or candidate scan
 
 
 class OrbitStatus(Enum):
@@ -232,9 +230,7 @@ def _successors(ctx, mode, R) -> np.ndarray:
     succ[sink] = sink
     forms = image_forms(ctx, mode, max_abs=R)
     cols = np.arange(-R, R + 1, dtype=np.int64)
-    rows = max(1, _BAND_POINTS // W)
-    for blo in range(-R, R + 1, rows):
-        bhi = min(R, blo + rows - 1)
+    for blo, bhi in _bands(-R, R, W):
         X, Y = _exact_images(ctx, forms, *_band(cols, blo, bhi), mode, discrete_rotate)
         inside = (np.abs(X) <= R) & (np.abs(Y) <= R)
         succ[(blo + R) * W:(bhi + R + 1) * W] = np.where(inside, (Y + R) * W + X + R, sink).ravel()
@@ -371,8 +367,8 @@ def period8_candidates(a_max: int, closed_endpoints: bool = True) -> list[int]:
             "square roots are no longer exact"
         )
     out: list[int] = []
-    for lo in range(1, a_max + 1, _BAND_POINTS):
-        a = np.arange(lo, min(a_max, lo + _BAND_POINTS - 1) + 1, dtype=np.int64)
+    for lo, hi in _bands(1, a_max, 1):
+        a = np.arange(lo, hi + 1, dtype=np.int64)
         w = visqrt(a * a // 2)  # floor(a/sqrt2)
         ok = ((a - 1) ** 2 <= 2 * w * w) & (2 * w * w < a * a)  # floor(sqrt2*w) = a-1
         ok &= (a + 1) ** 2 >= 2 * (w + 1) ** 2  # {a/sqrt2} >= 1 - 1/sqrt2
@@ -506,8 +502,8 @@ def verify_period8(
     forms = image_forms(ctx, RoundingMode.FLOOR, max_abs=max_abs)
     verified = 0
     violators: list[tuple[int, list[LatticePoint]]] = []
-    for lo in range(0, len(check), _BAND_POINTS):
-        a = np.asarray(check[lo:lo + _BAND_POINTS], dtype=np.int64)
+    for lo, hi in _bands(0, len(check) - 1, 1):
+        a = np.asarray(check[lo:hi + 1], dtype=np.int64)
         X, Y = a, np.zeros_like(a)
         chain = [(X, Y)]
         for _ in range(8):

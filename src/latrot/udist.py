@@ -28,10 +28,9 @@ from enum import Enum
 import numpy as np
 
 from .angle import AngleContext, RationalPythagorean
-from .census import _BAND_TARGET
 from .errors import InvalidSpec
 from .exactnum import Rational, Scalar, ZERO, ONE, compare, rational
-from .kernels import image_forms
+from .kernels import _bands, image_forms
 from .rotation import RoundingMode
 
 
@@ -150,10 +149,9 @@ def count_solutions(
     k1, k2 = image_forms(ctx, RoundingMode.FLOOR, max_abs=M)
     vals = _coord_values(M, parity)
     total = 0
-    # row-banded like the censuses; rows are x2 slices
-    band = max(1, _BAND_TARGET // max(1, len(vals)))
-    for start in range(0, len(vals), band):
-        A, B = np.broadcast_arrays(vals[None, :], vals[start : start + band, None])
+    # banded over row indices, so odd-odd rows keep their step of 2
+    for i0, i1 in _bands(0, len(vals) - 1, len(vals)):
+        A, B = np.broadcast_arrays(vals[None, :], vals[i0 : i1 + 1, None])
         m1, u1 = k1.frac_lt(A, B, box.t1, strict=True)
         m2, u2 = k2.frac_lt(A, B, box.t2, strict=True)
         unc = None

@@ -3,8 +3,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from latrot import census
+from latrot import kernels
 from latrot.angle import context_from_text
 from latrot.census import (
     CensusKind,
@@ -16,10 +17,11 @@ from latrot.census import (
     growth_fit,
     hole_census,
     hole_test_exact,
+    _row_spans,
 )
 from latrot.errors import CapExceeded, DegenerateCounts, UnsupportedMode
 from latrot.exactnum import compare, quad, rational
-from latrot.kernels import image_forms
+from latrot.kernels import _band, _domain_radius, _exact_images, image_forms
 from latrot.rotation import RoundingMode, discrete_rotate
 
 FLOAT_PI4 = "rad:~" + repr(math.pi / 4)
@@ -202,7 +204,7 @@ def test_threads_do_not_change_results(monkeypatch):
     # angles whose float prefilter flags points for exact re-decision,
     # which runs in the pool threads; a short switch interval interleaves
     # their evaluations of the shared sin/cos nodes.
-    monkeypatch.setattr(census, "_BAND_TARGET", 1)
+    monkeypatch.setattr(kernels, "_BAND_POINTS", 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -296,3 +298,87 @@ def test_collision_site_exact_agrees_with_neighbors():
                     if discrete_rotate(ctx, (a + da, b + db)) == image
                 ]
                 assert fired == truth, (text, a, b)
+
+
+# every quadrant: exact, numeric (near-cardinal ones included) and cross-field
+SPAN_ANGLES = [
+    "pi/2", "pi", "pi*3/2", "pi/4", "pi*3/4", "pi*5/4", "pi*7/4", "pi*7/6",
+    "pyth:3,4,5", "pyth:-20,21,29", "pyth:3,-4,5", "pyth:-3,-4,5",
+    "rad:~1.0", "rad:~2.5", "rad:~-0.7", "rad:~-2.2",
+    "rad:~0.001", "rad:~1.5707", "rad:~1.5707963", "rad:~-0.0005",
+    CROSS_FIELD, "quad:sin=sqrt(3)/3,cos=-sqrt(6)/3",
+    "quad:sin=-sqrt(3)/3,cos=-sqrt(6)/3", "quad:sin=-sqrt(3)/3,cos=sqrt(6)/3",
+]
+
+
+@settings(max_examples=120, deadline=None)
+@given(text=st.sampled_from(SPAN_ANGLES), M=st.integers(0, 40))
+def test_row_spans_hold_every_needed_point(text, M):
+    # a point whose exact floor image lies in [-M-1, M+1]^2, as each point
+    # of a colliding pair and each corner of a hole's cell does, lies in
+    # its row's span
+    ctx = context_from_text(text)
+    R = _domain_radius(M)
+    A, B = _band(np.arange(-R, R + 1, dtype=np.int64), -R, R)
+    forms = image_forms(ctx, RoundingMode.FLOOR, max_abs=R)
+    X, Y = _exact_images(ctx, forms, A, B, RoundingMode.FLOOR, discrete_rotate)
+    needed = (np.abs(X) <= M + 1) & (np.abs(Y) <= M + 1)
+    lo, hi = _row_spans(ctx, M, R)
+    inside = (A >= lo[B + R]) & (A <= hi[B + R])
+    assert not (needed & ~inside).any()
+
+
+@pytest.mark.parametrize("band_points", [1, None, 1 << 40], ids=["one-row", "default", "one-band"])
+def test_band_geometry_keeps_censuses(monkeypatch, band_points):
+    # one-row bands read every pair and cell across a band edge; one band
+    # holds the whole clipped domain
+    if band_points is not None:
+        monkeypatch.setattr(kernels, "_BAND_POINTS", band_points)
+    for text in ["pi/4", "pi/2", "pyth:20,21,29", "pi*7/6", "rad:~-2.2", CROSS_FIELD]:
+        ctx = context_from_text(text)
+        for M in (0, 1, 2, 17, 100):
+            for run, kind in (
+                (collision_census, CensusKind.COLLISIONS),
+                (hole_census, CensusKind.HOLES),
+            ):
+                got = run(ctx, M, keep_points=True)
+                want = brute_force_census(ctx, M, RoundingMode.FLOOR, kind, keep_points=True)
+                assert (got.count, got.points) == (want.count, want.points), (text, M, kind)
+
+
+def test_characterization_scans_the_rotated_square():
+    full = (2 * _domain_radius(256) + 1) ** 2
+    ctx = context_from_text("pi/4")
+    assert hole_census(ctx, 256).scanned_pts <= 0.65 * full
+    oracle = brute_force_census(ctx, 256, RoundingMode.FLOOR, CensusKind.HOLES)
+    assert oracle.scanned_pts == full
+    # at pi/2 the rows past the window hold no preimage at all
+    assert collision_census(context_from_text("pi/2"), 256).scanned_pts < 0.72 * full
+
+
+# ROUND (collisions, holes) at M=64, the same in both orientations: the
+# map is bijective exactly at the twin triples, whose hypotenuse is the
+# larger leg plus 1
+ROUND_COUNTS_M64 = {
+    (3, 4, 5): (0, 0),
+    (5, 12, 13): (0, 0),
+    (7, 24, 25): (0, 0),
+    (9, 40, 41): (0, 0),
+    (11, 60, 61): (0, 0),
+    (8, 15, 17): (3912, 3916),
+    (20, 21, 29): (2300, 2292),
+    (12, 35, 37): (1800, 1800),
+    (28, 45, 53): (2512, 2512),
+}
+
+
+def test_round_is_bijective_exactly_at_twin_triples():
+    for (p1, p2, q), want in ROUND_COUNTS_M64.items():
+        assert (want == (0, 0)) == (q == max(p1, p2) + 1)
+        for text in (f"pyth:{p1},{p2},{q}", f"pyth:{p2},{p1},{q}"):
+            ctx = context_from_text(text)
+            got = tuple(
+                brute_force_census(ctx, 64, RoundingMode.ROUND, kind).count
+                for kind in (CensusKind.COLLISIONS, CensusKind.HOLES)
+            )
+            assert got == want, text

@@ -5,6 +5,7 @@ import os
 import pytest
 
 from latrot.cli import main, parse_args, UsageError
+from latrot.kernels import _domain_radius
 
 
 def run_cli(*argv):
@@ -34,6 +35,20 @@ def test_census_json_cardinal_zero():
     assert data["count"] == 0
     assert data["angle"] == "pi/2"
     assert "elapsed_ms" in data["meta"]
+
+
+def test_census_meta_reports_scanned_points():
+    # a count of the work, in meta only: the payload and CSV rows keep their bytes
+    args = ("census", "--angle", "pi/4", "--M", "20", "--kind", "holes")
+    full = (2 * _domain_radius(20) + 1) ** 2
+    _, out, _ = run_cli(*args, "--format", "json")
+    data = json.loads(out)
+    assert 0 < data["meta"]["scanned_pts"] < full
+    assert "scanned_pts" not in data
+    _, out, _ = run_cli(*args, "--oracle", "--format", "json")
+    assert json.loads(out)["meta"]["scanned_pts"] == full
+    _, out, _ = run_cli(*args)
+    assert "scanned" not in out
 
 
 def test_census_csv_header():

@@ -2,12 +2,14 @@
 checked against the scalar exact layer, and square roots read from the
 per-form table."""
 
+import ast
+import pathlib
 import sys
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from latrot import census, kernels
+from latrot import census, kernels, orbits, udist
 from latrot.angle import context_from_text
 from latrot.census import CensusKind, brute_force_census, collision_census, hole_census
 from latrot.exactnum import rational
@@ -102,7 +104,7 @@ def test_threads_share_lazily_built_tables(monkeypatch):
         return forms
 
     monkeypatch.setattr(census, "image_forms", capture)
-    monkeypatch.setattr(census, "_BAND_TARGET", 4 * (2 * kernels._domain_radius(30) + 1))
+    monkeypatch.setattr(kernels, "_BAND_POINTS", 4 * (2 * kernels._domain_radius(30) + 1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
@@ -115,3 +117,43 @@ def test_threads_share_lazily_built_tables(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert made and all(list(k._tables) == [1] for forms in made for k in forms)
+
+
+def test_root_tables_in_use_at_benchmark_sizes(monkeypatch):
+    # a default band holds more points than the table of a census at
+    # M=256, a udist count at M=1000 or a sweep at M=300 has entries; the
+    # period-8 chains are short and keep the direct root
+    made = []
+
+    def capture(*args, **kwargs):
+        forms = kernels.image_forms(*args, **kwargs)
+        made.append(forms)
+        return forms
+
+    for module in (census, udist, orbits):
+        monkeypatch.setattr(module, "image_forms", capture)
+    hole_census(context_from_text("pi/4"), 256)
+    box = udist.InequalityBox(rational(1, 2), rational(1, 3))
+    udist.count_solutions(context_from_text("pi/6"), box, 1000)
+    orbits.orbit_sweep(context_from_text("pi/4"), 300)
+    assert made and all(k._tables for forms in made for k in forms)
+    orbits.verify_period8(10**6)
+    assert not any(k._tables for k in made[-1])
+
+
+def test_band_size_is_defined_only_in_kernels():
+    # every vector scan walks its window through kernels._bands; a second
+    # band-size constant or band iterator would fork a second band loop
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "latrot"
+    for path in sorted(src.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            else:
+                continue
+            for name in names:
+                if "BAND" in name or name == "_bands":  # constants are upper case
+                    assert path.name == "kernels.py", (path.name, node.lineno, name)

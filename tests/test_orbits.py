@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from latrot import kernels
 from latrot.angle import context_from_text
 from latrot.errors import HypothesisViolated
 from latrot.exactnum import floor_exact, quad
@@ -248,3 +249,15 @@ def test_vector_sweep_matches_scalar_sweep(text):
                     assert got.scalar_starts == 0, (mode, M)
                 if caps.max_radius is not None:
                     assert got.scalar_starts == (2 * M + 1) ** 2
+
+
+def test_tiny_bands_keep_sweeps_and_period8(monkeypatch):
+    # seven-point bands: one successor row per band, seven chains at a time
+    cases = [(text, mode) for text in ("pi/4", "pyth:3,4,5", "rad:~1.0") for mode in RoundingMode]
+    sweeps = [orbit_sweep(context_from_text(text), 12, mode) for text, mode in cases]
+    period8 = [verify_period8(3000, strict_boundary=True), verify_period8(3000, open_endpoints=True)]
+    monkeypatch.setattr(kernels, "_BAND_POINTS", 7)
+    assert [orbit_sweep(context_from_text(text), 12, mode) for text, mode in cases] == sweeps
+    assert [
+        verify_period8(3000, strict_boundary=True), verify_period8(3000, open_endpoints=True)
+    ] == period8

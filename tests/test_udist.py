@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from latrot import udist
+from latrot import kernels
 from latrot.angle import context_from_text
 from latrot.errors import InvalidSpec
 from latrot.exactnum import quad, rational
@@ -114,7 +114,7 @@ def test_one_row_bands_keep_counts(monkeypatch):
         ctx = context_from_text(text)
         want = {p: count_solutions(ctx, box, 21, p) for p in Parity}
         with monkeypatch.context() as m:
-            m.setattr(udist, "_BAND_TARGET", 1)
+            m.setattr(kernels, "_BAND_POINTS", 1)
             assert {p: count_solutions(ctx, box, 21, p) for p in Parity} == want, text
         if text == "pyth:3,4,5":
             assert want == {p: count_solutions_residue(ctx, box, 21, p) for p in Parity}
