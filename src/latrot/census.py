@@ -74,6 +74,8 @@ class CensusReport:
     elapsed_ms: float
     pair_count: int | None = None
     scanned_pts: int = field(default=0, compare=False)  # domain points imaged
+    redecided_pts: int = field(default=0, compare=False)  # flagged, decided by enclosures
+    scalar_pts: int = field(default=0, compare=False)  # flagged, decided by discrete_rotate
 
 
 @dataclass
@@ -233,8 +235,9 @@ def _row_spans(ctx, M, R):
 
 
 def _grid_census(ctx, M, kind, keep_points, threads):
-    """(count, window indices or None, points scanned) of collision
-    images or holes.
+    """(count, window indices or None, counters) of collision images or
+    holes; the counters are the report's scanned_pts, redecided_pts and
+    scalar_pts.
 
     One banded pass computes the floor images of the domain once per
     point; each band reads a one-row halo above it, so every pair and
@@ -266,9 +269,9 @@ def _grid_census(ctx, M, kind, keep_points, threads):
         top = min(bhi + 1, R)
         c0, c1 = lo[blo + R:top + R + 1].min(), hi[blo + R:top + R + 1].max()
         if c0 > c1:
-            return 0, []
+            return (0, 0, 0), []
         A, B = _band(np.arange(c0, c1 + 1, dtype=np.int64), blo, top)
-        X, Y = _exact_images(ctx, forms, A, B, RoundingMode.FLOOR, discrete_rotate)
+        X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, RoundingMode.FLOOR, discrete_rotate)
         rows = bhi - blo + 1
         tallies = []
         for shape in shapes:
@@ -276,20 +279,21 @@ def _grid_census(ctx, M, kind, keep_points, threads):
             nc = X.shape[1] - max(da for da, _ in shape)
             imgs = [(X[db:db + nr, da:da + nc], Y[db:db + nr, da:da + nc]) for da, db in shape]
             tallies.append(tally(*found(imgs)))
-        return X.size, tallies
+        return (X.size, redecided, scalar), tallies
 
     bands = _run_bands(-R, R, 2 * R + 1, worker, threads)
-    scanned = sum(n for n, _ in bands)
+    scanned, redecided, scalar = map(sum, zip(*(n for n, _ in bands)))
+    counters = dict(scanned_pts=scanned, redecided_pts=redecided, scalar_pts=scalar)
     tallies = [t for _, band in bands for t in band]
     count = sum(n for n, _ in tallies)
     if not keep_points:
-        return count, None, scanned
-    return count, np.concatenate([idx for _, idx in tallies]), scanned
+        return count, None, counters
+    return count, np.concatenate([idx for _, idx in tallies]), counters
 
 
 def _characterization_report(ctx, M, kind, keep_points, threads, count_pairs=False):
     start = time.perf_counter()
-    count, idx, scanned = _grid_census(ctx, M, kind, keep_points, threads)
+    count, idx, counters = _grid_census(ctx, M, kind, keep_points, threads)
     return CensusReport(
         angle=angle_text(ctx),
         mode=RoundingMode.FLOOR,
@@ -300,7 +304,7 @@ def _characterization_report(ctx, M, kind, keep_points, threads, count_pairs=Fal
         method=Method.CHARACTERIZATION,
         elapsed_ms=(time.perf_counter() - start) * 1000,
         pair_count=count if count_pairs else None,
-        scanned_pts=scanned,
+        **counters,
     )
 
 
@@ -375,7 +379,7 @@ def brute_force_census(
     if cap is not None and M > cap:
         raise CapExceeded(f"brute-force window M={M} exceeds the cap {cap}")
     start = time.perf_counter()
-    counts = _image_histogram(ctx, M, mode, threads)
+    counts, redecided, scalar = _image_histogram(ctx, M, mode, threads)
     if kind is CensusKind.COLLISIONS:
         mask = counts >= 2
         pair_count = int(sum(math.comb(int(c), 2) for c in counts[mask])) if count_pairs else None
@@ -395,10 +399,14 @@ def brute_force_census(
         elapsed_ms=elapsed,
         pair_count=pair_count,
         scanned_pts=(2 * _domain_radius(M) + 1) ** 2,
+        redecided_pts=redecided,
+        scalar_pts=scalar,
     )
 
 
-def _image_histogram(ctx, M, mode, threads) -> np.ndarray:
+def _image_histogram(ctx, M, mode, threads):
+    """(histogram of the window's images, flagged points the enclosures
+    decided, flagged points discrete_rotate decided)."""
     R = _domain_radius(M)
     W = 2 * M + 1
     forms = image_forms(ctx, mode, max_abs=R)
@@ -406,14 +414,16 @@ def _image_histogram(ctx, M, mode, threads) -> np.ndarray:
 
     def worker(span):
         A, B = _band(cols, *span)
-        X, Y = _exact_images(ctx, forms, A, B, mode, discrete_rotate)
+        X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, mode, discrete_rotate)
         keep = (np.abs(X) <= M) & (np.abs(Y) <= M)
-        return (X[keep] + M) * W + (Y[keep] + M)
+        return (X[keep] + M) * W + (Y[keep] + M), redecided, scalar
 
     # one histogram of all bands' images: a histogram per band would
     # allocate and add the whole window per band
-    idx = np.concatenate(_run_bands(-R, R, 2 * R + 1, worker, threads))
-    return np.bincount(idx, minlength=W * W)
+    parts, redecided, scalar = zip(*_run_bands(-R, R, 2 * R + 1, worker, threads))
+    idx = np.concatenate(parts)
+    del parts  # free the bands' arrays before the histogram is allocated
+    return np.bincount(idx, minlength=W * W), sum(redecided), sum(scalar)
 
 
 def collision_preimages(
@@ -421,7 +431,7 @@ def collision_preimages(
 ) -> dict[tuple[int, int], list[tuple[int, int]]]:
     """Brute-force map image -> list of preimages, for images inside the
     window with multiplicity >= 2 (oracle-side diagnostics)."""
-    counts = _image_histogram(ctx, M, mode, threads)
+    counts, _, _ = _image_histogram(ctx, M, mode, threads)
     W = 2 * M + 1
     hot = counts >= 2
     R = _domain_radius(M)
@@ -431,7 +441,7 @@ def collision_preimages(
 
     for blo, bhi in _bands(-R, R, 2 * R + 1):
         A, B = _band(cols, blo, bhi)
-        X, Y = _exact_images(ctx, forms, A, B, mode, discrete_rotate)
+        X, Y, _, _ = _exact_images(ctx, forms, A, B, mode, discrete_rotate)
         inwin = (np.abs(X) <= M) & (np.abs(Y) <= M)
         idx = (X + M) * W + (Y + M)
         sel = inwin & hot[np.clip(idx, 0, W * W - 1)]

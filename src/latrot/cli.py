@@ -279,7 +279,8 @@ def _handle_census(ns, out, started):
             payload["pair_count"] = rep.pair_count
         if ns.emit_points:
             payload["points"] = [[x, y] for x, y in rep.points or []]
-        _emit_json(out, payload, rep.elapsed_ms, scanned_pts=rep.scanned_pts)
+        _emit_json(out, payload, rep.elapsed_ms, scanned_pts=rep.scanned_pts,
+                   redecided_pts=rep.redecided_pts, scalar_pts=rep.scalar_pts)
     else:
         out.write("angle,mode,kind,M,count,method,elapsed_ms\n")
         out.write(
@@ -328,10 +329,11 @@ def _handle_growth(ns, out, started):
 
 def _handle_udist(ns, out, started):
     parity = Parity.ALL if ns.parity == "all" else Parity.ODD_ODD
+    counters = {"redecided_pts": 0, "scalar_pts": 0}  # the residue counter flags nothing
     if ns.residue:
         count = udist_mod.count_solutions_residue(ns.ctx, ns.box, ns.M, parity)
     else:
-        count = udist_mod.count_solutions(ns.ctx, ns.box, ns.M, parity)
+        count = udist_mod.count_solutions(ns.ctx, ns.box, ns.M, parity, counters)
     total = (2 * ns.M + 1) ** 2
     ratio = count / total if total else 0.0
     angle = ns.ctx.canonical_text()
@@ -345,7 +347,7 @@ def _handle_udist(ns, out, started):
         "ratio": round(ratio, 9),
     }
     if ns.format == "json":
-        _emit_json(out, row, (time.perf_counter() - started) * 1000)
+        _emit_json(out, row, (time.perf_counter() - started) * 1000, **counters)
     else:
         out.write("angle,t1,t2,M,parity,count,ratio\n")
         out.write(_csv_row(row.values()))

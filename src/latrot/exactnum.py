@@ -45,6 +45,7 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_mul_int,
     mpf_neg,
+    mpf_shift,
     mpf_sign,
     mpf_sqrt,
     mpf_sub,
@@ -331,10 +332,10 @@ def highprec(value, precision_bits: int | None = None) -> HighPrec:
 
 def as_highprec(s: Scalar | int | Fraction, precision_bits: int | None = None) -> HighPrec:
     """Render any scalar as a lazily re-evaluable HighPrec node."""
-    bits = precision_bits or default_precision_bits()
     s = _coerce_strict(s)
     if isinstance(s, HighPrec):
         return s
+    bits = precision_bits or default_precision_bits()
     if isinstance(s, Rational):
         num, den = s.numerator, s.denominator
 
@@ -523,6 +524,30 @@ def floor_exact(s: Scalar) -> int:
                     f"{to_str(rad, 5)} of an integer)"
                 )
             bits *= 2
+    raise TypeError(f"not a Scalar: {type(s).__name__}")
+
+
+def _quad_bounds(p: int, q: int, d: int, den: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= (p + q*sqrt(d))/den * 2^bits <= hi, equal when the
+    scaled value is an integer."""
+    n = (p << bits) + _floor_sqrt_multiple(q << bits, d)
+    return n // den, -(-(n + (q != 0)) // den)
+
+
+def dyadic_enclosure(s: Scalar, bits: int) -> tuple[int, int]:
+    """Integers lo <= s*2^bits <= hi.
+
+    Exact for Rational and QuadIrr (floor and ceiling of the scaled
+    value, an integer square root for the irrational part); HighPrec
+    reads the exact endpoints of its interval at working precision bits.
+    """
+    if isinstance(s, Rational):
+        return _quad_bounds(s.numerator, 0, 2, s.denominator, bits)  # d unused at q = 0
+    if isinstance(s, QuadIrr):
+        return _quad_bounds(s.p, s.q, s.d, s.den, bits)
+    if isinstance(s, HighPrec):
+        lo, hi = _enclosure(*s.eval(bits))
+        return to_int(mpf_shift(lo, bits), "f"), to_int(mpf_shift(hi, bits), "c")
     raise TypeError(f"not a Scalar: {type(s).__name__}")
 
 

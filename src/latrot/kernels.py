@@ -17,21 +17,34 @@ point evaluator for orbit steps:
   from a per-form table over |Q| <= the window's bound, built on the
   first call with at least as many points as the table has entries.
 * float prefilter        -- for high-precision or cross-field angles:
-  evaluate in float64, flag any decision within a conservative slack of
-  a boundary, and let the caller re-decide flagged points through the
-  exact scalar layer.  The slack dominates the float64 error bound
+  evaluate in float64 and flag any decision within a conservative slack
+  of a boundary.  The slack dominates the float64 error bound
   (~6*|L|*2^-53) by >100x, so unflagged decisions are provably correct.
+
+Flagged points are re-decided in one batch per form, in Python-int
+interval arithmetic: with integer enclosures lo <= c*2^k <= hi of the
+coefficients at k bits (exactnum.dyadic_enclosure; k is the
+coefficients' own precision, 128 by default), a point's sums give
+integers lo <= L*2^k <= hi, and floor(L) is decided when lo and hi have
+the same floor at 2^k.  A quadratic form encloses each point exactly
+from its P and Q, so an integer L has lo == hi.  Truncation is decided
+when L is known to be an integer (lo == hi) or not (lo above the
+floor); {L} < t when the enclosures of L - floor(L) and of t lie apart.
+Only a point its enclosure cannot separate goes on to the exact scalar
+layer (discrete_rotate, or exact_frac_lt), which escalates precision
+and raises UndecidableAtPrecision on a true boundary.
 
 The quadratic vector methods run in int64, guarded at construction by
 the window bound (and in frac_lt by the bound's denominator).  A window
 past the guard, or a frac_lt bound that is not rational, runs through
-the float prefilter over the same coefficients, and the caller
-re-decides its flagged points exactly; the scalar point evaluator uses
-Python ints and needs no guard.
+the float prefilter over the same coefficients, and its flagged points
+are re-decided as above; the scalar point evaluator uses Python ints
+and needs no guard.
 
 _exact_images is the one image kernel every scan runs: the censuses'
 image grids, the orbit sweeps' successor arrays and the period-8 chains
-all read their images of lattice points from it.
+all read their images of lattice points from it; _exact_box is udist's
+fractional-part box test.  Both re-decide flagged points as above.
 
 Banding lives here too.  Every vector scan walks its window through
 _bands, in bands of about _BAND_POINTS points: small enough that a
@@ -55,8 +68,11 @@ from .exactnum import (
     Rational,
     Scalar,
     ZERO,
+    _quad_bounds,
     as_highprec,
     compare,
+    default_precision_bits,
+    dyadic_enclosure,
     floor_exact,
     frac_part,
 )
@@ -124,13 +140,74 @@ class LinearForm:
 
     Vector methods return (values, uncertain) where `uncertain` is None
     when every entry is exact, else a boolean mask of entries the caller
-    must re-decide via the exact_* methods.  point(trunc) returns the
-    scalar evaluator (x, y) -> floor(L), or L truncated toward 0 when
-    trunc, with None where only the exact layer can decide.
+    must re-decide.  The decide_* methods re-decide a batch of points
+    from integer enclosures of L*2^bits, with None where the enclosure
+    cannot separate a point, which the exact_* methods then decide.
+    point(trunc) returns the scalar evaluator (x, y) -> floor(L), or L
+    truncated toward 0 when trunc, with None where only the exact layer
+    can decide.
     """
 
     def __init__(self, alpha: Scalar, beta: Scalar, gamma: Scalar):
         self.alpha, self.beta, self.gamma = alpha, beta, gamma
+        self._bounds: dict[int, tuple] = {}
+
+    # batched decisions from integer enclosures of L*2^bits
+
+    @cached_property
+    def _bits(self) -> int:
+        """The enclosures' precision: the coefficients' own (the default
+        when none is high-precision)."""
+        hp = [c.precision_bits for c in (self.alpha, self.beta, self.gamma) if isinstance(c, HighPrec)]
+        return max(hp) if hp else default_precision_bits()
+
+    def _coeff_bounds(self, bits: int) -> tuple:
+        """The coefficients' enclosures at 2^bits; built whole before they
+        are published, so threads can share them."""
+        got = self._bounds.get(bits)
+        if got is None:
+            got = tuple(dyadic_enclosure(c, bits) for c in (self.alpha, self.beta, self.gamma))
+            self._bounds[bits] = got
+        return got
+
+    def enclose(self, xs: list[int], ys: list[int], bits: int) -> list[tuple[int, int]]:
+        """Integers lo <= L(x, y)*2^bits <= hi at each point (x, y)."""
+        (al, ah), (bl, bh), (gl, gh) = self._coeff_bounds(bits)
+        return [
+            ((al if x >= 0 else ah) * x + (bl if y >= 0 else bh) * y + gl,
+             (ah if x >= 0 else al) * x + (bh if y >= 0 else bl) * y + gh)
+            for x, y in zip(xs, ys)
+        ]
+
+    def decide_floor(self, xs, ys, trunc: bool = False) -> list:
+        """floor(L), or L truncated toward 0 when trunc, at each point its
+        enclosure decides; None where it straddles the boundary."""
+        bits = self._bits
+        out = []
+        for lo, hi in self.enclose(xs, ys, bits):
+            F = lo >> bits
+            if hi >> bits != F:
+                out.append(None)
+            elif trunc and F < 0 and lo == F << bits:
+                out.append(F if hi == lo else None)  # L = F only if lo == hi
+            else:
+                out.append(F + 1 if trunc and F < 0 else F)
+        return out
+
+    def decide_frac_lt(self, xs, ys, t: Scalar) -> list:
+        """{L} < t at each point where the enclosures of L - floor(L) and
+        of t lie apart; None where they overlap or the floor is open."""
+        bits = self._bits
+        tlo, thi = dyadic_enclosure(t, bits)
+        out = []
+        for lo, hi in self.enclose(xs, ys, bits):
+            base = lo >> bits << bits
+            f_lo, f_hi = lo - base, hi - base  # {L}*2^bits, if the floor is fixed
+            if f_hi >= 1 << bits:
+                out.append(None)
+            else:
+                out.append(True if f_hi < tlo else False if f_lo >= thi else None)
+        return out
 
     # exact single-point decisions (shared by every kernel family)
 
@@ -192,6 +269,15 @@ class QuadForm(LinearForm):
         """The float prefilter over the same coefficients and window, for
         vector calls past the int64 guard."""
         return FloatForm(self.alpha, self.beta, self.gamma, self.max_abs)
+
+    def enclose(self, xs, ys, bits):
+        # exact at each point, so an integer L encloses as lo == hi
+        pA, pB, pG, qA, qB, qG = self.pA, self.pB, self.pG, self.qA, self.qB, self.qG
+        d, D = self.d, self.D
+        return [
+            _quad_bounds(pA * x + pB * y + pG, qA * x + qB * y + qG, d, D, bits)
+            for x, y in zip(xs, ys)
+        ]
 
     def _numerators(self, X, Y):
         """P and Q of L = (P + Q*sqrt(d))/D; Q is None when it is 0."""
@@ -405,16 +491,60 @@ def _images(forms, A, B, mode: RoundingMode = RoundingMode.FLOOR):
     return X, Y, np.logical_or.reduce(flags) if flags else None
 
 
+def _redecide(xs, ys, batches, exact):
+    """Each point's decisions from the batches, or exact(x, y) where a
+    batch left one open; returns (decisions, points exact decided)."""
+    out, scalar = [], 0
+    for x, y, *got in zip(xs, ys, *batches):
+        if None in got:
+            got = exact(x, y)
+            scalar += 1
+        out.append(got)
+    return out, scalar
+
+
 def _exact_images(ctx, forms, A, B, mode, rotate):
-    """Exact images (X, Y) of the points (A, B): _images with the flagged
-    entries re-decided by rotate, the exact scalar map discrete_rotate
-    (thread-safe).  Each scan passes the name it imported, so a trace
-    counts the re-decisions under the module that asked for them."""
+    """Exact images (X, Y) of the points (A, B), and how many flagged
+    points the forms' enclosures decided and how many went to rotate.
+
+    _images, with the flagged points re-decided in one batch per form
+    (decide_floor); a point either enclosure leaves open goes to rotate,
+    the exact scalar map
+    discrete_rotate (thread-safe), which escalates its precision.  Each
+    scan passes the name it imported, so a trace counts those under the
+    module that asked for them."""
     X, Y, unc = _images(forms, A, B, mode)
-    if unc is not None:
-        for i in zip(*np.nonzero(unc)):
-            X[i], Y[i] = rotate(ctx, (int(A[i]), int(B[i])), mode)
-    return X, Y
+    if unc is None:
+        return X, Y, 0, 0
+    idx = np.nonzero(unc)
+    xs, ys = A[idx].tolist(), B[idx].tolist()
+    trunc = mode is RoundingMode.TRUNC
+    got, scalar = _redecide(
+        xs, ys, [k.decide_floor(xs, ys, trunc) for k in forms],
+        lambda x, y: rotate(ctx, (x, y), mode),
+    )
+    XY = np.array(got, dtype=np.int64).reshape(-1, 2)
+    X[idx], Y[idx] = XY[:, 0], XY[:, 1]
+    return X, Y, len(xs) - scalar, scalar
+
+
+def _exact_box(forms, A, B, ts):
+    """Mask of the points (A, B) with {L} < t for both forms and their
+    bounds ts, and how many flagged points the forms' enclosures decided
+    and how many went to the scalar exact_frac_lt."""
+    (m1, u1), (m2, u2) = (k.frac_lt(A, B, t, strict=True) for k, t in zip(forms, ts))
+    m = m1 & m2
+    flags = [u for u in (u1, u2) if u is not None]
+    if not flags:
+        return m, 0, 0
+    idx = np.nonzero(np.logical_or.reduce(flags))
+    xs, ys = A[idx].tolist(), B[idx].tolist()
+    got, scalar = _redecide(
+        xs, ys, [k.decide_frac_lt(xs, ys, t) for k, t in zip(forms, ts)],
+        lambda x, y: [k.exact_frac_lt(x, y, t) for k, t in zip(forms, ts)],
+    )
+    m[idx] = [all(g) for g in got]
+    return m, len(xs) - scalar, scalar
 
 
 def make_step(ctx: AngleContext, mode: RoundingMode = RoundingMode.FLOOR):

@@ -231,7 +231,7 @@ def _successors(ctx, mode, R) -> np.ndarray:
     forms = image_forms(ctx, mode, max_abs=R)
     cols = np.arange(-R, R + 1, dtype=np.int64)
     for blo, bhi in _bands(-R, R, W):
-        X, Y = _exact_images(ctx, forms, *_band(cols, blo, bhi), mode, discrete_rotate)
+        X, Y, _, _ = _exact_images(ctx, forms, *_band(cols, blo, bhi), mode, discrete_rotate)
         inside = (np.abs(X) <= R) & (np.abs(Y) <= R)
         succ[(blo + R) * W:(bhi + R + 1) * W] = np.where(inside, (Y + R) * W + X + R, sink).ravel()
     return succ
@@ -507,7 +507,7 @@ def verify_period8(
         X, Y = a, np.zeros_like(a)
         chain = [(X, Y)]
         for _ in range(8):
-            X, Y = _exact_images(ctx, forms, X, Y, RoundingMode.FLOOR, discrete_rotate)
+            X, Y, _, _ = _exact_images(ctx, forms, X, Y, RoundingMode.FLOOR, discrete_rotate)
             if max(np.abs(X).max(), np.abs(Y).max()) > max_abs:
                 raise ArithmeticError("a period-8 chain left the window its forms are exact on")
             chain.append((X, Y))

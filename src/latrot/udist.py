@@ -30,7 +30,7 @@ import numpy as np
 from .angle import AngleContext, RationalPythagorean
 from .errors import InvalidSpec
 from .exactnum import Rational, Scalar, ZERO, ONE, compare, rational
-from .kernels import _bands, image_forms
+from .kernels import _bands, _exact_box, image_forms
 from .rotation import RoundingMode
 
 
@@ -144,28 +144,25 @@ def count_solutions(
     box: InequalityBox,
     M: int,
     parity: Parity = Parity.ALL,
+    counters: dict | None = None,
 ) -> int:
-    """Direct windowed count of {L1} in [0,t1) and {L2} in [0,t2)."""
-    k1, k2 = image_forms(ctx, RoundingMode.FLOOR, max_abs=M)
+    """Direct windowed count of {L1} in [0,t1) and {L2} in [0,t2).
+
+    A counters dict receives redecided_pts and scalar_pts: the points
+    the float prefilter flagged that the forms' enclosures decided, and
+    those the scalar exact layer decided."""
+    forms = image_forms(ctx, RoundingMode.FLOOR, max_abs=M)
     vals = _coord_values(M, parity)
-    total = 0
+    total = redecided = scalar = 0
     # banded over row indices, so odd-odd rows keep their step of 2
     for i0, i1 in _bands(0, len(vals) - 1, len(vals)):
         A, B = np.broadcast_arrays(vals[None, :], vals[i0 : i1 + 1, None])
-        m1, u1 = k1.frac_lt(A, B, box.t1, strict=True)
-        m2, u2 = k2.frac_lt(A, B, box.t2, strict=True)
-        unc = None
-        for u in (u1, u2):
-            if u is not None:
-                unc = u if unc is None else (unc | u)
-        m = m1 & m2
-        if unc is not None:
-            m &= ~unc
-            for i in zip(*np.nonzero(unc)):
-                x, y = int(A[i]), int(B[i])
-                if k1.exact_frac_lt(x, y, box.t1) and k2.exact_frac_lt(x, y, box.t2):
-                    total += 1
-        total += int(m.sum())
+        m, r, s = _exact_box(forms, A, B, (box.t1, box.t2))
+        total += int(np.count_nonzero(m))
+        redecided += r
+        scalar += s
+    if counters is not None:
+        counters.update(redecided_pts=redecided, scalar_pts=scalar)
     return total
 
 

@@ -19,7 +19,7 @@ from latrot.census import (
     hole_test_exact,
     _row_spans,
 )
-from latrot.errors import CapExceeded, DegenerateCounts, UnsupportedMode
+from latrot.errors import CapExceeded, DegenerateCounts, UndecidableAtPrecision, UnsupportedMode
 from latrot.exactnum import compare, quad, rational
 from latrot.kernels import _band, _domain_radius, _exact_images, image_forms
 from latrot.rotation import RoundingMode, discrete_rotate
@@ -321,7 +321,7 @@ def test_row_spans_hold_every_needed_point(text, M):
     R = _domain_radius(M)
     A, B = _band(np.arange(-R, R + 1, dtype=np.int64), -R, R)
     forms = image_forms(ctx, RoundingMode.FLOOR, max_abs=R)
-    X, Y = _exact_images(ctx, forms, A, B, RoundingMode.FLOOR, discrete_rotate)
+    X, Y, _, _ = _exact_images(ctx, forms, A, B, RoundingMode.FLOOR, discrete_rotate)
     needed = (np.abs(X) <= M + 1) & (np.abs(Y) <= M + 1)
     lo, hi = _row_spans(ctx, M, R)
     inside = (A >= lo[B + R]) & (A <= hi[B + R])
@@ -354,6 +354,31 @@ def test_characterization_scans_the_rotated_square():
     assert oracle.scanned_pts == full
     # at pi/2 the rows past the window hold no preimage at all
     assert collision_census(context_from_text("pi/2"), 256).scanned_pts < 0.72 * full
+
+
+def test_census_counts_the_redecided_points():
+    # float pi/4 flags its diagonals, and the enclosures decide them all;
+    # exact pi/4 flags nothing
+    floated, exact = context_from_text(FLOAT_PI4), context_from_text("pi/4")
+    for run, kind in ((collision_census, CensusKind.COLLISIONS), (hole_census, CensusKind.HOLES)):
+        for threads in (1, 2):
+            rep = run(floated, 16, threads=threads)
+            assert rep.redecided_pts > 0 and rep.scalar_pts == 0
+            assert rep.redecided_pts < rep.scanned_pts
+        rep = brute_force_census(floated, 16, RoundingMode.FLOOR, kind)
+        assert rep.redecided_pts > 0 and rep.scalar_pts == 0
+        for rep in (run(exact, 16), brute_force_census(exact, 16, RoundingMode.FLOOR, kind)):
+            assert rep.redecided_pts == rep.scalar_pts == 0
+
+
+def test_true_boundaries_stay_undecidable():
+    # sin(0) is known only as an interval about 0, so x*cos - y*sin
+    # straddles an integer at every precision: the residual raises
+    ctx = context_from_text("rad:~0")
+    with pytest.raises(UndecidableAtPrecision):
+        collision_census(ctx, 2)
+    with pytest.raises(UndecidableAtPrecision):
+        brute_force_census(ctx, 2, RoundingMode.FLOOR, CensusKind.COLLISIONS)
 
 
 # ROUND (collisions, holes) at M=64, the same in both orientations: the

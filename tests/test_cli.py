@@ -51,6 +51,31 @@ def test_census_meta_reports_scanned_points():
     assert "scanned" not in out
 
 
+def test_meta_reports_redecided_points():
+    # float pi/4 flags its diagonals; the counters stay out of the
+    # payload and the CSV row
+    float_pi4 = "rad:~0.7853981633974483"
+    for argv in (("census", "--angle", float_pi4, "--M", "16", "--kind", "collisions"),
+                 ("udist", "--angle", float_pi4, "--M", "30", "--t1", "1/2", "--t2", "1/3")):
+        _, out, _ = run_cli(*argv, "--format", "json")
+        data = json.loads(out)
+        assert data["meta"]["redecided_pts"] > 0 and data["meta"]["scalar_pts"] == 0
+        assert "redecided_pts" not in data and "scalar_pts" not in data
+        _, out, _ = run_cli(*argv)
+        assert "redecided" not in out and "scalar" not in out
+    _, out, _ = run_cli("udist", "--angle", "pyth:3,4,5", "--M", "30", "--t1", "1/2",
+                        "--t2", "1/3", "--residue", "--format", "json")
+    meta = json.loads(out)["meta"]
+    assert meta["redecided_pts"] == meta["scalar_pts"] == 0
+
+
+def test_undecidable_census_exits_1():
+    for extra in ((), ("--oracle",)):
+        code, _, err = run_cli("census", "--angle", "rad:~0", "--M", "2",
+                               "--kind", "collisions", *extra)
+        assert code == 1 and "UndecidableAtPrecision" in err, extra
+
+
 def test_census_csv_header():
     import csv as csvmod
 

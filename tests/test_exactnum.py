@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from mpmath import mp
 from mpmath.libmp import mpf_abs, mpf_cmp, mpf_sub
 
+from latrot.angle import context_from_text
 from latrot.errors import IncompatibleField, InvalidSpec, UndecidableAtPrecision
 from latrot.exactnum import (
     HighPrec,
@@ -17,6 +18,7 @@ from latrot.exactnum import (
     Rational,
     as_highprec,
     compare,
+    dyadic_enclosure,
     floor_exact,
     format_scalar,
     frac_in,
@@ -327,3 +329,46 @@ def test_scalar_ordering_operators():
     assert rational(1, 3) < rational(1, 2)
     assert quad(0, 1, 2) > rational(7, 5)
     assert quad(0, 1, 2, 2) <= quad(0, 1, 2, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    p=st.integers(-10**6, 10**6),
+    q=st.integers(-1000, 1000),
+    d=st.sampled_from([2, 3, 5, 6]),
+    den=st.integers(1, 1000),
+    bits=st.integers(0, 80),
+)
+def test_dyadic_enclosure_brackets_the_scaled_value(p, q, d, den, bits):
+    s = quad(p, q, d, den)
+    scaled = s * (1 << bits)
+    lo, hi = dyadic_enclosure(s, bits)
+    assert compare(scaled, lo) >= 0 and compare(scaled, hi) <= 0
+    assert hi - lo <= 1  # exact types: a floor and a ceiling
+    assert (lo == hi) == (q == 0 and (p << bits) % den == 0)
+    lo, hi = dyadic_enclosure(as_highprec(s, 64), bits)
+    assert compare(scaled, lo) >= 0 and compare(scaled, hi) <= 0
+
+
+def test_dyadic_enclosure_of_highprec_reads_the_interval():
+    leaf = highprec("0.1", 64)  # a dyadic, radius 0
+    assert dyadic_enclosure(leaf, 20) == (104857, 104858)
+    assert dyadic_enclosure(-leaf, 20) == (-104858, -104857)
+    assert dyadic_enclosure(highprec("0.5", 64), 8) == (128, 128)
+    assert dyadic_enclosure(parse_scalar("~1.0@64") * rational(3), 64) == (3 << 64, 3 << 64)
+    # sin(1) at its 128 bits: the interval's endpoints, a few units apart
+    sin1 = context_from_text("rad:~1.0").sin
+    lo, hi = dyadic_enclosure(sin1, 128)
+    assert 0 < hi - lo <= 64
+    assert abs((lo >> 76) - math.sin(1.0) * 2**52) <= 2
+    r2 = as_highprec(quad(0, 1, 2), 64)
+    lo, hi = dyadic_enclosure(r2 * r2 - rational(2), 64)
+    assert lo < 0 < hi  # exactly 0, but only as an interval
+
+
+def test_as_highprec_reads_the_environment_only_to_build(monkeypatch):
+    h = highprec("0.5", 64)
+    monkeypatch.setenv("LATTICE_ROT_PRECISION_BITS", "4")  # rejected: under 8 bits
+    assert as_highprec(h) is h
+    with pytest.raises(InvalidSpec):
+        as_highprec(rational(1, 3))

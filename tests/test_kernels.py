@@ -1,8 +1,10 @@
 """The exact quadratic kernel: fractional-part tests by one remainder,
 checked against the scalar exact layer, and square roots read from the
-per-form table."""
+per-form table; the batched re-decision of flagged points from integer
+enclosures, checked against discrete_rotate."""
 
 import ast
+import math
 import pathlib
 import sys
 
@@ -12,9 +14,18 @@ from hypothesis import given, settings, strategies as st
 from latrot import census, kernels, orbits, udist
 from latrot.angle import context_from_text
 from latrot.census import CensusKind, brute_force_census, collision_census, hole_census
-from latrot.exactnum import rational
-from latrot.kernels import QuadForm, _band, image_forms, vfloor_sqrt_multiple
-from latrot.rotation import RoundingMode
+from latrot.exactnum import ZERO, compare, frac_part, highprec, parse_scalar, quad, rational
+from latrot.kernels import (
+    QuadForm,
+    _band,
+    _exact_box,
+    _exact_images,
+    _images,
+    image_forms,
+    make_form,
+    vfloor_sqrt_multiple,
+)
+from latrot.rotation import RoundingMode, discrete_rotate
 
 # quadratic fields sqrt(2) and sqrt(3), and rational angles (Q = 0)
 ANGLES = ["pi/4", "pi/6", "pi/3", "pi*7/6", "pi*3/4", "pyth:3,4,5", "pyth:-20,21,29"]
@@ -157,3 +168,153 @@ def test_band_size_is_defined_only_in_kernels():
             for name in names:
                 if "BAND" in name or name == "_bands":  # constants are upper case
                     assert path.name == "kernels.py", (path.name, node.lineno, name)
+
+
+# angles the float prefilter serves: float angles ulps from pi/4, the
+# 3-4-5 angle and pi/6, and a cross-field angle
+FLOAT_ANGLES = [
+    "rad:~" + repr(math.pi / 4),
+    "rad:~" + repr(math.atan2(3, 4)),
+    "rad:~" + repr(math.pi / 6),
+    "quad:sin=sqrt(3)/3,cos=sqrt(6)/3",
+]
+BIG = 10**4
+_coord = st.integers(-BIG, BIG)
+_k = st.integers(-BIG // 5, BIG // 5)
+# random points, and the lines where these angles' forms come within
+# ulps of an integer: the diagonals (pi/4), the axes (pi/6, and the
+# origin) and the preimages of lattice points under the 3-4-5 rotation
+_point = st.one_of(
+    st.tuples(_coord, _coord),
+    _coord.map(lambda x: (x, x)),
+    _coord.map(lambda x: (x, -x)),
+    _coord.map(lambda x: (x, 0)),
+    _coord.map(lambda y: (0, y)),
+    _k.map(lambda k: (4 * k, -3 * k)),
+    _k.map(lambda k: (3 * k, 4 * k)),
+)
+BOUNDS = ["1/2", "1/3", "sqrt(2)/2", "~0.25"]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    angle=st.sampled_from(FLOAT_ANGLES),
+    mode=st.sampled_from(list(RoundingMode)),
+    points=st.lists(_point, min_size=1, max_size=8),
+    bound=st.sampled_from(BOUNDS),
+)
+def test_enclosure_batch_matches_discrete_rotate(angle, mode, points, bound):
+    ctx = context_from_text(angle)
+    forms = image_forms(ctx, mode, max_abs=BIG)
+    want = [discrete_rotate(ctx, p, mode) for p in points]
+    xs, ys = [x for x, _ in points], [y for _, y in points]
+    A, B = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
+    X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, mode, discrete_rotate)
+    assert list(zip(X.tolist(), Y.tolist())) == want
+    assert scalar == 0
+    # every point, flagged or not: the coefficients' 128 bits decide it
+    for c, k in enumerate(forms):
+        assert k.decide_floor(xs, ys, mode is RoundingMode.TRUNC) == [w[c] for w in want]
+    if mode is RoundingMode.FLOOR:
+        t = parse_scalar(bound)
+        for k in forms:
+            got = k.decide_frac_lt(xs, ys, t)
+            assert got == [k.exact_frac_lt(x, y, t) for x, y in points]
+        m, _, scalar = _exact_box(forms, A, B, (t, t))
+        assert m.tolist() == [all(k.exact_frac_lt(x, y, t) for k in forms) for x, y in points]
+        assert scalar == 0
+
+
+def test_quadratic_enclosures_decide_every_point():
+    # a quadratic form encloses each point exactly (lo == hi at integral
+    # values), so its batch decides what a guard-tripped window flags,
+    # with nothing left for the scalar layer but {L} = t at a t that is
+    # not a dyadic (3-4-5 hits 2/5 and 1/5 exactly)
+    A, B = _window(R)
+    xs, ys = A.ravel().tolist(), B.ravel().tolist()
+    bounds = [rational(1, 2), rational(2, 5), rational(1, 5), rational(1)]
+    for angle in ["pi/4", "pi/6", "pi*7/6", "pyth:3,4,5", "pyth:-20,21,29"]:
+        ctx = context_from_text(angle)
+        for mode in RoundingMode:
+            want = [discrete_rotate(ctx, p, mode) for p in zip(xs, ys)]
+            for c, k in enumerate(image_forms(ctx, mode, max_abs=R)):
+                got = k.decide_floor(xs, ys, mode is RoundingMode.TRUNC)
+                assert got == [w[c] for w in want], (angle, mode)
+                if mode is not RoundingMode.FLOOR:
+                    continue
+                for t in bounds:
+                    dyadic = t.denominator & (t.denominator - 1) == 0
+                    for x, y, g in zip(xs, ys, k.decide_frac_lt(xs, ys, t)):
+                        on = compare(frac_part(k.exact_value(x, y)), t) == 0
+                        if g is None:
+                            assert on and not dyadic, (angle, x, y, t)
+                        else:
+                            assert g == k.exact_frac_lt(x, y, t), (angle, x, y, t)
+
+
+def test_enclosures_of_general_forms():
+    # -1 + 2^-10 encloses as [-256, -255] at 8 bits: the floor is -1, but
+    # whether L is the integer -1 stays open until a finer enclosure
+    for value, want8, want in (("-0.9990234375", None, 0), ("-1", -1, -1), ("-1.5", -1, -1)):
+        k = make_form(highprec(value), ZERO, ZERO, max_abs=1)
+        assert k.decide_floor([1], [0], trunc=True) == [want], value
+        k._bits = 8
+        assert k.decide_floor([1], [0], trunc=True) == [want8], value
+    # an irrational constant term: L = x + sqrt(2)/2
+    k = make_form(rational(1), ZERO, quad(0, 1, 2, 2), max_abs=5)
+    xs = list(range(-5, 6))
+    assert k.decide_floor(xs, [0] * 11) == xs
+    assert k.decide_frac_lt(xs, [0] * 11, rational(1, 2)) == [False] * 11
+    assert k.decide_frac_lt(xs, [0] * 11, rational(3, 4)) == [True] * 11
+
+
+def test_undecided_points_go_to_the_scalar_layer():
+    # at 8 bits the enclosures cannot separate most flagged points: they
+    # come back as None, not as a guess, and discrete_rotate decides them
+    cases = 0
+    for angle in FLOAT_ANGLES[::2]:  # pi/4 flags in floor and trunc, pi/6 in round
+        ctx = context_from_text(angle)
+        for mode in RoundingMode:
+            forms = image_forms(ctx, mode, max_abs=40)
+            A, B = _window(40)
+            _, _, unc = _images(forms, A, B, mode)
+            if unc is None or not unc.any():
+                continue
+            cases += 1
+            idx = np.nonzero(unc)
+            xs, ys = A[idx].tolist(), B[idx].tolist()
+            want = [discrete_rotate(ctx, p, mode) for p in zip(xs, ys)]
+            full = _exact_images(ctx, forms, A, B, mode, discrete_rotate)
+            for c, k in enumerate(forms):
+                k._bits = 8
+                got = k.decide_floor(xs, ys, mode is RoundingMode.TRUNC)
+                assert None in got, (angle, mode)
+                assert all(g is None or g == w[c] for g, w in zip(got, want)), (angle, mode)
+            X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, mode, discrete_rotate)
+            assert scalar > 0 and redecided + scalar == len(xs) == full[2]
+            assert list(zip(X[idx].tolist(), Y[idx].tolist())) == want
+            assert (X == full[0]).all() and (Y == full[1]).all()
+    assert cases >= 3
+    # the box test too: a floor the enclosure leaves open leaves {L} open
+    ctx = context_from_text(FLOAT_ANGLES[0])
+    forms = image_forms(ctx, RoundingMode.FLOOR, max_abs=40)
+    A, B = _window(40)
+    ts = (rational(1, 2), rational(1, 3))
+    full, _, _ = _exact_box(forms, A, B, ts)
+    diagonal = list(range(-40, 41))
+    for k, t in zip(forms, ts):
+        k._bits = 8
+        got = k.decide_frac_lt(diagonal, diagonal, t)
+        want = [k.exact_frac_lt(x, x, t) for x in diagonal]
+        assert None in got
+        assert all(g is None or g == w for g, w in zip(got, want))
+    m, _, scalar = _exact_box(forms, A, B, ts)
+    assert scalar > 0 and (m == full).all()
+
+
+def test_flagged_points_are_redecided_only_in_kernels():
+    # one re-decision path: the batch in kernels, then its scalar residual
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "latrot"
+    for path in sorted(src.glob("*.py")):
+        if path.name != "kernels.py":
+            assert "zip(*np.nonzero(" not in path.read_text(), path.name

@@ -154,3 +154,19 @@ def test_quadratic_bound_boxes_match_census_thresholds():
     d = count_solutions(ctx, box, 30)
     r = count_solutions_residue(ctx, box, 30)
     assert d == r > 0
+
+
+def test_count_reports_its_redecided_points():
+    # past the square-root guard (a bound with a denominator near 10^5 at
+    # M=1000) pi/4's float twin flags the diagonal x = y, where L1 = 0;
+    # the form's exact enclosures decide all 2001 points
+    counters = {}
+    box = InequalityBox(rational(50000, 100003), rational(1, 2))
+    assert count_solutions(context_from_text("pi/4"), box, 1000, Parity.ALL, counters) == 1002001
+    assert counters == {"redecided_pts": 2001, "scalar_pts": 0}
+    # {L1} = sqrt(3)/3 at (0, -1): intervals cannot separate an equality,
+    # so the scalar layer decides that point
+    ctx = context_from_text("quad:sin=sqrt(3)/3,cos=sqrt(6)/3")
+    box = InequalityBox(quad(0, 1, 3, 3), rational(1, 2))
+    count_solutions(ctx, box, 30, counters=counters)
+    assert counters["scalar_pts"] == 1 and counters["redecided_pts"] >= 1
