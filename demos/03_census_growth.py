@@ -34,12 +34,14 @@ for text in ["pi/2", "pi/4", "pyth:3,4,5", "rad:~1.0"]:
           f"   holes {h.count:5d} (oracle {ho.count:5d})")
 
 print()
-print("== rounding modes (brute force) ==")
-ctx = context_from_text("pyth:3,4,5")
-for mode in RoundingMode:
-    c = brute_force_census(ctx, 24, mode, CensusKind.COLLISIONS)
-    h = brute_force_census(ctx, 24, mode, CensusKind.HOLES)
-    print(f"  pyth:3,4,5 {mode.value:5s}: collisions {c.count:4d}  holes {h.count:4d}")
+print("== rounding modes (floor and round read the image grid, trunc the histogram) ==")
+for text in ["pyth:3,4,5", "pyth:8,15,17"]:
+    ctx = context_from_text(text)
+    for mode in RoundingMode:
+        c = collision_census(ctx, 256, mode)
+        h = hole_census(ctx, 256, mode)
+        print(f"  {text:12s} {mode.value:5s} M=256: collisions {c.count:6d}"
+              f"  holes {h.count:6d}  ({c.method.value})")
 print("  (rounding to the nearest node is bijective for twin triples such as 3-4-5,")
 print("   where a leg is one less than the hypotenuse; 8-15-17 is not)")
 

@@ -14,7 +14,6 @@ from .errors import (
     InvalidSpec,
     LatrotError,
     UndecidableAtPrecision,
-    UnsupportedMode,
 )
 from .exactnum import (
     HighPrec,

@@ -7,7 +7,9 @@ each reading the images of a domain window that holds every preimage of
 the target window (the rotation is an isometry and quantization moves
 points by less than sqrt(2)):
 
-* characterization (floor mode only), read off the floor-image grid:
+* characterization (floor and round), read off the image grid.  Round is
+  the floor of the rotation shifted by (1/2, 1/2), and both statements
+  below hold for every translate of the floor map:
   - collisions: every colliding pair is a unit-distance neighbor pair
     and no image has more than two preimages, so the collision images
     are the shared images of right and up neighbor pairs.
@@ -19,7 +21,8 @@ points by less than sqrt(2)):
     point maps onto (n, m)" is necessary but not sufficient; see
     hole_test_exact.
 * brute force (any rounding mode): histogram the images and read off
-  multiplicities.
+  multiplicities.  Trunc always runs it: truncation is not a translate
+  of floor, and its collisions can have more than two preimages.
 
 The characterization clips its domain to the rotated square that holds
 every preimage of the window, half the area of the bounding square it
@@ -44,7 +47,7 @@ from enum import Enum
 import numpy as np
 
 from .angle import AngleContext, angle_text
-from .errors import CapExceeded, DegenerateCounts, UnsupportedMode
+from .errors import CapExceeded, DegenerateCounts
 from .exactnum import ZERO, compare, floor_exact
 from .kernels import _band, _bands, _domain_radius, _exact_images, image_forms
 from .rotation import RoundingMode, cell_corners, discrete_rotate, quantize, rotate_inverse
@@ -166,7 +169,7 @@ def hole_pattern_exact(ctx: AngleContext, a: int, b: int) -> tuple[int, int] | N
 
 
 # --------------------------------------------------------------------------
-# Characterization censuses: one pass over the floor-image grid
+# Characterization censuses: one pass over the image grid
 # --------------------------------------------------------------------------
 
 # A shape is a tuple of offsets from an anchor point; its copies are read
@@ -203,17 +206,19 @@ def _row_spans(ctx, M, R):
     b*sin, a*sin + b*cos) lies in [-M-2, M+3]^2; an empty span is
     (R + 1, -R - 1).
 
-    A superset filter, not a floor decision.  A point whose floor image
-    lies in [-M-1, M+1]^2, as every point of a colliding pair and every
-    corner of a hole's cell in the window does, has A(a, b) in
-    [-M-1, M+2)^2, a unit inside that box on every side.  The spans solve
+    A superset filter, not a floor decision.  A point whose image lies
+    in [-M-1, M+1]^2, as every point of a colliding pair and every corner
+    of a hole's cell in the window does, has A(a, b) in [-M-1, M+2)^2
+    under floor, a unit inside that box on every side.  Under round the
+    image is floor(A + 1/2), which puts A(a, b) in [-M-3/2, M+3/2)^2,
+    half a unit inside the box on the low side.  The spans solve
     each coordinate a*k + off in [-M-2, M+3] for a, with float cos and
     sin (k is one of them, off the other's term in b).  Over |a|, |b| <= R
     the float coordinate is off from the exact one by at most
     R*(|cos - cos_f| + |sin - sin_f|) plus the rounding of off, far below
-    that unit for any window a scan can hold (the float prefilter's much
-    finer slack assumes the same accuracy of cos_f and sin_f), so every
-    such a solves it.  Each bound on a, a quotient by k, is rounded
+    that half unit for any window a scan can hold (the float prefilter's
+    much finer slack assumes the same accuracy of cos_f and sin_f), so
+    every such a solves it.  Each bound on a, a quotient by k, is rounded
     outward and widened by one column, which covers the rounding of the
     quotient.  A k that is 0 in float bounds the row instead.
     """
@@ -234,13 +239,13 @@ def _row_spans(ctx, M, R):
     return lo.astype(np.int64), hi.astype(np.int64)
 
 
-def _grid_census(ctx, M, kind, keep_points, threads):
+def _grid_census(ctx, M, mode, kind, keep_points, threads):
     """(count, window indices or None, counters) of collision images or
     holes; the counters are the report's scanned_pts, redecided_pts and
     scalar_pts.
 
-    One banded pass computes the floor images of the domain once per
-    point; each band reads a one-row halo above it, so every pair and
+    One banded pass computes the images of the domain under mode once
+    per point; each band reads a one-row halo above it, so every pair and
     cell anchored in the band is read there.  A band scans only the
     columns of its rows' spans, halo row included (_row_spans), and a
     band whose spans are all empty is skipped: every point of a pair or
@@ -252,7 +257,7 @@ def _grid_census(ctx, M, kind, keep_points, threads):
     """
     R = _domain_radius(M)
     W = 2 * M + 1
-    forms = image_forms(ctx, RoundingMode.FLOOR, max_abs=R)
+    forms = image_forms(ctx, mode, max_abs=R)
     lo, hi = _row_spans(ctx, M, R)
     if kind is CensusKind.COLLISIONS:
         shapes, found = _PAIRS, _shared_image
@@ -271,7 +276,7 @@ def _grid_census(ctx, M, kind, keep_points, threads):
         if c0 > c1:
             return (0, 0, 0), []
         A, B = _band(np.arange(c0, c1 + 1, dtype=np.int64), blo, top)
-        X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, RoundingMode.FLOOR, discrete_rotate)
+        X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, mode)
         rows = bhi - blo + 1
         tallies = []
         for shape in shapes:
@@ -291,12 +296,49 @@ def _grid_census(ctx, M, kind, keep_points, threads):
     return count, np.concatenate([idx for _, idx in tallies]), counters
 
 
-def _characterization_report(ctx, M, kind, keep_points, threads, count_pairs=False):
+def collision_census(
+    ctx: AngleContext,
+    M: int,
+    mode: RoundingMode = RoundingMode.FLOOR,
+    *,
+    oracle: bool = False,
+    keep_points: bool = False,
+    count_pairs: bool = False,
+    threads: int = 1,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
+) -> CensusReport:
+    return _census(ctx, M, mode, CensusKind.COLLISIONS, oracle, keep_points,
+                   count_pairs, threads, oracle_cap)
+
+
+def hole_census(
+    ctx: AngleContext,
+    M: int,
+    mode: RoundingMode = RoundingMode.FLOOR,
+    *,
+    oracle: bool = False,
+    keep_points: bool = False,
+    threads: int = 1,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
+) -> CensusReport:
+    return _census(ctx, M, mode, CensusKind.HOLES, oracle, keep_points,
+                   False, threads, oracle_cap)
+
+
+def _census(ctx, M, mode, kind, oracle, keep_points, count_pairs, threads, oracle_cap):
+    # ROUND is FLOOR of the forms shifted by 1/2, so the grid's pair and
+    # cell characterizations hold for it; TRUNC is not a translate of
+    # FLOOR, and its collisions can have more than two preimages.
+    if oracle or mode is RoundingMode.TRUNC:
+        return brute_force_census(
+            ctx, M, mode, kind, cap=oracle_cap, keep_points=keep_points,
+            threads=threads, count_pairs=count_pairs,
+        )
     start = time.perf_counter()
-    count, idx, counters = _grid_census(ctx, M, kind, keep_points, threads)
+    count, idx, counters = _grid_census(ctx, M, mode, kind, keep_points, threads)
     return CensusReport(
         angle=angle_text(ctx),
-        mode=RoundingMode.FLOOR,
+        mode=mode,
         M=M,
         kind=kind,
         count=count,
@@ -306,58 +348,6 @@ def _characterization_report(ctx, M, kind, keep_points, threads, count_pairs=Fal
         pair_count=count if count_pairs else None,
         **counters,
     )
-
-
-def collision_census(
-    ctx: AngleContext,
-    M: int,
-    mode: RoundingMode = RoundingMode.FLOOR,
-    *,
-    method: Method | None = None,
-    keep_points: bool = False,
-    count_pairs: bool = False,
-    threads: int = 1,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> CensusReport:
-    method = _pick_method(method, mode)
-    if method is Method.BRUTE_FORCE:
-        return brute_force_census(
-            ctx, M, mode, CensusKind.COLLISIONS,
-            cap=oracle_cap, keep_points=keep_points, threads=threads,
-            count_pairs=count_pairs,
-        )
-    return _characterization_report(
-        ctx, M, CensusKind.COLLISIONS, keep_points, threads, count_pairs
-    )
-
-
-def hole_census(
-    ctx: AngleContext,
-    M: int,
-    mode: RoundingMode = RoundingMode.FLOOR,
-    *,
-    method: Method | None = None,
-    keep_points: bool = False,
-    threads: int = 1,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> CensusReport:
-    method = _pick_method(method, mode)
-    if method is Method.BRUTE_FORCE:
-        return brute_force_census(
-            ctx, M, mode, CensusKind.HOLES,
-            cap=oracle_cap, keep_points=keep_points, threads=threads,
-        )
-    return _characterization_report(ctx, M, CensusKind.HOLES, keep_points, threads)
-
-
-def _pick_method(method: Method | None, mode: RoundingMode) -> Method:
-    if method is None:
-        return Method.CHARACTERIZATION if mode is RoundingMode.FLOOR else Method.BRUTE_FORCE
-    if method is Method.CHARACTERIZATION and mode is not RoundingMode.FLOOR:
-        raise UnsupportedMode(
-            f"characterization census covers floor rounding only, not {mode.value}"
-        )
-    return method
 
 
 # --------------------------------------------------------------------------
@@ -414,7 +404,7 @@ def _image_histogram(ctx, M, mode, threads):
 
     def worker(span):
         A, B = _band(cols, *span)
-        X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, mode, discrete_rotate)
+        X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, mode)
         keep = (np.abs(X) <= M) & (np.abs(Y) <= M)
         return (X[keep] + M) * W + (Y[keep] + M), redecided, scalar
 
@@ -441,7 +431,7 @@ def collision_preimages(
 
     for blo, bhi in _bands(-R, R, 2 * R + 1):
         A, B = _band(cols, blo, bhi)
-        X, Y, _, _ = _exact_images(ctx, forms, A, B, mode, discrete_rotate)
+        X, Y, _, _ = _exact_images(ctx, forms, A, B, mode)
         inwin = (np.abs(X) <= M) & (np.abs(Y) <= M)
         idx = (X + M) * W + (Y + M)
         sel = inwin & hot[np.clip(idx, 0, W * W - 1)]
@@ -460,14 +450,15 @@ def growth_fit(
     mode: RoundingMode = RoundingMode.FLOOR,
     kind: CensusKind = CensusKind.COLLISIONS,
     *,
-    method: Method | None = None,
+    oracle: bool = False,
     threads: int = 1,
     oracle_cap: int | None = None,
 ) -> GrowthFit:
     """Least-squares slope of log(count) against log(M).
 
-    Explicitly requested windows configure the brute-force cap, so
-    round/trunc fits work beyond the default oracle cap."""
+    Explicitly requested windows configure the brute-force cap, so trunc
+    and oracle fits work beyond the default oracle cap; the cap matters
+    only for those, since floor and round fits run the uncapped grid."""
     if len(Ms) < 3:
         raise ValueError("need at least three window sizes")
     if sorted(Ms) != list(Ms) or len(set(Ms)) != len(Ms):
@@ -475,7 +466,7 @@ def growth_fit(
     run = collision_census if kind is CensusKind.COLLISIONS else hole_census
     cap = oracle_cap if oracle_cap is not None else max(Ms)
     counts = [
-        run(ctx, M, mode, method=method, threads=threads, oracle_cap=cap).count
+        run(ctx, M, mode, oracle=oracle, threads=threads, oracle_cap=cap).count
         for M in Ms
     ]
     if any(c == 0 for c in counts):

@@ -25,7 +25,7 @@ from . import census as census_mod
 from . import orbits as orbits_mod
 from . import udist as udist_mod
 from .angle import context_from_text, context_to_dict
-from .census import CensusKind, Method
+from .census import CensusKind
 from .errors import LatrotError
 from .exactnum import _ENV_BITS, format_scalar, parse_scalar
 from .rotation import RoundingMode
@@ -43,11 +43,6 @@ class _Parser(argparse.ArgumentParser):
 
 _MODES = {m.value: m for m in RoundingMode}
 _KINDS = {k.value: k for k in CensusKind}
-_METHODS = {
-    "auto": None,
-    "characterization": Method.CHARACTERIZATION,
-    "brute-force": Method.BRUTE_FORCE,
-}
 
 _CONFIG_KEYS = {"threads", "format", "oracle_cap", "max_steps", "max_radius",
                 "precision_bits"}
@@ -77,7 +72,6 @@ def build_parser() -> _Parser:
     sp.add_argument("--M", type=int, required=True)
     sp.add_argument("--kind", choices=sorted(_KINDS), required=True)
     sp.add_argument("--mode", choices=sorted(_MODES), default="floor")
-    sp.add_argument("--method", choices=sorted(_METHODS), default="auto")
     sp.add_argument("--oracle", action="store_true",
                     help="force the brute-force method")
     sp.add_argument("--emit-points", action="store_true")
@@ -91,7 +85,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--Ms", required=True, help="comma-separated, increasing")
     sp.add_argument("--kind", choices=sorted(_KINDS), required=True)
     sp.add_argument("--mode", choices=sorted(_MODES), default="floor")
-    sp.add_argument("--method", choices=sorted(_METHODS), default="auto")
+    sp.add_argument("--oracle", action="store_true",
+                    help="force the brute-force method")
     sp.add_argument("--oracle-cap", type=int, default=None)
 
     sp = add_parser("udist")
@@ -244,9 +239,8 @@ def _handle_classify(ns, out, started):
 
 def _census_report(ns):
     kind = _KINDS[ns.kind]
-    method = Method.BRUTE_FORCE if ns.oracle else _METHODS[ns.method]
     kwargs = dict(
-        method=method,
+        oracle=ns.oracle,
         keep_points=bool(ns.emit_points or ns.points_file),
         threads=ns.threads,
     )
@@ -297,7 +291,7 @@ def _handle_growth(ns, out, started):
         ns.Ms_list,
         _MODES[ns.mode],
         _KINDS[ns.kind],
-        method=_METHODS[ns.method],
+        oracle=ns.oracle,
         threads=ns.threads,
         oracle_cap=ns.oracle_cap,
     )

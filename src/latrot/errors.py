@@ -21,10 +21,6 @@ class InvalidSpec(LatrotError, ValueError):
     """Malformed angle or scalar specification."""
 
 
-class UnsupportedMode(LatrotError):
-    """The characterization census only covers floor rounding."""
-
-
 class CapExceeded(LatrotError):
     """A brute-force scan was requested beyond its configured cap."""
 

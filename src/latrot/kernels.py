@@ -503,16 +503,15 @@ def _redecide(xs, ys, batches, exact):
     return out, scalar
 
 
-def _exact_images(ctx, forms, A, B, mode, rotate):
+def _exact_images(ctx, forms, A, B, mode):
     """Exact images (X, Y) of the points (A, B), and how many flagged
-    points the forms' enclosures decided and how many went to rotate.
+    points the forms' enclosures decided and how many went to
+    discrete_rotate.
 
     _images, with the flagged points re-decided in one batch per form
-    (decide_floor); a point either enclosure leaves open goes to rotate,
-    the exact scalar map
-    discrete_rotate (thread-safe), which escalates its precision.  Each
-    scan passes the name it imported, so a trace counts those under the
-    module that asked for them."""
+    (decide_floor); a point either enclosure leaves open goes to the
+    exact scalar map discrete_rotate (thread-safe), which escalates its
+    precision."""
     X, Y, unc = _images(forms, A, B, mode)
     if unc is None:
         return X, Y, 0, 0
@@ -521,7 +520,7 @@ def _exact_images(ctx, forms, A, B, mode, rotate):
     trunc = mode is RoundingMode.TRUNC
     got, scalar = _redecide(
         xs, ys, [k.decide_floor(xs, ys, trunc) for k in forms],
-        lambda x, y: rotate(ctx, (x, y), mode),
+        lambda x, y: discrete_rotate(ctx, (x, y), mode),
     )
     XY = np.array(got, dtype=np.int64).reshape(-1, 2)
     X[idx], Y[idx] = XY[:, 0], XY[:, 1]

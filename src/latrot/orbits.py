@@ -14,14 +14,14 @@ cover every node's depth and every cycle, lands every node on its cycle
 and labels each cycle by its smallest node, so a cycle's period is the
 count of its label among the cycle nodes.
 
-The memoized scalar walk (once a state's eventual period is known,
-every later orbit through it stops there) answers the whole window
-instead when the vector pass cannot show the same answer: a start
-reaches the sink even in the wider retry window, an explicit max_radius
-falls inside the window, or the depth bound plus the longest period
-exceeds max_steps.  Under a binding step budget the walk's undetermined
-count depends on its scan order, so the fallback never covers part of a
-window.
+The memoized scalar walk (once a state's answer is known, every later
+orbit through it stops there) answers the whole window instead when the
+vector pass cannot show the same answer: a start reaches the sink even
+in the wider retry window, an explicit max_radius falls inside the
+window, or the depth bound plus the longest period exceeds max_steps.
+The memo keeps, per state, the steps detect_cycle takes from it to its
+answer, so the walk answers every start as detect_cycle does under the
+same caps, whatever its scan order.
 
 The period-8 family is checked in lockstep: every candidate's
 eight-step chain runs through the same image kernel.  All 45-degree
@@ -191,8 +191,8 @@ def _vector_sweep(ctx, M, mode, caps) -> SweepSummary | None:
     where some start's orbit leaves it is retried once with the wider
     margin.  None when a start still reaches the sink, max_radius falls
     inside the window, or the step budget could bind (the depth bound plus
-    the longest period exceeds max_steps): there the scalar walk's answer
-    depends on its caps and on its scan order."""
+    the longest period exceeds max_steps): there the answer depends on
+    the caps, which the scalar walk applies per start."""
     # Floor orbits at generic angles drift further as M grows: rad:~0.3
     # needs 16 rows at M=200 and 32 at M=600, which the retry holds.
     for margin in (2, 8 + M // 8):
@@ -231,7 +231,7 @@ def _successors(ctx, mode, R) -> np.ndarray:
     forms = image_forms(ctx, mode, max_abs=R)
     cols = np.arange(-R, R + 1, dtype=np.int64)
     for blo, bhi in _bands(-R, R, W):
-        X, Y, _, _ = _exact_images(ctx, forms, *_band(cols, blo, bhi), mode, discrete_rotate)
+        X, Y, _, _ = _exact_images(ctx, forms, *_band(cols, blo, bhi), mode)
         inside = (np.abs(X) <= R) & (np.abs(Y) <= R)
         succ[(blo + R) * W:(bhi + R + 1) * W] = np.where(inside, (Y + R) * W + X + R, sink).ravel()
     return succ
@@ -273,17 +273,13 @@ def _scalar_sweep(ctx, M, mode, caps) -> SweepSummary:
     """
     step = make_step(ctx, mode)
     radius = caps.max_radius if caps.max_radius is not None else 10**6 * M + 10**3
-    info: dict[LatticePoint, tuple[OrbitStatus, int | None, bool]] = {}
+    info: dict[LatticePoint, tuple[OrbitStatus, int | None, bool, int]] = {}
     histogram: dict[int, int] = {}
     undetermined = escaped = 0
     absorbed_all = True
     for y in range(-M, M + 1):
         for x in range(-M, M + 1):
-            start = (x, y)
-            known = info.get(start)
-            if known is None:
-                known = _explore(start, step, info, caps.max_steps, radius)
-            status, period, absorbed = known
+            status, period, absorbed = _explore((x, y), step, info, caps.max_steps, radius)
             if status is OrbitStatus.PERIODIC:
                 histogram[period] = histogram.get(period, 0) + 1
                 absorbed_all = absorbed_all and absorbed
@@ -304,28 +300,36 @@ def _scalar_sweep(ctx, M, mode, caps) -> SweepSummary:
 
 
 def _explore(start, step, info, max_steps, radius):
+    """(status, period, absorbed) of start, as detect_cycle answers it
+    under the same caps.
+
+    info maps a state to (status, period, absorbed, n), where n is the
+    number of steps detect_cycle takes from that state to its answer:
+    tail + period for a periodic state, the steps to leave the radius for
+    an escaped one.  A start that reaches a known state k steps on is
+    answered at step k + n, so it is undetermined when k + n > max_steps.
+    """
     path: list[LatticePoint] = []
     local: dict[LatticePoint, int] = {}
     p = start
     while True:
         known = info.get(p)
-        if known is not None:
-            for s in path:
-                info[s] = known
-            return known
-        j = local.get(p)
-        if j is not None:
+        if known is None and p in local:  # p closes a cycle of the path
+            j = local[p]
             period = len(path) - j
-            absorbed = period == 1 and p == (0, 0)
-            known = (OrbitStatus.PERIODIC, period, absorbed)
-            for s in path:
+            known = (OrbitStatus.PERIODIC, period, period == 1 and p == (0, 0), period)
+            for s in path[j:]:
                 info[s] = known
-            return known
-        if _norm(p) > radius:
-            known = (OrbitStatus.ESCAPED, None, False)
-            for s in path + [p]:
-                info[s] = known
-            return known
+            path = path[:j]
+        elif known is None and _norm(p) > radius:
+            known = info[p] = (OrbitStatus.ESCAPED, None, False, 0)
+        if known is not None:
+            *answer, n = known
+            for k, s in enumerate(reversed(path), 1):
+                info[s] = (*answer, n + k)
+            if n + len(path) > max_steps:
+                return (OrbitStatus.UNDETERMINED, None, False)
+            return tuple(answer)
         if len(path) >= max_steps:
             return (OrbitStatus.UNDETERMINED, None, False)
         local[p] = len(path)
@@ -507,7 +511,7 @@ def verify_period8(
         X, Y = a, np.zeros_like(a)
         chain = [(X, Y)]
         for _ in range(8):
-            X, Y, _, _ = _exact_images(ctx, forms, X, Y, RoundingMode.FLOOR, discrete_rotate)
+            X, Y, _, _ = _exact_images(ctx, forms, X, Y, RoundingMode.FLOOR)
             if max(np.abs(X).max(), np.abs(Y).max()) > max_abs:
                 raise ArithmeticError("a period-8 chain left the window its forms are exact on")
             chain.append((X, Y))

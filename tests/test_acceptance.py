@@ -83,26 +83,28 @@ def test_criterion_1_cardinal_bijectivity():
 def test_criterion_2_oracle_equivalence():
     t0 = time.perf_counter()
     mismatches = []
+    modes = (RoundingMode.FLOOR, RoundingMode.ROUND)
     for text in ORACLE_ANGLES:
         ctx = context_from_text(text)
         for M in ORACLE_MS:
-            c = collision_census(ctx, M, keep_points=True)
-            co = brute_force_census(
-                ctx, M, RoundingMode.FLOOR, CensusKind.COLLISIONS, keep_points=True
-            )
-            h = hole_census(ctx, M, keep_points=True)
-            ho = brute_force_census(
-                ctx, M, RoundingMode.FLOOR, CensusKind.HOLES, keep_points=True
-            )
-            if (c.count, c.points) != (co.count, co.points):
-                mismatches.append((text, M, "collisions"))
-            if (h.count, h.points) != (ho.count, ho.points):
-                mismatches.append((text, M, "holes"))
+            for mode in modes:
+                c = collision_census(ctx, M, mode, keep_points=True)
+                co = brute_force_census(
+                    ctx, M, mode, CensusKind.COLLISIONS, keep_points=True
+                )
+                h = hole_census(ctx, M, mode, keep_points=True)
+                ho = brute_force_census(
+                    ctx, M, mode, CensusKind.HOLES, keep_points=True
+                )
+                if (c.count, c.points) != (co.count, co.points):
+                    mismatches.append((text, M, mode.value, "collisions"))
+                if (h.count, h.points) != (ho.count, ho.points):
+                    mismatches.append((text, M, mode.value, "holes"))
     dt = time.perf_counter() - t0
     _criterion(
         2, not mismatches and dt < 30.0,
         f"characterization == oracle for {len(ORACLE_ANGLES)} angles x "
-        f"{ORACLE_MS} (count and point set) in {dt:.1f}s"
+        f"{ORACLE_MS} x floor, round (count and point set) in {dt:.1f}s"
         + (f"; mismatches={mismatches}" if mismatches else ""),
     )
 

@@ -19,7 +19,7 @@ from latrot.census import (
     hole_test_exact,
     _row_spans,
 )
-from latrot.errors import CapExceeded, DegenerateCounts, UndecidableAtPrecision, UnsupportedMode
+from latrot.errors import CapExceeded, DegenerateCounts, UndecidableAtPrecision
 from latrot.exactnum import compare, quad, rational
 from latrot.kernels import _band, _domain_radius, _exact_images, image_forms
 from latrot.rotation import RoundingMode, discrete_rotate
@@ -163,19 +163,24 @@ def test_pair_count_diagnostics():
     assert rep.pair_count == oracle.pair_count == rep.count  # multiplicity 2 each
 
 
-def test_unsupported_mode_and_fallback():
+def test_census_route_follows_the_mode():
+    # round is a translate of floor and reads the image grid; trunc is
+    # not, and always runs the histogram
     ctx = context_from_text("pyth:3,4,5")
-    with pytest.raises(UnsupportedMode):
-        collision_census(ctx, 8, RoundingMode.ROUND, method=Method.CHARACTERIZATION)
-    rep = collision_census(ctx, 8, RoundingMode.ROUND)  # auto falls back
-    assert rep.method is Method.BRUTE_FORCE
+    rep = collision_census(ctx, 8, RoundingMode.ROUND, keep_points=True)
+    assert rep.method is Method.CHARACTERIZATION
+    oracle = collision_census(ctx, 8, RoundingMode.ROUND, oracle=True, keep_points=True)
+    assert oracle.method is Method.BRUTE_FORCE
+    assert (rep.count, rep.points) == (oracle.count, oracle.points)
     # rounding to the nearest node is bijective for twin triples (a leg
     # one less than the hypotenuse, as 3-4-5), not for every rational
     # angle: 8-15-17 at M=48 has 2212 collisions and 2212 holes
     assert rep.count == 0
     assert hole_census(ctx, 8, RoundingMode.ROUND).count == 0
-    trunc = brute_force_census(ctx, 8, RoundingMode.TRUNC, CensusKind.COLLISIONS)
+    trunc = collision_census(ctx, 8, RoundingMode.TRUNC)
+    assert trunc.method is Method.BRUTE_FORCE
     assert trunc.count > 0
+    assert hole_census(ctx, 8, RoundingMode.TRUNC).method is Method.BRUTE_FORCE
 
 
 def test_oracle_cap():
@@ -210,16 +215,16 @@ def test_threads_do_not_change_results(monkeypatch):
     try:
         for text in ["pyth:5,12,13", "rad:~1.0", FLOAT_PI4, CROSS_FIELD]:
             ctx = context_from_text(text)
-            for run, kind in (
-                (collision_census, CensusKind.COLLISIONS),
-                (hole_census, CensusKind.HOLES),
-            ):
-                a = run(ctx, 20, keep_points=True, threads=1)
-                b = run(ctx, 20, keep_points=True, threads=4)
-                o = brute_force_census(
-                    ctx, 20, RoundingMode.FLOOR, kind, keep_points=True, threads=4
-                )
-                assert (a.count, a.points) == (b.count, b.points) == (o.count, o.points), text
+            for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
+                for run, kind in (
+                    (collision_census, CensusKind.COLLISIONS),
+                    (hole_census, CensusKind.HOLES),
+                ):
+                    a = run(ctx, 20, mode, keep_points=True, threads=1)
+                    b = run(ctx, 20, mode, keep_points=True, threads=4)
+                    o = brute_force_census(ctx, 20, mode, kind, keep_points=True, threads=4)
+                    assert (a.count, a.points) == (b.count, b.points) == (o.count, o.points), (
+                        text, mode)
     finally:
         sys.setswitchinterval(interval)
 
@@ -314,18 +319,19 @@ SPAN_ANGLES = [
 @settings(max_examples=120, deadline=None)
 @given(text=st.sampled_from(SPAN_ANGLES), M=st.integers(0, 40))
 def test_row_spans_hold_every_needed_point(text, M):
-    # a point whose exact floor image lies in [-M-1, M+1]^2, as each point
-    # of a colliding pair and each corner of a hole's cell does, lies in
-    # its row's span
+    # a point whose exact floor or round image lies in [-M-1, M+1]^2, as
+    # each point of a colliding pair and each corner of a hole's cell
+    # does, lies in its row's span
     ctx = context_from_text(text)
     R = _domain_radius(M)
     A, B = _band(np.arange(-R, R + 1, dtype=np.int64), -R, R)
-    forms = image_forms(ctx, RoundingMode.FLOOR, max_abs=R)
-    X, Y, _, _ = _exact_images(ctx, forms, A, B, RoundingMode.FLOOR, discrete_rotate)
-    needed = (np.abs(X) <= M + 1) & (np.abs(Y) <= M + 1)
     lo, hi = _row_spans(ctx, M, R)
     inside = (A >= lo[B + R]) & (A <= hi[B + R])
-    assert not (needed & ~inside).any()
+    for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
+        forms = image_forms(ctx, mode, max_abs=R)
+        X, Y, _, _ = _exact_images(ctx, forms, A, B, mode)
+        needed = (np.abs(X) <= M + 1) & (np.abs(Y) <= M + 1)
+        assert not (needed & ~inside).any(), mode
 
 
 @pytest.mark.parametrize("band_points", [1, None, 1 << 40], ids=["one-row", "default", "one-band"])
@@ -337,13 +343,15 @@ def test_band_geometry_keeps_censuses(monkeypatch, band_points):
     for text in ["pi/4", "pi/2", "pyth:20,21,29", "pi*7/6", "rad:~-2.2", CROSS_FIELD]:
         ctx = context_from_text(text)
         for M in (0, 1, 2, 17, 100):
-            for run, kind in (
-                (collision_census, CensusKind.COLLISIONS),
-                (hole_census, CensusKind.HOLES),
-            ):
-                got = run(ctx, M, keep_points=True)
-                want = brute_force_census(ctx, M, RoundingMode.FLOOR, kind, keep_points=True)
-                assert (got.count, got.points) == (want.count, want.points), (text, M, kind)
+            for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
+                for run, kind in (
+                    (collision_census, CensusKind.COLLISIONS),
+                    (hole_census, CensusKind.HOLES),
+                ):
+                    got = run(ctx, M, mode, keep_points=True)
+                    want = brute_force_census(ctx, M, mode, kind, keep_points=True)
+                    assert (got.count, got.points) == (want.count, want.points), (
+                        text, M, mode, kind)
 
 
 def test_characterization_scans_the_rotated_square():
@@ -399,7 +407,8 @@ ROUND_COUNTS_M64 = {
 
 def test_round_is_bijective_exactly_at_twin_triples():
     for (p1, p2, q), want in ROUND_COUNTS_M64.items():
-        assert (want == (0, 0)) == (q == max(p1, p2) + 1)
+        twin = q == max(p1, p2) + 1
+        assert (want == (0, 0)) == twin
         for text in (f"pyth:{p1},{p2},{q}", f"pyth:{p2},{p1},{q}"):
             ctx = context_from_text(text)
             got = tuple(
@@ -407,3 +416,6 @@ def test_round_is_bijective_exactly_at_twin_triples():
                 for kind in (CensusKind.COLLISIONS, CensusKind.HOLES)
             )
             assert got == want, text
+            if twin:  # and at M=256, through the image grid
+                assert collision_census(ctx, 256, RoundingMode.ROUND).count == 0, text
+                assert hole_census(ctx, 256, RoundingMode.ROUND).count == 0, text

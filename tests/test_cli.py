@@ -117,6 +117,8 @@ def test_usage_errors_exit_2():
         ["census", "--angle", "pyth:3,4,6", "--M", "5", "--kind", "holes"],
         ["census", "--angle", "pi/4", "--M", "-3", "--kind", "holes"],
         ["census", "--angle", "pi/4", "--kind", "holes"],
+        ["census", "--angle", "pi/4", "--M", "5", "--kind", "holes", "--method", "brute-force"],
+        ["growth", "--angle", "pi/4", "--Ms", "8,16,32", "--kind", "holes", "--method", "auto"],
         ["growth", "--angle", "pi/4", "--Ms", "16,8", "--kind", "holes"],
         ["udist", "--angle", "pi/4", "--t1", "0", "--t2", "1/2", "--M", "5"],
         ["orbit", "--angle", "pi/4", "--start", "nine,zero"],
@@ -143,6 +145,13 @@ def test_oracle_flag_forces_brute_force():
                            "--kind", "collisions", "--oracle", "--format", "json")
     assert code == 0
     assert json.loads(out)["method"] == "brute_force"
+    # growth takes the same flag; round fits read the image grid without it
+    argv = ["growth", "--angle", "pi/4", "--mode", "round", "--kind", "holes",
+            "--Ms", "16,32,64", "--format", "json"]
+    code, grid, _ = run_cli(*argv)
+    code_o, oracle, _ = run_cli(*argv, "--oracle")
+    assert code == code_o == 0
+    assert strip_timing(grid, "json") == strip_timing(oracle, "json")
 
 
 def test_deterministic_output():

@@ -209,7 +209,7 @@ def test_enclosure_batch_matches_discrete_rotate(angle, mode, points, bound):
     want = [discrete_rotate(ctx, p, mode) for p in points]
     xs, ys = [x for x, _ in points], [y for _, y in points]
     A, B = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
-    X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, mode, discrete_rotate)
+    X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, mode)
     assert list(zip(X.tolist(), Y.tolist())) == want
     assert scalar == 0
     # every point, flagged or not: the coefficients' 128 bits decide it
@@ -284,13 +284,13 @@ def test_undecided_points_go_to_the_scalar_layer():
             idx = np.nonzero(unc)
             xs, ys = A[idx].tolist(), B[idx].tolist()
             want = [discrete_rotate(ctx, p, mode) for p in zip(xs, ys)]
-            full = _exact_images(ctx, forms, A, B, mode, discrete_rotate)
+            full = _exact_images(ctx, forms, A, B, mode)
             for c, k in enumerate(forms):
                 k._bits = 8
                 got = k.decide_floor(xs, ys, mode is RoundingMode.TRUNC)
                 assert None in got, (angle, mode)
                 assert all(g is None or g == w[c] for g, w in zip(got, want)), (angle, mode)
-            X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, mode, discrete_rotate)
+            X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, mode)
             assert scalar > 0 and redecided + scalar == len(xs) == full[2]
             assert list(zip(X[idx].tolist(), Y[idx].tolist())) == want
             assert (X == full[0]).all() and (Y == full[1]).all()

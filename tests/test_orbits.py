@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import pytest
 
@@ -164,19 +165,36 @@ def test_cardinal_orbits_period_124_no_preperiod():
             assert rec.period in allowed, (text, start, rec)
 
 
-def test_sweep_matches_per_start_detection():
-    quarter = quarter_turn_context()
-    M = 6
-    s = orbit_sweep(quarter, M)
-    assert s.total == (2 * M + 1) ** 2
-    from collections import Counter
-
-    hist = Counter()
+def _per_start_summary(ctx, M, mode, caps):
+    hist, statuses = Counter(), Counter()
     for x in range(-M, M + 1):
         for y in range(-M, M + 1):
-            rec = detect_cycle(quarter, (x, y))
-            hist[rec.period] += 1
-    assert dict(hist) == s.histogram
+            rec = detect_cycle(ctx, (x, y), mode, caps)
+            statuses[rec.status] += 1
+            if rec.status is OrbitStatus.PERIODIC:
+                hist[rec.period] += 1
+    return dict(hist), statuses[OrbitStatus.UNDETERMINED], statuses[OrbitStatus.ESCAPED]
+
+
+def test_sweep_matches_per_start_detection():
+    # Both sides share one escape radius.  A binding step budget makes a
+    # start undetermined exactly when detect_cycle alone needs more steps,
+    # whichever memoized state its orbit reaches first.
+    M = 12
+    radius = 10**6 * M + 10**3
+    for text in ("pi/4", "pyth:3,4,5", "rad:~1.0"):
+        ctx = context_from_text(text)
+        for mode in RoundingMode:
+            for max_steps in (3, 8, 50, 10**6):
+                caps = OrbitCaps(max_steps=max_steps, max_radius=radius)
+                s = orbit_sweep(ctx, M, mode, caps)
+                assert s.total == (2 * M + 1) ** 2
+                want = _per_start_summary(ctx, M, mode, caps)
+                assert (s.histogram, s.undetermined, s.escaped) == want, (text, mode, max_steps)
+    caps = OrbitCaps(max_steps=50, max_radius=10**6 * 40 + 10**3)
+    s = orbit_sweep(quarter_turn_context(), 40, RoundingMode.TRUNC, caps)
+    want = _per_start_summary(quarter_turn_context(), 40, RoundingMode.TRUNC, caps)
+    assert s.undetermined == want[1] == 3292
 
 
 def test_sweep_deterministic():
