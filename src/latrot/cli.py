@@ -141,6 +141,13 @@ def _read_config(path: str) -> dict:
     return out
 
 
+def _config_int(config: dict, key: str) -> int:
+    try:
+        return int(config[key])
+    except ValueError as exc:
+        raise UsageError(f"config {key}={config[key]!r}: expected an integer") from exc
+
+
 def parse_args(argv) -> argparse.Namespace:
     """Validated command; raises UsageError with the offending flag named."""
     ns = build_parser().parse_args(argv)
@@ -149,15 +156,19 @@ def parse_args(argv) -> argparse.Namespace:
         ns.format = config.get("format", "csv")
         if ns.format not in ("csv", "json"):
             raise UsageError(f"config format={ns.format!r} not in csv/json")
+    for key in ("threads", "oracle_cap", "max_steps", "max_radius"):
+        if getattr(ns, key, None) is None and key in config:
+            setattr(ns, key, _config_int(config, key))
     if ns.threads is None:
-        ns.threads = int(config.get("threads", os.cpu_count() or 1))
+        ns.threads = os.cpu_count() or 1
     if ns.threads < 1:
         raise UsageError("--threads must be positive")
-    if "precision_bits" in config and _ENV_BITS not in os.environ:
-        os.environ[_ENV_BITS] = config["precision_bits"]
-    for key in ("oracle_cap", "max_steps", "max_radius"):
-        if getattr(ns, key, None) is None and key in config:
-            setattr(ns, key, int(config[key]))
+    if getattr(ns, "max_steps", None) is not None and ns.max_steps < 1:
+        raise UsageError("--max-steps must be positive")
+    if getattr(ns, "max_radius", None) is not None and ns.max_radius < 0:
+        raise UsageError("--max-radius must be nonnegative")
+    if "precision_bits" in config:
+        os.environ.setdefault(_ENV_BITS, str(_config_int(config, "precision_bits")))
 
     try:
         if hasattr(ns, "angle"):

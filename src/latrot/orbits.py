@@ -14,14 +14,11 @@ cover every node's depth and every cycle, lands every node on its cycle
 and labels each cycle by its smallest node, so a cycle's period is the
 count of its label among the cycle nodes.
 
-The memoized scalar walk (once a state's answer is known, every later
-orbit through it stops there) answers the whole window instead when the
-vector pass cannot show the same answer: a start reaches the sink even
-in the wider retry window, an explicit max_radius falls inside the
-window, or the depth bound plus the longest period exceeds max_steps.
-The memo keeps, per state, the steps detect_cycle takes from it to its
-answer, so the walk answers every start as detect_cycle does under the
-same caps, whatever its scan order.
+The caps are read off the same array, so every start is answered as
+detect_cycle answers it.  A max_radius inside the window turns the sink
+into an escape, and a binding max_steps is checked against each node's
+exact tail, from one pass back from the cycle nodes.  Only starts whose
+orbits leave the wider retry window go to detect_cycle one by one.
 
 The period-8 family is checked in lockstep: every candidate's
 eight-step chain runs through the same image kernel.  All 45-degree
@@ -79,7 +76,7 @@ class SweepSummary:
     undetermined: int
     escaped: int
     absorbed_all: bool | None = None  # trunc mode: every orbit reached (0,0)?
-    scalar_starts: int = field(default=0, compare=False)  # starts the scalar walk answered
+    scalar_starts: int = field(default=0, compare=False)  # starts detect_cycle answered alone
 
     @property
     def total(self) -> int:
@@ -122,14 +119,16 @@ def detect_cycle(
 
 
 def _detect_brent(start, step, caps, radius) -> OrbitRecord:
+    """Brent's search, answered as the visited map answers: a cycle is
+    periodic when mu + lam <= max_steps, and the search, which finds any
+    such cycle within 3 * max_steps steps, runs that far."""
+    limit = 3 * caps.max_steps
     power = lam = 1
     tortoise = start
     hare = step(start)
     steps = 1
     maxn = max(_norm(start), _norm(hare))
-    while tortoise != hare:
-        if steps >= caps.max_steps:
-            return OrbitRecord(start, 0, None, OrbitStatus.UNDETERMINED, maxn, steps)
+    while maxn <= radius and tortoise != hare and steps < limit:
         if power == lam:
             tortoise = hare
             power *= 2
@@ -138,8 +137,11 @@ def _detect_brent(start, step, caps, radius) -> OrbitRecord:
         steps += 1
         lam += 1
         maxn = max(maxn, _norm(hare))
-        if maxn > radius:
-            return OrbitRecord(start, 0, None, OrbitStatus.ESCAPED, maxn, steps)
+    if maxn > radius:  # no cycle closes before the first step beyond the radius
+        status = OrbitStatus.ESCAPED if steps <= caps.max_steps else OrbitStatus.UNDETERMINED
+        return OrbitRecord(start, 0, None, status, maxn, steps)
+    if tortoise != hare:
+        return OrbitRecord(start, 0, None, OrbitStatus.UNDETERMINED, maxn, steps)
     tortoise = hare = start
     for _ in range(lam):
         hare = step(hare)
@@ -150,6 +152,8 @@ def _detect_brent(start, step, caps, radius) -> OrbitRecord:
         hare = step(hare)
         steps += 2
         mu += 1
+    if mu + lam > caps.max_steps:
+        return OrbitRecord(start, 0, None, OrbitStatus.UNDETERMINED, maxn, steps)
     return OrbitRecord(start, mu, lam, OrbitStatus.PERIODIC, maxn, steps)
 
 
@@ -175,64 +179,95 @@ def orbit_sweep(
     mode: RoundingMode = RoundingMode.FLOOR,
     caps: OrbitCaps = OrbitCaps(),
 ) -> SweepSummary:
-    """Eventual period of every start in |x|,|y| <= M.
+    """Eventual period of every start in |x|,|y| <= M, each answered as
+    detect_cycle answers it under the same caps.
 
-    Read off one successor array by pointer doubling; the memoized scalar
-    walk answers the whole window instead when the vector pass cannot show
-    that it gives the same summary.
+    Read off the successor array of a window |x|,|y| <= R that holds
+    every start with a margin for the orbits' drift; a window where some
+    start's orbit leaves it is retried once with the wider margin.
+
+    A max_radius inside the window makes the sink an escape: every state
+    beyond the radius, and every image beyond it, goes there, so a start
+    escapes at its steps to the sink.  A periodic start is answered at its
+    tail plus its period.  Either answer is undetermined past max_steps;
+    the exact tails are computed only when the depth bound plus the
+    longest period passes it.  Otherwise the sink means the orbit left
+    the window: detect_cycle answers those starts one by one, and
+    scalar_starts counts them.
     """
-    summary = _vector_sweep(ctx, M, mode, caps)
-    return summary if summary is not None else _scalar_sweep(ctx, M, mode, caps)
-
-
-def _vector_sweep(ctx, M, mode, caps) -> SweepSummary | None:
-    """The sweep read off the successor array of a window |x|,|y| <= R
-    that holds every start with a margin for the orbits' drift; a window
-    where some start's orbit leaves it is retried once with the wider
-    margin.  None when a start still reaches the sink, max_radius falls
-    inside the window, or the step budget could bind (the depth bound plus
-    the longest period exceeds max_steps): there the answer depends on
-    the caps, which the scalar walk applies per start."""
     # Floor orbits at generic angles drift further as M grows: rad:~0.3
     # needs 16 rows at M=200 and 32 at M=600, which the retry holds.
     for margin in (2, 8 + M // 8):
         R = _domain_radius(M) + margin
-        if caps.max_radius is not None and caps.max_radius < R:
-            return None
         W = 2 * R + 1
         sink = W * W
-        succ = _successors(ctx, mode, R)
+        escapes = caps.max_radius is not None and caps.max_radius < R
+        succ = _successors(ctx, mode, R, caps.max_radius)
         jump, label, on_cycle, depth = _cycles(succ)
-        del succ
-        ends = label[jump[:sink].reshape(W, W)[R - M:R + M + 1, R - M:R + M + 1]]
+        ends = label[_starts(jump, R, M)]
         del jump
-        if not (ends == sink).any():
+        if escapes or not (ends == sink).any():
             break
-    else:
-        return None
-    period = np.bincount(label[on_cycle])[ends]  # nodes on each start's cycle
+    to_sink = ends == sink
+    handed = np.zeros_like(to_sink) if escapes else to_sink
+    label = label[on_cycle]
+    period = np.bincount(label)[ends]  # nodes on each start's cycle
+    del label
+    late = np.zeros_like(to_sink)
     if depth + int(period.max()) > caps.max_steps:
-        return None
-    values, counts = np.unique(period, return_counts=True)
+        tail = _starts(_tails(succ, on_cycle), R, M)
+        late = np.where(to_sink, tail, tail + period) > caps.max_steps
+    periodic = ~to_sink & ~late
+    period[~periodic] = 0
+    counts = np.bincount(period.ravel())
+    values = np.flatnonzero(counts[1:]) + 1
+    histogram = dict(zip(values.tolist(), counts[values].tolist()))
+    undetermined = int(np.count_nonzero(late & ~handed))
+    escaped = int(np.count_nonzero(to_sink & ~handed & ~late))
     absorbed = None
-    if mode is RoundingMode.TRUNC:  # (0, 0) is fixed, so it labels its own cycle
-        absorbed = bool((ends == R * W + R).all())
-    return SweepSummary(M, dict(zip(values.tolist(), counts.tolist())), 0, 0, absorbed)
+    if mode is RoundingMode.TRUNC:
+        # (0, 0) is fixed, so it labels its own cycle; trunc never grows a
+        # point's norm, so no trunc orbit leaves the window
+        absorbed = bool((periodic & (ends == R * W + R)).all())
+    for i in np.flatnonzero(handed):
+        y, x = divmod(int(i), 2 * M + 1)
+        rec = detect_cycle(ctx, (x - M, y - M), mode, caps)
+        if rec.status is OrbitStatus.PERIODIC:
+            histogram[rec.period] = histogram.get(rec.period, 0) + 1
+        undetermined += rec.status is OrbitStatus.UNDETERMINED
+        escaped += rec.status is OrbitStatus.ESCAPED
+    return SweepSummary(
+        M, dict(sorted(histogram.items())), undetermined, escaped, absorbed,
+        scalar_starts=int(np.count_nonzero(handed)),
+    )
 
 
-def _successors(ctx, mode, R) -> np.ndarray:
+def _starts(a, R, M):
+    """The entries of a, an array over the window |x|,|y| <= R (and the
+    sink), at the starts |x|,|y| <= M, as a (2M+1, 2M+1) view."""
+    W = 2 * R + 1
+    return a[:W * W].reshape(W, W)[R - M:R + M + 1, R - M:R + M + 1]
+
+
+def _successors(ctx, mode, R, radius) -> np.ndarray:
     """succ[i] is the index of the image of point i of |x|,|y| <= R (row
     by row, x fastest); every image outside the window goes to the sink,
-    index (2R+1)^2, which is its own successor."""
+    index (2R+1)^2, which is its own successor.  A radius (None for none)
+    inside the window sends every point beyond it, and every image beyond
+    it, to the sink too."""
     W = 2 * R + 1
     sink = W * W
+    bound = R if radius is None else min(R, radius)
     succ = np.empty(sink + 1, dtype=np.int32 if sink < 2**31 - 1 else np.int64)
     succ[sink] = sink
     forms = image_forms(ctx, mode, max_abs=R)
     cols = np.arange(-R, R + 1, dtype=np.int64)
     for blo, bhi in _bands(-R, R, W):
-        X, Y, _, _ = _exact_images(ctx, forms, *_band(cols, blo, bhi), mode)
-        inside = (np.abs(X) <= R) & (np.abs(Y) <= R)
+        A, B = _band(cols, blo, bhi)
+        X, Y, _, _ = _exact_images(ctx, forms, A, B, mode)
+        inside = (np.abs(X) <= bound) & (np.abs(Y) <= bound)
+        if bound < R:
+            inside &= (np.abs(A) <= bound) & (np.abs(B) <= bound)
         succ[(blo + R) * W:(bhi + R + 1) * W] = np.where(inside, (Y + R) * W + X + R, sink).ravel()
     return succ
 
@@ -265,76 +300,19 @@ def _cycles(succ):
             return jump, label, on_cycle, 2 ** (rounds - 1)
 
 
-def _scalar_sweep(ctx, M, mode, caps) -> SweepSummary:
-    """The memoized scalar walk over every start, in row order.
-
-    One window-level escape radius (10^6*M + 10^3 unless capped
-    explicitly) keeps the memoized facts start-independent.
-    """
-    step = make_step(ctx, mode)
-    radius = caps.max_radius if caps.max_radius is not None else 10**6 * M + 10**3
-    info: dict[LatticePoint, tuple[OrbitStatus, int | None, bool, int]] = {}
-    histogram: dict[int, int] = {}
-    undetermined = escaped = 0
-    absorbed_all = True
-    for y in range(-M, M + 1):
-        for x in range(-M, M + 1):
-            status, period, absorbed = _explore((x, y), step, info, caps.max_steps, radius)
-            if status is OrbitStatus.PERIODIC:
-                histogram[period] = histogram.get(period, 0) + 1
-                absorbed_all = absorbed_all and absorbed
-            elif status is OrbitStatus.UNDETERMINED:
-                undetermined += 1
-                absorbed_all = False
-            else:
-                escaped += 1
-                absorbed_all = False
-    return SweepSummary(
-        M,
-        dict(sorted(histogram.items())),
-        undetermined,
-        escaped,
-        absorbed_all if mode is RoundingMode.TRUNC else None,
-        scalar_starts=(2 * M + 1) ** 2,
-    )
-
-
-def _explore(start, step, info, max_steps, radius):
-    """(status, period, absorbed) of start, as detect_cycle answers it
-    under the same caps.
-
-    info maps a state to (status, period, absorbed, n), where n is the
-    number of steps detect_cycle takes from that state to its answer:
-    tail + period for a periodic state, the steps to leave the radius for
-    an escaped one.  A start that reaches a known state k steps on is
-    answered at step k + n, so it is undetermined when k + n > max_steps.
-    """
-    path: list[LatticePoint] = []
-    local: dict[LatticePoint, int] = {}
-    p = start
-    while True:
-        known = info.get(p)
-        if known is None and p in local:  # p closes a cycle of the path
-            j = local[p]
-            period = len(path) - j
-            known = (OrbitStatus.PERIODIC, period, period == 1 and p == (0, 0), period)
-            for s in path[j:]:
-                info[s] = known
-            path = path[:j]
-        elif known is None and _norm(p) > radius:
-            known = info[p] = (OrbitStatus.ESCAPED, None, False, 0)
-        if known is not None:
-            *answer, n = known
-            for k, s in enumerate(reversed(path), 1):
-                info[s] = (*answer, n + k)
-            if n + len(path) > max_steps:
-                return (OrbitStatus.UNDETERMINED, None, False)
-            return tuple(answer)
-        if len(path) >= max_steps:
-            return (OrbitStatus.UNDETERMINED, None, False)
-        local[p] = len(path)
-        path.append(p)
-        p = step(p)
+def _tails(succ, on_cycle) -> np.ndarray:
+    """tail[i], the steps from node i to its cycle, by one pass back from
+    the cycle nodes: a node is one step further than its successor."""
+    tail = np.full(succ.size, -1, dtype=succ.dtype)
+    tail[on_cycle] = 0
+    todo = np.flatnonzero(~on_cycle)
+    level = 0
+    while todo.size:
+        level += 1
+        ready = tail[succ[todo]] == level - 1
+        tail[todo[ready]] = level
+        todo = todo[~ready]
+    return tail
 
 
 # --------------------------------------------------------------------------

@@ -130,6 +130,22 @@ def test_usage_errors_exit_2():
         assert "usage error" in err
 
 
+def test_orbit_caps_validated(tmp_path):
+    for command in (["sweep", "--angle", "pi/4", "--M", "5"],
+                    ["orbit", "--angle", "pi/4", "--start", "9,0"]):
+        for flag, value in (("--max-steps", "-1"), ("--max-steps", "0"), ("--max-radius", "-5")):
+            code, out, err = run_cli(*command, flag, value)
+            assert code == 2 and out == "" and flag in err, (command, flag, value)
+    for key in ("threads", "oracle_cap", "max_steps", "max_radius", "precision_bits"):
+        cfg = tmp_path / f"{key}.cfg"
+        cfg.write_text(f"{key}=abc\n")
+        code, out, err = run_cli("sweep", "--angle", "pi/4", "--M", "5", "--config", str(cfg))
+        assert code == 2 and out == "" and f"{key}='abc'" in err, key
+    cfg.write_text("max_steps=-1\n")
+    code, _, err = run_cli("sweep", "--angle", "pi/4", "--M", "5", "--config", str(cfg))
+    assert code == 2 and "--max-steps" in err
+
+
 def test_computational_errors_exit_1():
     code, out, err = run_cli("growth", "--angle", "pi/2", "--Ms", "16,32,64",
                              "--kind", "holes")
@@ -211,12 +227,12 @@ def test_sweep_json_histogram_sorted():
     assert data["histogram"] == [[1, 1], [4, 24]]
     assert data["undetermined"] == 0 and data["escaped"] == 0
     assert data["meta"]["scalar_starts"] == 0
-    # a max_radius inside the vector pass's window hands it to the scalar walk
+    # a max_radius inside the window is read off the same successor array
     code, out, _ = run_cli("sweep", "--angle", "pi/2", "--M", "2", "--max-radius", "3",
                            "--format", "json")
     data = json.loads(out)
     assert data["histogram"] == [[1, 1], [4, 24]]
-    assert data["meta"]["scalar_starts"] == 25
+    assert data["meta"]["scalar_starts"] == 0
 
 
 def test_period8_cli():

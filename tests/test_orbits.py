@@ -1,18 +1,21 @@
+import dataclasses
+import functools
+import json
 import math
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from latrot import kernels
+from latrot import kernels, orbits
 from latrot.angle import context_from_text
 from latrot.errors import HypothesisViolated
 from latrot.exactnum import floor_exact, quad
-from latrot.kernels import make_step
+from latrot.kernels import _domain_radius, make_step
 from latrot.orbits import (
     PERIOD8_AMAX_LIMIT,
     OrbitCaps,
     OrbitStatus,
-    _scalar_sweep,
     brute_force_period8_filter,
     detect_cycle,
     orbit_path,
@@ -67,6 +70,25 @@ def test_brent_fallback_agrees():
         a = detect_cycle(quarter, start)
         b = detect_cycle(quarter, start, caps=brent_caps)
         assert (a.preperiod, a.period, a.status) == (b.preperiod, b.period, b.status)
+    # Under a binding step budget or a max_radius too: Brent searches past
+    # max_steps and answers undetermined by mu + lam > max_steps.
+    ctx = context_from_text("pyth:3,4,5")
+    for memory_states in (10**6, 8):
+        rec = detect_cycle(ctx, (-12, -12), caps=OrbitCaps(max_steps=50, memory_states=memory_states))
+        assert (rec.status, rec.period) == (OrbitStatus.PERIODIC, 39)
+    starts = [(x, y) for x in range(-12, 13, 4) for y in range(-12, 13, 4)]
+    capped = [OrbitCaps(max_steps=n) for n in (3, 8, 50)]
+    capped += [OrbitCaps(max_radius=9), OrbitCaps(max_steps=8, max_radius=9)]
+    for text in ("pi/4", "pyth:3,4,5", "rad:~1.0"):
+        ctx = context_from_text(text)
+        for mode in RoundingMode:
+            for caps in capped:
+                brent = dataclasses.replace(caps, memory_states=1)
+                for start in starts:
+                    a = detect_cycle(ctx, start, mode, caps)
+                    b = detect_cycle(ctx, start, mode, brent)
+                    assert (a.preperiod, a.period, a.status) == (b.preperiod, b.period, b.status), (
+                        text, mode, caps, start)
 
 
 def test_caps_statuses():
@@ -178,8 +200,8 @@ def _per_start_summary(ctx, M, mode, caps):
 
 def test_sweep_matches_per_start_detection():
     # Both sides share one escape radius.  A binding step budget makes a
-    # start undetermined exactly when detect_cycle alone needs more steps,
-    # whichever memoized state its orbit reaches first.
+    # start undetermined exactly when detect_cycle alone needs more steps
+    # than the budget: its tail plus its period.
     M = 12
     radius = 10**6 * M + 10**3
     for text in ("pi/4", "pyth:3,4,5", "rad:~1.0"):
@@ -252,21 +274,102 @@ def test_step_matches_discrete_rotate():
                 assert step(p) == discrete_rotate(ctx, p, mode), (text, mode, p)
 
 
+@pytest.fixture
+def memo_steps(monkeypatch):
+    """detect_cycle with each step map memoized; the map is pure, so no
+    answer changes."""
+    maps = {}
+
+    def cached(ctx, mode=RoundingMode.FLOOR):
+        key = (id(ctx), mode)
+        if key not in maps:
+            maps[key] = (ctx, functools.cache(make_step(ctx, mode)))
+        return maps[key][1]
+
+    monkeypatch.setattr(orbits, "make_step", cached)
+
+
+SWEEPS_M40 = json.loads((Path(__file__).parent / "data" / "sweep_m40.json").read_text())
+
+
 @pytest.mark.parametrize("text", EXACT_ANGLES + QUADRANT_ANGLES + ["rad:~1.0", FLOAT_PI4, CROSS_FIELD])
-def test_vector_sweep_matches_scalar_sweep(text):
+def test_vector_sweep_matches_detect_cycle(text, memo_steps):
     # Default caps, a binding step budget and a max_radius inside the
-    # window, against the memoized scalar walk called directly.  The
-    # vector pass answers every default-cap window itself.
+    # window, against detect_cycle start by start; at M=40, against the
+    # summaries the memoized scalar walk gave, each of which equals
+    # detect_cycle start by start.  The successor array answers every
+    # start of these windows itself, except 14 floor orbits of rad:~1.0 at
+    # M=12 that drift past the retry window; a max_radius inside the
+    # window makes them escapes.
     ctx = context_from_text(text)
     for mode in RoundingMode:
-        for M in (0, 1, 5, 40):
-            for caps in (OrbitCaps(), OrbitCaps(max_steps=50), OrbitCaps(max_radius=M + 1)):
+        for M in (0, 1, 5, 12, 40):
+            for label, caps in (("default", OrbitCaps()), ("max_steps=50", OrbitCaps(max_steps=50)),
+                                (f"max_radius={M + 1}", OrbitCaps(max_radius=M + 1))):
                 got = orbit_sweep(ctx, M, mode, caps)
-                assert got == _scalar_sweep(ctx, M, mode, caps), (mode, M, caps)
-                if caps == OrbitCaps():
-                    assert got.scalar_starts == 0, (mode, M)
-                if caps.max_radius is not None:
-                    assert got.scalar_starts == (2 * M + 1) ** 2
+                if M == 40:
+                    hist, undetermined, escaped, absorbed = SWEEPS_M40[f"{text}|{mode.value}|{label}"]
+                    want = ({p: c for p, c in hist}, undetermined, escaped)
+                    assert got.absorbed_all == absorbed, (mode, M, caps)
+                else:
+                    want = _per_start_summary(ctx, M, mode, caps)
+                assert (got.histogram, got.undetermined, got.escaped) == want, (mode, M, caps)
+                handed = 14 if (text, mode, M) == ("rad:~1.0", RoundingMode.FLOOR, 12) else 0
+                assert got.scalar_starts == (0 if caps.max_radius is not None else handed), (mode, M, caps)
+
+
+def test_caps_inside_the_window_keep_their_answers():
+    # the windows that the memoized scalar walk used to answer whole
+    s = orbit_sweep(context_from_text("pyth:3,4,5"), 100, RoundingMode.ROUND, OrbitCaps(max_steps=1000))
+    assert s.histogram == {
+        1: 1, 8: 16, 10: 260, 12: 12, 39: 2052, 48: 288, 68: 952, 78: 936, 88: 5244,
+        108: 216, 127: 1796, 166: 2824, 205: 820, 224: 224, 244: 3932, 264: 792,
+        293: 1172, 322: 68, 400: 908, 420: 4308, 498: 1348, 576: 4004, 596: 96,
+        732: 744, 752: 1128, 908: 1972,
+    }
+    assert (s.undetermined, s.escaped, s.scalar_starts) == (4288, 0, 0)
+    s = orbit_sweep(quarter_turn_context(), 100, caps=OrbitCaps(max_radius=101))
+    assert (s.histogram, s.undetermined, s.escaped, s.scalar_starts) == ({1: 4, 8: 33350}, 0, 7047, 0)
+    caps = OrbitCaps(max_steps=50, max_radius=10**6 * 40 + 10**3)
+    s = orbit_sweep(quarter_turn_context(), 40, RoundingMode.TRUNC, caps)
+    assert (s.undetermined, s.scalar_starts) == (3292, 0)
+    # a start beyond the radius escapes at its first step, an inner one at
+    # its first step beyond the radius, each under the step budget
+    for text in ("pi/4", "pyth:3,4,5", "rad:~1.0"):
+        ctx = context_from_text(text)
+        for mode in RoundingMode:
+            for caps in (OrbitCaps(max_radius=5), OrbitCaps(max_steps=1, max_radius=5),
+                         OrbitCaps(max_steps=3, max_radius=5)):
+                s = orbit_sweep(ctx, 12, mode, caps)
+                assert (s.histogram, s.undetermined, s.escaped) == _per_start_summary(ctx, 12, mode, caps)
+
+
+def test_starts_leaving_the_window_go_to_detect_cycle(monkeypatch):
+    # pyth:39,760,761 turns by about 3 degrees, and the floor orbits of
+    # 33 of the 49 starts at M=3 drift past the wider retry window.
+    ctx = context_from_text("pyth:39,760,761")
+    M = 3
+    R = _domain_radius(M) + 8 + M // 8
+    leaving = {
+        (x, y)
+        for x in range(-M, M + 1)
+        for y in range(-M, M + 1)
+        if detect_cycle(ctx, (x, y)).max_norm > R
+    }
+    assert len(leaving) == 33
+    handed = []
+
+    def per_start(ctx, start, mode, caps):
+        handed.append(start)
+        return detect_cycle(ctx, start, mode, caps)
+
+    monkeypatch.setattr(orbits, "detect_cycle", per_start)
+    for caps in (OrbitCaps(), OrbitCaps(max_steps=50), OrbitCaps(max_radius=10**4)):
+        handed.clear()
+        s = orbit_sweep(ctx, M, RoundingMode.FLOOR, caps)
+        assert (s.histogram, s.undetermined, s.escaped) == _per_start_summary(
+            ctx, M, RoundingMode.FLOOR, caps), caps
+        assert s.scalar_starts == len(handed) == 33 and set(handed) == leaving, caps
 
 
 def test_tiny_bands_keep_sweeps_and_period8(monkeypatch):
