@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Collision and hole censuses, two ways, plus growth exponents.
+"""Collision and hole censuses, by independent routes, plus growth exponents.
 
 Cardinal angles discretize to the exact rotation (both censuses empty);
-every other angle produces collisions and holes.  The characterization
-scan (neighbor inequality systems / corner patterns) and the brute-force
-image histogram are independent algorithms, so their exact agreement is
-the central correctness check.
+every other angle produces collisions and holes.  At a rational slope
+the census counts residue classes (method `separable`), at other angles
+it reads the image grid (neighbor pairs and corner patterns, method
+`characterization`); the brute-force image histogram is independent of
+both, so their exact agreement is the central correctness check.
 
 The growth fits at the end document a notable finding: the 45-degree
 angle (and every other cos = +-sin + r angle we measured) grows
@@ -31,10 +32,10 @@ for text in ["pi/2", "pi/4", "pyth:3,4,5", "rad:~1.0"]:
     h = hole_census(ctx, M)
     ho = brute_force_census(ctx, M, RoundingMode.FLOOR, CensusKind.HOLES)
     print(f"  {text:12s} M={M}: collisions {c.count:5d} (oracle {co.count:5d})"
-          f"   holes {h.count:5d} (oracle {ho.count:5d})")
+          f"   holes {h.count:5d} (oracle {ho.count:5d})  [{c.method.value}]")
 
 print()
-print("== rounding modes (floor and round read the image grid, trunc the histogram) ==")
+print("== rounding modes (floor and round count residue classes, trunc runs the histogram) ==")
 for text in ["pyth:3,4,5", "pyth:8,15,17"]:
     ctx = context_from_text(text)
     for mode in RoundingMode:

@@ -2,14 +2,27 @@
 
 A *collision point* is a lattice point that is the image of two distinct
 lattice points under the discretized rotation; a *hole* has no preimage
-at all.  Both are counted over |x|,|y| <= M by two independent routes,
-each reading the images of a domain window that holds every preimage of
-the target window (the rotation is an isometry and quantization moves
-points by less than sqrt(2)):
+at all.  Both are counted over |x|,|y| <= M by three routes; the angle's
+classification and the rounding mode pick one, and the other two check
+it.  Round is the floor of the rotation shifted by (1/2, 1/2), and the
+first two routes hold for every such translate of the floor map:
 
-* characterization (floor and round), read off the image grid.  Round is
-  the floor of the rotation shifted by (1/2, 1/2), and both statements
-  below hold for every translate of the floor map:
+* separable (floor and round at a rational slope): cardinal and
+  Pythagorean angles, and the slopes cos = r1*sin with r1 rational and
+  sin irrational (pi/4, tan^-1(1/2)).  With sin = s0/sqrt(D) and
+  cos = c0/sqrt(D) the images are (floor(u/sqrt(D)), floor(v/sqrt(D)))
+  of (u, v) = (c0*x - s0*y, s0*x + c0*y), which runs over the lattice
+  c0*u + s0*v == 0 (mod D).  The multiplicity of image (n, m) depends
+  only on the classes of n and m: residues mod q for D = q^2
+  (residue_histogram), the start mod D and length of n's interval of u
+  otherwise.  A census sums the class pairs, in time independent of M at
+  Pythagorean angles and linear in M at the others (Nouvel and Remila,
+  Configurations induced by discrete rotations, Discrete Appl. Math.
+  2005).  A residue table larger than the window goes to the grid.
+* characterization (floor and round, every other angle), read off the
+  image grid of a domain window that holds every preimage of the target
+  window (the rotation is an isometry and quantization moves points by
+  less than sqrt(2)):
   - collisions: every colliding pair is a unit-distance neighbor pair
     and no image has more than two preimages, so the collision images
     are the shared images of right and up neighbor pairs.
@@ -33,7 +46,8 @@ Scans run over rows in kernels._bands' cache-sized bands: bands can be
 handed to worker threads, and the merge (integer sums and index lists,
 sorted at the end) is independent of the thread count.  Each band
 re-decides the points its float prefilter flags exactly, on its own
-thread.
+thread.  The separable route scans no images and ignores the thread
+count.
 """
 
 from __future__ import annotations
@@ -46,11 +60,15 @@ from enum import Enum
 
 import numpy as np
 
-from .angle import AngleContext, angle_text
+from .angle import AngleContext, CardinalMultiple, LinearRelation, RationalPythagorean, angle_text
 from .errors import CapExceeded, DegenerateCounts
 from .exactnum import ZERO, compare, floor_exact
-from .kernels import _band, _bands, _domain_radius, _exact_images, image_forms
+from .kernels import (
+    _SQRT_SAFE, _band, _bands, _domain_radius, _exact_images, _mod_inplace, image_forms,
+    vfloor_sqrt_multiple,
+)
 from .rotation import RoundingMode, cell_corners, discrete_rotate, quantize, rotate_inverse
+from .udist import _count_residue_class
 
 DEFAULT_ORACLE_CAP = 512
 
@@ -61,6 +79,7 @@ class CensusKind(Enum):
 
 
 class Method(Enum):
+    SEPARABLE = "separable"
     CHARACTERIZATION = "characterization"
     BRUTE_FORCE = "brute_force"
 
@@ -76,7 +95,7 @@ class CensusReport:
     method: Method
     elapsed_ms: float
     pair_count: int | None = None
-    scanned_pts: int = field(default=0, compare=False)  # domain points imaged
+    scanned_pts: int = field(default=0, compare=False)  # points imaged, or values classified
     redecided_pts: int = field(default=0, compare=False)  # flagged, decided by enclosures
     scalar_pts: int = field(default=0, compare=False)  # flagged, decided by discrete_rotate
 
@@ -296,6 +315,168 @@ def _grid_census(ctx, M, mode, kind, keep_points, threads):
     return count, np.concatenate([idx for _, idx in tallies]), counters
 
 
+# --------------------------------------------------------------------------
+# Separable censuses: rational slopes, counted over residue classes
+# --------------------------------------------------------------------------
+
+# The separable route's residue table (H over q, the arc counts over D)
+# holds at most this many entries; a larger modulus runs the grid.
+_TABLE_MAX = 1 << 20
+
+
+def _rational_slope(ctx):
+    """(classes, s0, c0, modulus) for an angle of rational slope, with
+    sin = s0/sqrt(D), cos = c0/sqrt(D) and s0, c0 coprime: cardinal and
+    Pythagorean angles (D = q^2) take the residue histogram mod q, the
+    other rational slopes the interval types mod D.  None when the slope
+    is irrational."""
+    cls = ctx.classification
+    if isinstance(cls, (CardinalMultiple, RationalPythagorean)):
+        return _pythagorean_classes, ctx.sin.numerator, ctx.cos.numerator, ctx.sin.denominator
+    if isinstance(cls, LinearRelation) and cls.r2 == 0 and not cls.swapped:
+        # cos = r1*sin: tan = 1/r1, and s0 carries the sign of sin
+        sign = compare(ctx.sin, ZERO)
+        s0, c0 = sign * cls.r1.denominator, sign * cls.r1.numerator
+        return _interval_types, s0, c0, s0 * s0 + c0 * c0
+    return None
+
+
+def residue_histogram(s0: int, c0: int, q: int, mode: RoundingMode) -> np.ndarray:
+    """H with H[k] the number of preimages of every image (n, m) with
+    -(c0*n + s0*m) == k (mod q), at sin = s0/q, cos = c0/q under floor or
+    round.
+
+    The floor image of (x, y) is (floor(u/q), floor(v/q)) with
+    (u, v) = (c0*x - s0*y, s0*x + c0*y), which runs over the lattice
+    c0*u + s0*v == 0 (mod q^2); round adds 1/2 to u/q and v/q.  The u of
+    image row n are the q integers n*q - e + i, i < q (e = 0 for floor,
+    (q-1)/2 for round: q is odd), and likewise the v of column m with
+    offsets j.  Mod q the lattice fixes j(i) = ((c0 + s0)*e - c0*i)/s0
+    mod q; the remaining condition mod q^2 reads t(i) == k, with
+    q*t(i) = c0*(i - e) + s0*(j(i) - e).
+    """
+    e = (q - 1) // 2 if mode is RoundingMode.ROUND else 0
+    inv = pow(s0, -1, q)
+    # j(i) = b + g*i - q*f(i) with f(i) = (b + g*i) // q; both c0 + s0*g
+    # and s0*b - (c0 + s0)*e are multiples of q, so t(i) is an integer
+    # combination of i and f(i), built in place
+    b, g = (c0 + s0) * e * inv % q, -c0 * inv % q
+    i = np.arange(q, dtype=np.int64)
+    f = g * i
+    f += b
+    f //= q
+    f *= s0
+    t = (c0 + s0 * g) // q * i
+    t += (s0 * b - (c0 + s0) * e) // q
+    t -= f
+    return np.bincount(_mod_inplace(t, q), minlength=q)
+
+
+def _interval_starts(n: np.ndarray, D: int, mode: RoundingMode) -> np.ndarray:
+    """ceil((n - g)*sqrt(D)) for a non-square D: the first u whose image
+    coordinate floor(u/sqrt(D) + g) is n (g = 1/2 for round, else 0).
+
+    With t = 2(n - g) and F = floor(t*sqrt(D)), exact by integer square
+    root, the start is F // 2 + 1, since t*sqrt(D) is irrational for
+    t != 0; it is 0 at t = 0."""
+    t = 2 * n - (mode is RoundingMode.ROUND)
+    if int(np.abs(t).max()) ** 2 * D < _SQRT_SAFE:
+        F = vfloor_sqrt_multiple(t, D)
+    else:
+        isqrt = math.isqrt
+        F = np.array([isqrt(x * x * D) if x >= 0 else -isqrt(x * x * D) - 1
+                      for x in t.tolist()], dtype=np.int64)
+    return np.where(t == 0, 0, (F >> 1) + 1)
+
+
+def _arc_counts(rho: int, D: int, la: int, lb: int) -> np.ndarray:
+    """g with g[d] = #{i < la : (rho*i - d) mod D < lb}, for every d mod D.
+
+    Point i lies in the arcs d in (rho*i - lb, rho*i] mod D; a difference
+    array sums the arcs, each wrapped one adding 1 from d = 0."""
+    ends = rho * np.arange(la, dtype=np.int64) % D
+    starts = (ends - lb + 1) % D
+    diff = np.bincount(starts, minlength=D + 1) - np.bincount(ends + 1, minlength=D + 1)
+    diff[0] += np.count_nonzero(starts > ends)
+    return np.cumsum(diff[:D])
+
+
+def _bad(mult: np.ndarray, kind: CensusKind) -> np.ndarray:
+    return mult >= 2 if kind is CensusKind.COLLISIONS else mult == 0
+
+
+def _pythagorean_classes(s0, c0, q, M, mode, kind):
+    """Classes of the window's values for the residue histogram: n's class
+    is (n + M) mod P with P = min(q, 2M + 1), so the classes are the
+    residues mod q, or the window's values themselves when q > 2M + 1."""
+    H = residue_histogram(s0, c0, q, mode)
+    P = min(q, 2 * M + 1)
+    reps = np.arange(P, dtype=np.int64) - M
+    weights = _count_residue_class(M, reps % P, P)
+    lens = np.zeros(P, dtype=np.int64)
+    table = _bad(H, kind)[None, None, :]
+    cls_of = lambda n: (n + M) % P
+    return table, (-c0 * reps) % q, (-s0 * reps) % q, lens, weights, cls_of, q
+
+
+def _interval_types(s0, c0, D, M, mode, kind):
+    """Classes of the window's values by the type of their interval I_n,
+    the u with image coordinate n: its start mod D and its length, one of
+    floor(sqrt(D)) and that plus 1.  The multiplicity of the images of
+    type pair (a, b) is the number of u in I_a with rho*u mod D in I_b,
+    where rho = -c0/s0 mod D, which depends on the lengths and on
+    d = (B - rho*A) mod D for the starts A and B."""
+    L0 = math.isqrt(D)
+    ids = np.empty(2 * M + 1, dtype=np.int64)  # start mod D, then the length
+    for lo, hi in _bands(-M, M, 1):
+        a = _interval_starts(np.arange(lo, hi + 2, dtype=np.int64), D, mode)
+        ids[lo + M:hi + M + 1] = a[:-1] % D * 2 + (np.diff(a) - L0)
+    counts = np.bincount(ids, minlength=2 * D)
+    present = np.flatnonzero(counts)
+    remap = np.cumsum(counts > 0) - 1
+    starts, lens = present // 2, present % 2
+    rho = -c0 * pow(s0, -1, D) % D
+    table = np.array([[_bad(_arc_counts(rho, D, L0 + x, L0 + y), kind) for y in (0, 1)]
+                      for x in (0, 1)])
+    cls_of = lambda n: remap[ids[n + M]]
+    return table, (-rho * starts) % D, starts, lens, counts[present], cls_of, 2 * M + 1
+
+
+def _separable_census(ctx, M, mode, kind, keep_points, slope):
+    """(count, window indices or None, counters) from residue classes.
+
+    The window's values n in [-M, M] fall into classes c, each of weight
+    w_c values, such that the multiplicity of image (n, m) is a table
+    entry, table[l_c, l_c', (Y_c + X_c') mod modulus] for the classes c
+    of n and c' of m.  The census is the sum of w_c*w_c' over the pairs
+    whose entry is a collision or a hole; point lists read the classes of
+    each window row.  Pythagorean and cardinal angles (D = q^2) take the
+    residue histogram, other rational slopes the interval types; either
+    returns the table, Y, X, l and w per class, the class of each window
+    value, and how many residues or values it classified.
+    """
+    classes, s0, c0, modulus = slope
+    table, Y, X, lens, weights, cls_of, scanned = classes(s0, c0, modulus, M, mode, kind)
+
+    def bad(rows, cols):
+        return table[lens[rows, None], lens[None, cols], (Y[rows, None] + X[None, cols]) % modulus]
+
+    count = 0
+    for lo, hi in _bands(0, len(weights) - 1, len(weights)):
+        rows = slice(lo, hi + 1)
+        count += int(weights[rows] @ (bad(rows, slice(None)) @ weights))
+    counters = dict(scanned_pts=scanned, redecided_pts=0, scalar_pts=0)
+    if not keep_points:
+        return count, None, counters
+    W = 2 * M + 1
+    cols = cls_of(np.arange(-M, M + 1, dtype=np.int64))
+    parts = []
+    for lo, hi in _bands(-M, M, W):
+        r, c = np.nonzero(bad(cls_of(np.arange(lo, hi + 1, dtype=np.int64)), cols))
+        parts.append((r + lo + M) * W + c)
+    return count, np.concatenate(parts), counters
+
+
 def collision_census(
     ctx: AngleContext,
     M: int,
@@ -327,15 +508,24 @@ def hole_census(
 
 def _census(ctx, M, mode, kind, oracle, keep_points, count_pairs, threads, oracle_cap):
     # ROUND is FLOOR of the forms shifted by 1/2, so the grid's pair and
-    # cell characterizations hold for it; TRUNC is not a translate of
-    # FLOOR, and its collisions can have more than two preimages.
+    # cell characterizations, and the separable route's residue classes,
+    # hold for it; TRUNC is not a translate of FLOOR, and its collisions
+    # can have more than two preimages.
     if oracle or mode is RoundingMode.TRUNC:
         return brute_force_census(
             ctx, M, mode, kind, cap=oracle_cap, keep_points=keep_points,
             threads=threads, count_pairs=count_pairs,
         )
     start = time.perf_counter()
-    count, idx, counters = _grid_census(ctx, M, mode, kind, keep_points, threads)
+    slope = _rational_slope(ctx)
+    # a residue table larger than the window costs more to build than the
+    # grid's images of the window
+    if slope is not None and slope[-1] <= min(_TABLE_MAX, (2 * M + 1) ** 2):
+        method = Method.SEPARABLE
+        count, idx, counters = _separable_census(ctx, M, mode, kind, keep_points, slope)
+    else:
+        method = Method.CHARACTERIZATION
+        count, idx, counters = _grid_census(ctx, M, mode, kind, keep_points, threads)
     return CensusReport(
         angle=angle_text(ctx),
         mode=mode,
@@ -343,7 +533,7 @@ def _census(ctx, M, mode, kind, oracle, keep_points, count_pairs, threads, oracl
         kind=kind,
         count=count,
         points=_sorted_points(idx, M) if keep_points else None,
-        method=Method.CHARACTERIZATION,
+        method=method,
         elapsed_ms=(time.perf_counter() - start) * 1000,
         pair_count=count if count_pairs else None,
         **counters,
@@ -458,7 +648,8 @@ def growth_fit(
 
     Explicitly requested windows configure the brute-force cap, so trunc
     and oracle fits work beyond the default oracle cap; the cap matters
-    only for those, since floor and round fits run the uncapped grid."""
+    only for those, since floor and round fits run the uncapped
+    separable route or grid."""
     if len(Ms) < 3:
         raise ValueError("need at least three window sizes")
     if sorted(Ms) != list(Ms) or len(set(Ms)) != len(Ms):

@@ -67,7 +67,10 @@ def default_precision_bits() -> int:
     """HighPrec starting precision; overridable via LATTICE_ROT_PRECISION_BITS."""
     env = os.environ.get(_ENV_BITS)
     if env:
-        bits = int(env)
+        try:
+            bits = int(env)
+        except ValueError:
+            raise InvalidSpec(f"{_ENV_BITS}={env!r}: expected an integer") from None
         if bits < 8:
             raise InvalidSpec(f"{_ENV_BITS}={env!r}: need at least 8 bits")
         return bits

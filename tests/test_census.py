@@ -1,5 +1,7 @@
 import math
 import sys
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,8 +19,12 @@ from latrot.census import (
     growth_fit,
     hole_census,
     hole_test_exact,
+    residue_histogram,
+    _grid_census,
     _row_spans,
+    _sorted_points,
 )
+from latrot import census
 from latrot.errors import CapExceeded, DegenerateCounts, UndecidableAtPrecision
 from latrot.exactnum import compare, quad, rational
 from latrot.kernels import _band, _domain_radius, _exact_images, image_forms
@@ -29,6 +35,12 @@ CROSS_FIELD = "quad:sin=sqrt(3)/3,cos=sqrt(6)/3"
 BIG_TRIPLE = "pyth:39999,400,40001"
 EXACT_ANGLES = ["pi/4", "pi/6", "pi/3", "pyth:3,4,5", "pyth:5,12,13"]
 QUADRANT_ANGLES = ["pi*3/4", "pi*7/6", "pi*7/4", "pyth:-3,4,5", "pyth:3,-4,5"]
+
+
+def grid(ctx, M, mode, kind, threads=1):
+    """(count, points) read off the image grid, whatever the angle's route."""
+    count, idx, _ = _grid_census(ctx, M, mode, kind, True, threads)
+    return count, _sorted_points(idx, M)
 
 
 def test_cardinal_censuses_are_zero():
@@ -164,19 +176,23 @@ def test_pair_count_diagnostics():
 
 
 def test_census_route_follows_the_mode():
-    # round is a translate of floor and reads the image grid; trunc is
-    # not, and always runs the histogram
+    # round is a translate of floor: rational slopes count residue classes
+    # and other angles read the image grid; trunc is not, and always runs
+    # the histogram
     ctx = context_from_text("pyth:3,4,5")
     rep = collision_census(ctx, 8, RoundingMode.ROUND, keep_points=True)
-    assert rep.method is Method.CHARACTERIZATION
+    assert rep.method is Method.SEPARABLE
+    assert hole_census(context_from_text("pi/6"), 8, RoundingMode.ROUND).method \
+        is Method.CHARACTERIZATION
     oracle = collision_census(ctx, 8, RoundingMode.ROUND, oracle=True, keep_points=True)
     assert oracle.method is Method.BRUTE_FORCE
     assert (rep.count, rep.points) == (oracle.count, oracle.points)
+    assert grid(ctx, 8, RoundingMode.ROUND, CensusKind.COLLISIONS) == (oracle.count, oracle.points)
     # rounding to the nearest node is bijective for twin triples (a leg
     # one less than the hypotenuse, as 3-4-5), not for every rational
     # angle: 8-15-17 at M=48 has 2212 collisions and 2212 holes
     assert rep.count == 0
-    assert hole_census(ctx, 8, RoundingMode.ROUND).count == 0
+    assert grid(ctx, 8, RoundingMode.ROUND, CensusKind.HOLES) == (0, [])
     trunc = collision_census(ctx, 8, RoundingMode.TRUNC)
     assert trunc.method is Method.BRUTE_FORCE
     assert trunc.count > 0
@@ -344,24 +360,23 @@ def test_band_geometry_keeps_censuses(monkeypatch, band_points):
         ctx = context_from_text(text)
         for M in (0, 1, 2, 17, 100):
             for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
-                for run, kind in (
-                    (collision_census, CensusKind.COLLISIONS),
-                    (hole_census, CensusKind.HOLES),
-                ):
-                    got = run(ctx, M, mode, keep_points=True)
+                for kind in CensusKind:
                     want = brute_force_census(ctx, M, mode, kind, keep_points=True)
-                    assert (got.count, got.points) == (want.count, want.points), (
+                    assert grid(ctx, M, mode, kind) == (want.count, want.points), (
                         text, M, mode, kind)
 
 
 def test_characterization_scans_the_rotated_square():
+    def scanned(ctx, kind):
+        return _grid_census(ctx, 256, RoundingMode.FLOOR, kind, False, 1)[2]["scanned_pts"]
+
     full = (2 * _domain_radius(256) + 1) ** 2
     ctx = context_from_text("pi/4")
-    assert hole_census(ctx, 256).scanned_pts <= 0.65 * full
+    assert scanned(ctx, CensusKind.HOLES) <= 0.65 * full
     oracle = brute_force_census(ctx, 256, RoundingMode.FLOOR, CensusKind.HOLES)
     assert oracle.scanned_pts == full
     # at pi/2 the rows past the window hold no preimage at all
-    assert collision_census(context_from_text("pi/2"), 256).scanned_pts < 0.72 * full
+    assert scanned(context_from_text("pi/2"), CensusKind.COLLISIONS) < 0.72 * full
 
 
 def test_census_counts_the_redecided_points():
@@ -417,5 +432,161 @@ def test_round_is_bijective_exactly_at_twin_triples():
             )
             assert got == want, text
             if twin:  # and at M=256, through the image grid
-                assert collision_census(ctx, 256, RoundingMode.ROUND).count == 0, text
-                assert hole_census(ctx, 256, RoundingMode.ROUND).count == 0, text
+                for kind in CensusKind:
+                    assert grid(ctx, 256, RoundingMode.ROUND, kind) == (0, []), text
+
+
+# --------------------------------------------------------------------------
+# Separable censuses at rational slopes
+# --------------------------------------------------------------------------
+
+TAN_HALF = "quad:sin=sqrt(5)/5,cos=2*sqrt(5)/5"  # D = 5
+TAN_THIRD = "quad:sin=sqrt(10)/10,cos=3*sqrt(10)/10"  # D = 10
+# each triple in both orientations and all four sign quadrants
+SEPARABLE_ANGLES = [
+    f"pyth:{sa * a},{sb * b},{q}"
+    for p1, p2, q in ((3, 4, 5), (8, 15, 17), (20, 21, 29), (5, 12, 13))
+    for a, b in ((p1, p2), (p2, p1))
+    for sa in (1, -1)
+    for sb in (1, -1)
+] + ["0", "pi/2", "pi", "pi*3/2", "pi/4", "pi*3/4", "pi*5/4", "pi*7/4", TAN_HALF, TAN_THIRD,
+      "quad:sin=-sqrt(5)/5,cos=-2*sqrt(5)/5"]
+
+
+@pytest.mark.parametrize("text", SEPARABLE_ANGLES)
+def test_separable_agrees_with_grid_and_oracle(text):
+    ctx = context_from_text(text)
+    slope = census._rational_slope(ctx)
+    for M in (0, 1, 2, 17, 100):
+        for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
+            for kind in CensusKind:
+                n, idx, counters = census._separable_census(ctx, M, mode, kind, True, slope)
+                assert counters["redecided_pts"] == counters["scalar_pts"] == 0
+                want = brute_force_census(ctx, M, mode, kind, keep_points=True)
+                assert (n, _sorted_points(idx, M)) == (want.count, want.points), (M, mode, kind)
+                assert grid(ctx, M, mode, kind) == (want.count, want.points), (M, mode, kind)
+    rep = collision_census(ctx, 100, RoundingMode.ROUND, count_pairs=True)
+    assert rep.method is Method.SEPARABLE and rep.pair_count == rep.count
+
+
+@pytest.mark.parametrize("text", ["pyth:3,4,5", "pyth:-15,8,17", "pyth:20,-21,29",
+                                  "pyth:-12,-5,13", "pi/4", "pi*3/4", TAN_HALF, TAN_THIRD])
+def test_separable_agrees_with_grid_at_large_windows(text):
+    ctx = context_from_text(text)
+    slope = census._rational_slope(ctx)
+    for M in (255, 512):
+        for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
+            for kind in CensusKind:
+                n, idx, _ = census._separable_census(ctx, M, mode, kind, True, slope)
+                gn, gidx, _ = _grid_census(ctx, M, mode, kind, True, 1)
+                assert n == gn and np.array_equal(np.sort(idx), np.sort(gidx)), (M, mode, kind)
+
+
+def test_residue_tables_larger_than_the_window_run_the_grid(monkeypatch):
+    # q = 29 against 25 window points at M = 2 and 49 at M = 3
+    ctx = context_from_text("pyth:20,21,29")
+    assert hole_census(ctx, 2).method is Method.CHARACTERIZATION
+    assert hole_census(ctx, 3).method is Method.SEPARABLE
+    # q = 40001 against 4225 window points at M = 32 and 40401 at M = 100;
+    # the separable route answers with the grid's point either way
+    ctx = context_from_text(BIG_TRIPLE)
+    slope = census._rational_slope(ctx)
+    rep = collision_census(ctx, 32, keep_points=True)
+    assert rep.method is Method.CHARACTERIZATION and rep.count == 1
+    n, idx, counters = census._separable_census(
+        ctx, 32, RoundingMode.FLOOR, CensusKind.COLLISIONS, True, slope)
+    assert (n, _sorted_points(idx, 32)) == (rep.count, rep.points)
+    assert counters["scanned_pts"] == 40001
+    rep = collision_census(ctx, 100, keep_points=True)
+    assert rep.method is Method.SEPARABLE
+    assert (rep.count, rep.points) == grid(ctx, 100, RoundingMode.FLOOR, CensusKind.COLLISIONS)
+    # and so do tables past the cap
+    monkeypatch.setattr(census, "_TABLE_MAX", 16)
+    assert hole_census(context_from_text("pyth:8,15,17"), 4).method is Method.CHARACTERIZATION
+    assert hole_census(context_from_text(TAN_THIRD), 4).method is Method.SEPARABLE
+    # D = 50, a rational slope whose sqrt(D) is not squarefree
+    assert hole_census(context_from_text("quad:sin=sqrt(2)/10,cos=-7*sqrt(2)/10"), 4).method \
+        is Method.CHARACTERIZATION
+
+
+def test_interval_types_past_the_vector_guard(monkeypatch):
+    # the interval starts take Python integer square roots past the guard
+    ctx = context_from_text("quad:sin=sqrt(2)/10,cos=-7*sqrt(2)/10")
+    cases = [(run, mode) for run in (collision_census, hole_census)
+             for mode in (RoundingMode.FLOOR, RoundingMode.ROUND)]
+    want = [run(ctx, 40, mode, keep_points=True) for run, mode in cases]
+    monkeypatch.setattr(census, "_SQRT_SAFE", 1)
+    for (run, mode), w in zip(cases, want):
+        got = run(ctx, 40, mode, keep_points=True)
+        assert (got.count, got.points) == (w.count, w.points) and got.count > 0
+
+
+# The exact densities over one period, #{k : H[k] = 2}/q = #{k : H[k] = 0}/q,
+# under (floor, round); none is the equidistribution value
+# 2(1-|cos|)(1-|sin|), which is 0.16 at 3-4-5
+RESIDUE_DENSITIES = {
+    (3, 4, 5): (Fraction(1, 5), 0),
+    (5, 12, 13): (Fraction(1, 13), 0),
+    (7, 24, 25): (Fraction(1, 25), 0),
+    (8, 15, 17): (Fraction(1, 17), Fraction(4, 17)),
+    (20, 21, 29): (Fraction(5, 29), Fraction(4, 29)),
+    (12, 35, 37): (Fraction(1, 37), Fraction(4, 37)),
+    (9, 40, 41): (Fraction(1, 41), 0),
+    (28, 45, 53): (Fraction(9, 53), Fraction(8, 53)),
+}
+
+
+def test_residue_histogram_densities():
+    modes = (RoundingMode.FLOOR, RoundingMode.ROUND)
+    for (p1, p2, q), densities in RESIDUE_DENSITIES.items():
+        for s0, c0 in ((p1, p2), (p2, p1), (-p1, p2), (-p2, -p1)):
+            for mode, density in zip(modes, densities):
+                H = residue_histogram(s0, c0, q, mode)
+                assert H.sum() == q and H.max() <= 2
+                assert Fraction(int(np.count_nonzero(H == 2)), q) == density, (s0, c0, mode)
+                assert Fraction(int(np.count_nonzero(H == 0)), q) == density, (s0, c0, mode)
+        # over one period, 2M + 1 = q, the oracle counts q^2 times the density
+        ctx = context_from_text(f"pyth:{p1},{p2},{q}")
+        for mode, density in zip(modes, densities):
+            for kind in CensusKind:
+                assert brute_force_census(ctx, (q - 1) // 2, mode, kind).count == density * q * q
+
+
+def _pi4_closed_forms(lo, hi, W):
+    """(collisions, holes) at pi/4 over a window of width W, from the n
+    integers of [lo, hi] and its e even and o odd ones: (n - W)^2, and
+    that minus e^2 + o^2 - W^2."""
+    n = hi - lo + 1
+    e = hi // 2 - (lo - 1) // 2
+    collisions = (n - W) ** 2
+    return collisions, collisions - (e * e + (n - e) ** 2 - W * W)
+
+
+def test_pi4_closed_forms():
+    ctx = context_from_text("pi/4")
+
+    def counts(M, mode=RoundingMode.FLOOR):
+        return collision_census(ctx, M, mode).count, hole_census(ctx, M, mode).count
+
+    for M in range(301):  # [-floor(M*sqrt(2)), floor((M+1)*sqrt(2))]
+        lo, hi = -math.isqrt(2 * M * M), math.isqrt(2 * (M + 1) ** 2)
+        assert counts(M) == _pi4_closed_forms(lo, hi, 2 * M + 1), M
+    for M in range(201):  # [-K, K], K = floor((2M+1)/sqrt(2))
+        K = math.isqrt((2 * M + 1) ** 2 // 2)
+        assert counts(M, RoundingMode.ROUND) == _pi4_closed_forms(-K, K, 2 * M + 1), M
+
+
+def test_separable_census_runs_in_the_window_size_not_its_area():
+    W = 2 * 10**9 + 1
+    t0 = time.perf_counter()
+    rep = collision_census(context_from_text("pyth:3,4,5"), 10**9)
+    assert time.perf_counter() - t0 < 1.0
+    assert abs(5 * rep.count - W * W) < 5 * W  # density 1/5
+    M = 10**6
+    got = []
+    for run in (collision_census, hole_census):
+        t0 = time.perf_counter()
+        got.append(run(context_from_text("pi/4"), M).count)
+        assert time.perf_counter() - t0 < 1.0
+    lo, hi = -math.isqrt(2 * M * M), math.isqrt(2 * (M + 1) ** 2)
+    assert tuple(got) == _pi4_closed_forms(lo, hi, 2 * M + 1)

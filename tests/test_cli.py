@@ -161,7 +161,14 @@ def test_oracle_flag_forces_brute_force():
                            "--kind", "collisions", "--oracle", "--format", "json")
     assert code == 0
     assert json.loads(out)["method"] == "brute_force"
-    # growth takes the same flag; round fits read the image grid without it
+    # without it a rational slope counts residue classes, others read the grid
+    for angle, method in (("pi/4", "separable"), ("pi/6", "characterization")):
+        _, out, _ = run_cli("census", "--angle", angle, "--M", "8", "--kind", "collisions",
+                            "--format", "json")
+        data = json.loads(out)
+        assert data["method"] == method
+        assert data["meta"]["redecided_pts"] == data["meta"]["scalar_pts"] == 0
+    # growth takes the same flag; round fits count residue classes without it
     argv = ["growth", "--angle", "pi/4", "--mode", "round", "--kind", "holes",
             "--Ms", "16,32,64", "--format", "json"]
     code, grid, _ = run_cli(*argv)
@@ -292,6 +299,13 @@ def test_env_var_precision(monkeypatch):
     code, out, _ = run_cli("classify", "--angle", "rad:~1.0", "--format", "json")
     assert code == 0
     assert json.loads(out)["angle"].endswith("@192")
+
+
+def test_env_var_precision_must_be_an_integer(monkeypatch):
+    monkeypatch.setenv("LATTICE_ROT_PRECISION_BITS", "abc")
+    code, out, err = run_cli("classify", "--angle", "rad:~1.0")
+    assert code == 2 and out == ""
+    assert "usage error" in err and "LATTICE_ROT_PRECISION_BITS='abc'" in err
 
 
 def test_parse_args_surface():

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from latrot import census, kernels, orbits, udist
 from latrot.angle import context_from_text
-from latrot.census import CensusKind, brute_force_census, collision_census, hole_census
+from latrot.census import CensusKind, _grid_census, _sorted_points, brute_force_census
 from latrot.exactnum import ZERO, compare, frac_part, highprec, parse_scalar, quad, rational
 from latrot.kernels import (
     QuadForm,
@@ -120,11 +120,12 @@ def test_threads_share_lazily_built_tables(monkeypatch):
     sys.setswitchinterval(1e-5)
     try:
         ctx = context_from_text("pi/4")
-        for run, kind in ((collision_census, CensusKind.COLLISIONS), (hole_census, CensusKind.HOLES)):
-            a = run(ctx, 30, keep_points=True, threads=1)
-            b = run(ctx, 30, keep_points=True, threads=2)
+        for kind in CensusKind:
+            a, b = (_grid_census(ctx, 30, RoundingMode.FLOOR, kind, True, threads)
+                    for threads in (1, 2))
             o = brute_force_census(ctx, 30, RoundingMode.FLOOR, kind, keep_points=True)
-            assert (a.count, a.points) == (b.count, b.points) == (o.count, o.points)
+            assert a[0] == b[0] == o.count
+            assert _sorted_points(a[1], 30) == _sorted_points(b[1], 30) == o.points
     finally:
         sys.setswitchinterval(interval)
     assert made and all(list(k._tables) == [1] for forms in made for k in forms)
@@ -143,7 +144,7 @@ def test_root_tables_in_use_at_benchmark_sizes(monkeypatch):
 
     for module in (census, udist, orbits):
         monkeypatch.setattr(module, "image_forms", capture)
-    hole_census(context_from_text("pi/4"), 256)
+    _grid_census(context_from_text("pi/4"), 256, RoundingMode.FLOOR, CensusKind.HOLES, False, 1)
     box = udist.InequalityBox(rational(1, 2), rational(1, 3))
     udist.count_solutions(context_from_text("pi/6"), box, 1000)
     orbits.orbit_sweep(context_from_text("pi/4"), 300)
