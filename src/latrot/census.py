@@ -46,8 +46,9 @@ Scans run over rows in kernels._bands' cache-sized bands: bands can be
 handed to worker threads, and the merge (integer sums and index lists,
 sorted at the end) is independent of the thread count.  Each band
 re-decides the points its float prefilter flags exactly, on its own
-thread.  The separable route scans no images and ignores the thread
-count.
+thread, from its forms' integer enclosures (kernels._exact_images);
+discrete_rotate stays an independent oracle.  The separable route
+scans no images and ignores the thread count.
 """
 
 from __future__ import annotations
@@ -97,7 +98,6 @@ class CensusReport:
     pair_count: int | None = None
     scanned_pts: int = field(default=0, compare=False)  # points imaged, or values classified
     redecided_pts: int = field(default=0, compare=False)  # flagged, decided by enclosures
-    scalar_pts: int = field(default=0, compare=False)  # flagged, decided by discrete_rotate
 
 
 @dataclass
@@ -260,8 +260,7 @@ def _row_spans(ctx, M, R):
 
 def _grid_census(ctx, M, mode, kind, keep_points, threads):
     """(count, window indices or None, counters) of collision images or
-    holes; the counters are the report's scanned_pts, redecided_pts and
-    scalar_pts.
+    holes; the counters are the report's scanned_pts and redecided_pts.
 
     One banded pass computes the images of the domain under mode once
     per point; each band reads a one-row halo above it, so every pair and
@@ -293,9 +292,9 @@ def _grid_census(ctx, M, mode, kind, keep_points, threads):
         top = min(bhi + 1, R)
         c0, c1 = lo[blo + R:top + R + 1].min(), hi[blo + R:top + R + 1].max()
         if c0 > c1:
-            return (0, 0, 0), []
+            return (0, 0), []
         A, B = _band(np.arange(c0, c1 + 1, dtype=np.int64), blo, top)
-        X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, mode)
+        X, Y, redecided = _exact_images(forms, A, B, mode)
         rows = bhi - blo + 1
         tallies = []
         for shape in shapes:
@@ -303,11 +302,11 @@ def _grid_census(ctx, M, mode, kind, keep_points, threads):
             nc = X.shape[1] - max(da for da, _ in shape)
             imgs = [(X[db:db + nr, da:da + nc], Y[db:db + nr, da:da + nc]) for da, db in shape]
             tallies.append(tally(*found(imgs)))
-        return (X.size, redecided, scalar), tallies
+        return (X.size, redecided), tallies
 
     bands = _run_bands(-R, R, 2 * R + 1, worker, threads)
-    scanned, redecided, scalar = map(sum, zip(*(n for n, _ in bands)))
-    counters = dict(scanned_pts=scanned, redecided_pts=redecided, scalar_pts=scalar)
+    scanned, redecided = map(sum, zip(*(n for n, _ in bands)))
+    counters = dict(scanned_pts=scanned, redecided_pts=redecided)
     tallies = [t for _, band in bands for t in band]
     count = sum(n for n, _ in tallies)
     if not keep_points:
@@ -465,7 +464,7 @@ def _separable_census(ctx, M, mode, kind, keep_points, slope):
     for lo, hi in _bands(0, len(weights) - 1, len(weights)):
         rows = slice(lo, hi + 1)
         count += int(weights[rows] @ (bad(rows, slice(None)) @ weights))
-    counters = dict(scanned_pts=scanned, redecided_pts=0, scalar_pts=0)
+    counters = dict(scanned_pts=scanned, redecided_pts=0)
     if not keep_points:
         return count, None, counters
     W = 2 * M + 1
@@ -559,7 +558,7 @@ def brute_force_census(
     if cap is not None and M > cap:
         raise CapExceeded(f"brute-force window M={M} exceeds the cap {cap}")
     start = time.perf_counter()
-    counts, redecided, scalar = _image_histogram(ctx, M, mode, threads)
+    counts, redecided = _image_histogram(ctx, M, mode, threads)
     if kind is CensusKind.COLLISIONS:
         mask = counts >= 2
         pair_count = int(sum(math.comb(int(c), 2) for c in counts[mask])) if count_pairs else None
@@ -580,13 +579,11 @@ def brute_force_census(
         pair_count=pair_count,
         scanned_pts=(2 * _domain_radius(M) + 1) ** 2,
         redecided_pts=redecided,
-        scalar_pts=scalar,
     )
 
 
 def _image_histogram(ctx, M, mode, threads):
-    """(histogram of the window's images, flagged points the enclosures
-    decided, flagged points discrete_rotate decided)."""
+    """(histogram of the window's images, flagged points re-decided)."""
     R = _domain_radius(M)
     W = 2 * M + 1
     forms = image_forms(ctx, mode, max_abs=R)
@@ -594,16 +591,16 @@ def _image_histogram(ctx, M, mode, threads):
 
     def worker(span):
         A, B = _band(cols, *span)
-        X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, mode)
+        X, Y, redecided = _exact_images(forms, A, B, mode)
         keep = (np.abs(X) <= M) & (np.abs(Y) <= M)
-        return (X[keep] + M) * W + (Y[keep] + M), redecided, scalar
+        return (X[keep] + M) * W + (Y[keep] + M), redecided
 
     # one histogram of all bands' images: a histogram per band would
     # allocate and add the whole window per band
-    parts, redecided, scalar = zip(*_run_bands(-R, R, 2 * R + 1, worker, threads))
+    parts, redecided = zip(*_run_bands(-R, R, 2 * R + 1, worker, threads))
     idx = np.concatenate(parts)
     del parts  # free the bands' arrays before the histogram is allocated
-    return np.bincount(idx, minlength=W * W), sum(redecided), sum(scalar)
+    return np.bincount(idx, minlength=W * W), sum(redecided)
 
 
 def collision_preimages(
@@ -611,7 +608,7 @@ def collision_preimages(
 ) -> dict[tuple[int, int], list[tuple[int, int]]]:
     """Brute-force map image -> list of preimages, for images inside the
     window with multiplicity >= 2 (oracle-side diagnostics)."""
-    counts, _, _ = _image_histogram(ctx, M, mode, threads)
+    counts, _ = _image_histogram(ctx, M, mode, threads)
     W = 2 * M + 1
     hot = counts >= 2
     R = _domain_radius(M)
@@ -621,7 +618,7 @@ def collision_preimages(
 
     for blo, bhi in _bands(-R, R, 2 * R + 1):
         A, B = _band(cols, blo, bhi)
-        X, Y, _, _ = _exact_images(ctx, forms, A, B, mode)
+        X, Y, _ = _exact_images(forms, A, B, mode)
         inwin = (np.abs(X) <= M) & (np.abs(Y) <= M)
         idx = (X + M) * W + (Y + M)
         sel = inwin & hot[np.clip(idx, 0, W * W - 1)]

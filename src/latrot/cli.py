@@ -15,11 +15,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 from . import census as census_mod
 from . import orbits as orbits_mod
@@ -48,6 +50,7 @@ _CONFIG_KEYS = {"threads", "format", "oracle_cap", "max_steps", "max_radius",
                 "precision_bits"}
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> _Parser:
     p = _Parser(prog="latrot", description=__doc__.splitlines()[0])
     common = argparse.ArgumentParser(add_help=False)
@@ -148,6 +151,20 @@ def _config_int(config: dict, key: str) -> int:
         raise UsageError(f"config {key}={config[key]!r}: expected an integer") from exc
 
 
+@contextmanager
+def _config_precision(ns):
+    """A config file's precision_bits as LATTICE_ROT_PRECISION_BITS for
+    one call; a value set in the environment wins."""
+    scoped = ns.precision_bits is not None and _ENV_BITS not in os.environ
+    if scoped:
+        os.environ[_ENV_BITS] = str(ns.precision_bits)
+    try:
+        yield
+    finally:
+        if scoped:
+            del os.environ[_ENV_BITS]
+
+
 def parse_args(argv) -> argparse.Namespace:
     """Validated command; raises UsageError with the offending flag named."""
     ns = build_parser().parse_args(argv)
@@ -167,14 +184,15 @@ def parse_args(argv) -> argparse.Namespace:
         raise UsageError("--max-steps must be positive")
     if getattr(ns, "max_radius", None) is not None and ns.max_radius < 0:
         raise UsageError("--max-radius must be nonnegative")
-    if "precision_bits" in config:
-        os.environ.setdefault(_ENV_BITS, str(_config_int(config, "precision_bits")))
+    ns.precision_bits = (_config_int(config, "precision_bits")
+                         if "precision_bits" in config else None)
 
-    try:
-        if hasattr(ns, "angle"):
-            ns.ctx = context_from_text(ns.angle)
-    except LatrotError as exc:
-        raise UsageError(f"--angle {ns.angle!r}: {exc}") from exc
+    with _config_precision(ns):
+        try:
+            if hasattr(ns, "angle"):
+                ns.ctx = context_from_text(ns.angle)
+        except LatrotError as exc:
+            raise UsageError(f"--angle {ns.angle!r}: {exc}") from exc
     if getattr(ns, "M", None) is not None and ns.M < 0:
         raise UsageError("--M must be nonnegative")
     if ns.command == "growth":
@@ -186,7 +204,8 @@ def parse_args(argv) -> argparse.Namespace:
             raise UsageError("--Ms needs at least 3 strictly increasing values")
     if ns.command == "udist":
         try:
-            ns.box = InequalityBox(parse_scalar(ns.t1), parse_scalar(ns.t2))
+            with _config_precision(ns):
+                ns.box = InequalityBox(parse_scalar(ns.t1), parse_scalar(ns.t2))
         except LatrotError as exc:
             raise UsageError(f"--t1/--t2: {exc}") from exc
     if ns.command == "pyth" and ns.qmax < 5:
@@ -285,7 +304,7 @@ def _handle_census(ns, out, started):
         if ns.emit_points:
             payload["points"] = [[x, y] for x, y in rep.points or []]
         _emit_json(out, payload, rep.elapsed_ms, scanned_pts=rep.scanned_pts,
-                   redecided_pts=rep.redecided_pts, scalar_pts=rep.scalar_pts)
+                   redecided_pts=rep.redecided_pts)
     else:
         out.write("angle,mode,kind,M,count,method,elapsed_ms\n")
         out.write(
@@ -488,7 +507,8 @@ def main(argv=None, out=None, err=None) -> int:
         err.write(f"usage error: {exc}\n")
         return 2
     try:
-        return run(ns, out)
+        with _config_precision(ns):
+            return run(ns, out)
     except LatrotError as exc:
         err.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

@@ -495,6 +495,19 @@ def _sign_p_plus_q_sqrt(A: int, B: int, d: int) -> int:
     return 1 if rhs > lhs else -1 if rhs < lhs else 0
 
 
+def refine(decide, start: int, what: str):
+    """decide(bits) from the start precision (at least 16 bits), doubling
+    while it returns None; UndecidableAtPrecision if still None at the cap."""
+    bits = max(16, start)
+    while True:
+        got = decide(bits)
+        if got is not None:
+            return got
+        if bits >= MAX_PRECISION_BITS:
+            raise UndecidableAtPrecision(f"{what} undecided at {bits} bits")
+        bits *= 2
+
+
 def _enclosure(mid, rad):
     """Endpoints mid - rad and mid + rad, computed exactly: rounding them
     could move an endpoint across the integer or the zero being decided."""
@@ -505,28 +518,21 @@ def floor_exact(s: Scalar) -> int:
     """Provably correct floor(s).
 
     Rational: integer division.  QuadIrr: integer square comparisons.
-    HighPrec: interval refinement with doubling precision; raises
-    UndecidableAtPrecision when the interval still straddles an integer
-    at the cap (the value may actually be an integer).
+    HighPrec: interval refinement with doubling precision (refine);
+    raises UndecidableAtPrecision when the interval still straddles an
+    integer at the cap (the value may actually be an integer).
     """
     if isinstance(s, Rational):
         return s.numerator // s.denominator
     if isinstance(s, QuadIrr):
         return (s.p + _floor_sqrt_multiple(s.q, s.d)) // s.den
     if isinstance(s, HighPrec):
-        bits = max(16, s.precision_bits)
-        while True:
-            mid, rad = s.eval(bits)
-            lo, hi = _enclosure(mid, rad)
-            flo = to_int(lo, "f")
-            if flo == to_int(hi, "f"):
-                return flo
-            if bits >= MAX_PRECISION_BITS:
-                raise UndecidableAtPrecision(
-                    f"floor undecided at {bits} bits (value within "
-                    f"{to_str(rad, 5)} of an integer)"
-                )
-            bits *= 2
+
+        def decide(bits):
+            lo, hi = (to_int(e, "f") for e in _enclosure(*s.eval(bits)))
+            return lo if lo == hi else None
+
+        return refine(decide, s.precision_bits, "floor")
     raise TypeError(f"not a Scalar: {type(s).__name__}")
 
 
@@ -559,20 +565,12 @@ def compare(s1, s2) -> int:
     s1, s2 = _coerce_strict(s1), _coerce_strict(s2)
     if isinstance(s1, HighPrec) or isinstance(s2, HighPrec):
         diff = _hp_add(as_highprec(s1), _hp_neg(as_highprec(s2)))
-        bits = max(16, diff.precision_bits)
-        while True:
-            lo, hi = _enclosure(*diff.eval(bits))
-            if mpf_sign(lo) > 0:
-                return 1
-            if mpf_sign(hi) < 0:
-                return -1
-            if mpf_sign(lo) == mpf_sign(hi) == 0:
-                return 0
-            if bits >= MAX_PRECISION_BITS:
-                raise UndecidableAtPrecision(
-                    f"comparison undecided at {bits} bits"
-                )
-            bits *= 2
+
+        def decide(bits):
+            lo, hi = (mpf_sign(e) for e in _enclosure(*diff.eval(bits)))
+            return lo if lo == hi else None  # the sign, once both ends agree
+
+        return refine(decide, diff.precision_bits, "comparison")
     if isinstance(s1, Rational) and isinstance(s2, Rational):
         a, b = s1.as_fraction(), s2.as_fraction()
         return (a > b) - (a < b)

@@ -29,16 +29,16 @@ integers lo <= L*2^k <= hi, and floor(L) is decided when lo and hi have
 the same floor at 2^k.  A quadratic form encloses each point exactly
 from its P and Q, so an integer L has lo == hi.  Truncation is decided
 when L is known to be an integer (lo == hi) or not (lo above the
-floor); {L} < t when the enclosures of L - floor(L) and of t lie apart.
-Only a point its enclosure cannot separate goes on to the exact scalar
-layer (discrete_rotate, or exact_frac_lt), which escalates precision
-and raises UndecidableAtPrecision on a true boundary.
+floor); the points left open are enclosed again at doubling precision
+(exactnum.refine), until UndecidableAtPrecision on a true boundary.
+{L} < t when the enclosures of L - floor(L) and of t lie apart; only a
+point they cannot separate goes on to exact_frac_lt.
 
 The quadratic vector methods run in int64, guarded at construction by
 the window bound (and in frac_lt by the bound's denominator).  A window
 past the guard, or a frac_lt bound that is not rational, runs through
 the float prefilter over the same coefficients, and its flagged points
-are re-decided as above; the scalar point evaluator uses Python ints
+are re-decided as above; the quadratic point evaluator uses Python ints
 and needs no guard.
 
 _exact_images is the one image kernel every scan runs: the censuses'
@@ -75,8 +75,9 @@ from .exactnum import (
     dyadic_enclosure,
     floor_exact,
     frac_part,
+    refine,
 )
-from .rotation import RoundingMode, discrete_rotate
+from .rotation import RoundingMode
 
 _INT64_SAFE = 1 << 62
 _SQRT_SAFE = 1 << 52  # float-assisted isqrt is exact below this
@@ -141,11 +142,11 @@ class LinearForm:
     Vector methods return (values, uncertain) where `uncertain` is None
     when every entry is exact, else a boolean mask of entries the caller
     must re-decide.  The decide_* methods re-decide a batch of points
-    from integer enclosures of L*2^bits, with None where the enclosure
-    cannot separate a point, which the exact_* methods then decide.
-    point(trunc) returns the scalar evaluator (x, y) -> floor(L), or L
-    truncated toward 0 when trunc, with None where only the exact layer
-    can decide.
+    from integer enclosures of L*2^bits: decide_floor settles every
+    point, decide_frac_lt leaves None where the enclosures cannot
+    separate a point, which exact_frac_lt then decides.  point(trunc)
+    returns the scalar evaluator (x, y) -> floor(L), or L truncated
+    toward 0 when trunc.
     """
 
     def __init__(self, alpha: Scalar, beta: Scalar, gamma: Scalar):
@@ -180,19 +181,27 @@ class LinearForm:
         ]
 
     def decide_floor(self, xs, ys, trunc: bool = False) -> list:
-        """floor(L), or L truncated toward 0 when trunc, at each point its
-        enclosure decides; None where it straddles the boundary."""
-        bits = self._bits
-        out = []
-        for lo, hi in self.enclose(xs, ys, bits):
-            F = lo >> bits
-            if hi >> bits != F:
-                out.append(None)
-            elif trunc and F < 0 and lo == F << bits:
-                out.append(F if hi == lo else None)  # L = F only if lo == hi
-            else:
-                out.append(F + 1 if trunc and F < 0 else F)
-        return out
+        """floor(L), or L truncated toward 0 when trunc, at each point:
+        one pass at the form's precision, then the points left open at
+        doubling precision (exactnum.refine, which raises
+        UndecidableAtPrecision at its cap)."""
+        out = [None] * len(xs)
+
+        def settle(bits):
+            todo = [i for i, v in enumerate(out) if v is None]
+            got = self.enclose([xs[i] for i in todo], [ys[i] for i in todo], bits)
+            for i, (lo, hi) in zip(todo, got):
+                F = lo >> bits
+                if hi >> bits != F:
+                    continue
+                if trunc and F < 0 and lo == F << bits:
+                    if hi == lo:  # L = F only if lo == hi
+                        out[i] = F
+                else:
+                    out[i] = F + 1 if trunc and F < 0 else F
+            return None if None in out else out
+
+        return refine(settle, self._bits, "floor")
 
     def decide_frac_lt(self, xs, ys, t: Scalar) -> list:
         """{L} < t at each point where the enclosures of L - floor(L) and
@@ -374,7 +383,7 @@ class QuadForm(LinearForm):
 
 class FloatForm(LinearForm):
     """float64 prefilter with conservative slack; callers re-decide the
-    flagged points through exact_* (high-precision escalation)."""
+    flagged points through decide_* (integer enclosures)."""
 
     def __init__(self, alpha, beta, gamma, max_abs: int):
         super().__init__(alpha, beta, gamma)
@@ -414,7 +423,7 @@ class FloatForm(LinearForm):
             F = floor(L)
             s = max(_MIN_SLACK, (abs(x) + abs(y)) * k + k0)
             if not s <= L - F <= 1 - s:
-                return None
+                return self.decide_floor([x], [y], trunc)[0]
             return F + 1 if trunc and F < 0 else F  # L is not an integer
 
         return value
@@ -491,46 +500,25 @@ def _images(forms, A, B, mode: RoundingMode = RoundingMode.FLOOR):
     return X, Y, np.logical_or.reduce(flags) if flags else None
 
 
-def _redecide(xs, ys, batches, exact):
-    """Each point's decisions from the batches, or exact(x, y) where a
-    batch left one open; returns (decisions, points exact decided)."""
-    out, scalar = [], 0
-    for x, y, *got in zip(xs, ys, *batches):
-        if None in got:
-            got = exact(x, y)
-            scalar += 1
-        out.append(got)
-    return out, scalar
-
-
-def _exact_images(ctx, forms, A, B, mode):
+def _exact_images(forms, A, B, mode):
     """Exact images (X, Y) of the points (A, B), and how many flagged
-    points the forms' enclosures decided and how many went to
-    discrete_rotate.
-
-    _images, with the flagged points re-decided in one batch per form
-    (decide_floor); a point either enclosure leaves open goes to the
-    exact scalar map discrete_rotate (thread-safe), which escalates its
-    precision."""
+    points they hold: _images, with the flagged points re-decided in one
+    batch per form (decide_floor)."""
     X, Y, unc = _images(forms, A, B, mode)
     if unc is None:
-        return X, Y, 0, 0
+        return X, Y, 0
     idx = np.nonzero(unc)
     xs, ys = A[idx].tolist(), B[idx].tolist()
     trunc = mode is RoundingMode.TRUNC
-    got, scalar = _redecide(
-        xs, ys, [k.decide_floor(xs, ys, trunc) for k in forms],
-        lambda x, y: discrete_rotate(ctx, (x, y), mode),
-    )
-    XY = np.array(got, dtype=np.int64).reshape(-1, 2)
-    X[idx], Y[idx] = XY[:, 0], XY[:, 1]
-    return X, Y, len(xs) - scalar, scalar
+    X[idx], Y[idx] = (k.decide_floor(xs, ys, trunc) for k in forms)
+    return X, Y, len(xs)
 
 
 def _exact_box(forms, A, B, ts):
     """Mask of the points (A, B) with {L} < t for both forms and their
     bounds ts, and how many flagged points the forms' enclosures decided
-    and how many went to the scalar exact_frac_lt."""
+    and how many went to the scalar exact_frac_lt (a tie {L} = t, or a
+    floor the enclosure left open)."""
     (m1, u1), (m2, u2) = (k.frac_lt(A, B, t, strict=True) for k, t in zip(forms, ts))
     m = m1 & m2
     flags = [u for u in (u1, u2) if u is not None]
@@ -538,11 +526,14 @@ def _exact_box(forms, A, B, ts):
         return m, 0, 0
     idx = np.nonzero(np.logical_or.reduce(flags))
     xs, ys = A[idx].tolist(), B[idx].tolist()
-    got, scalar = _redecide(
-        xs, ys, [k.decide_frac_lt(xs, ys, t) for k, t in zip(forms, ts)],
-        lambda x, y: [k.exact_frac_lt(x, y, t) for k, t in zip(forms, ts)],
-    )
-    m[idx] = [all(g) for g in got]
+    batches = [k.decide_frac_lt(xs, ys, t) for k, t in zip(forms, ts)]
+    out, scalar = [], 0
+    for x, y, *got in zip(xs, ys, *batches):
+        if None in got:
+            got = [k.exact_frac_lt(x, y, t) for k, t in zip(forms, ts)]
+            scalar += 1
+        out.append(all(got))
+    m[idx] = out
     return m, len(xs) - scalar, scalar
 
 
@@ -552,27 +543,17 @@ def make_step(ctx: AngleContext, mode: RoundingMode = RoundingMode.FLOOR):
     Each coordinate is its image form's point evaluator: exact integer
     arithmetic whenever sin/cos live in one quadratic field (every
     pi-multiple, Pythagorean and same-field angle), else float64 whose
-    decisions are provably correct outside the slack, with the point
-    re-decided exactly inside it.
+    decisions are provably correct outside the slack, with a point
+    inside it re-decided by its form's enclosure batch (decide_floor).
     """
     if not isinstance(mode, RoundingMode):
         raise TypeError(f"mode must be a RoundingMode, got {mode!r}")
     trunc = mode is RoundingMode.TRUNC
     k1, k2 = image_forms(ctx, mode, max_abs=0)
     f1, f2 = k1.point(trunc), k2.point(trunc)
-    if isinstance(k1, QuadForm):
 
-        def step(p):
-            x, y = p
-            return f1(x, y), f2(x, y)
-
-    else:
-
-        def step(p):
-            x, y = p
-            a, b = f1(x, y), f2(x, y)
-            if a is None or b is None:
-                return discrete_rotate(ctx, p, mode)
-            return a, b
+    def step(p):
+        x, y = p
+        return f1(x, y), f2(x, y)
 
     return step

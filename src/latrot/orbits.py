@@ -264,7 +264,7 @@ def _successors(ctx, mode, R, radius) -> np.ndarray:
     cols = np.arange(-R, R + 1, dtype=np.int64)
     for blo, bhi in _bands(-R, R, W):
         A, B = _band(cols, blo, bhi)
-        X, Y, _, _ = _exact_images(ctx, forms, A, B, mode)
+        X, Y, _ = _exact_images(forms, A, B, mode)
         inside = (np.abs(X) <= bound) & (np.abs(Y) <= bound)
         if bound < R:
             inside &= (np.abs(A) <= bound) & (np.abs(B) <= bound)
@@ -489,7 +489,7 @@ def verify_period8(
         X, Y = a, np.zeros_like(a)
         chain = [(X, Y)]
         for _ in range(8):
-            X, Y, _, _ = _exact_images(ctx, forms, X, Y, RoundingMode.FLOOR)
+            X, Y, _ = _exact_images(forms, X, Y, RoundingMode.FLOOR)
             if max(np.abs(X).max(), np.abs(Y).max()) > max_abs:
                 raise ArithmeticError("a period-8 chain left the window its forms are exact on")
             chain.append((X, Y))

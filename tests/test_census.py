@@ -28,6 +28,7 @@ from latrot import census
 from latrot.errors import CapExceeded, DegenerateCounts, UndecidableAtPrecision
 from latrot.exactnum import compare, quad, rational
 from latrot.kernels import _band, _domain_radius, _exact_images, image_forms
+from latrot.orbits import detect_cycle
 from latrot.rotation import RoundingMode, discrete_rotate
 
 FLOAT_PI4 = "rad:~" + repr(math.pi / 4)
@@ -345,7 +346,7 @@ def test_row_spans_hold_every_needed_point(text, M):
     inside = (A >= lo[B + R]) & (A <= hi[B + R])
     for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
         forms = image_forms(ctx, mode, max_abs=R)
-        X, Y, _, _ = _exact_images(ctx, forms, A, B, mode)
+        X, Y, _ = _exact_images(forms, A, B, mode)
         needed = (np.abs(X) <= M + 1) & (np.abs(Y) <= M + 1)
         assert not (needed & ~inside).any(), mode
 
@@ -386,22 +387,25 @@ def test_census_counts_the_redecided_points():
     for run, kind in ((collision_census, CensusKind.COLLISIONS), (hole_census, CensusKind.HOLES)):
         for threads in (1, 2):
             rep = run(floated, 16, threads=threads)
-            assert rep.redecided_pts > 0 and rep.scalar_pts == 0
+            assert rep.redecided_pts > 0
             assert rep.redecided_pts < rep.scanned_pts
         rep = brute_force_census(floated, 16, RoundingMode.FLOOR, kind)
-        assert rep.redecided_pts > 0 and rep.scalar_pts == 0
+        assert rep.redecided_pts > 0
         for rep in (run(exact, 16), brute_force_census(exact, 16, RoundingMode.FLOOR, kind)):
-            assert rep.redecided_pts == rep.scalar_pts == 0
+            assert rep.redecided_pts == 0
 
 
 def test_true_boundaries_stay_undecidable():
-    # sin(0) is known only as an interval about 0, so x*cos - y*sin
-    # straddles an integer at every precision: the residual raises
+    # sin(0) is known only as an interval about 0, so x*sin + y*cos
+    # straddles an integer at every precision: the enclosure batch raises
+    # at its cap, in the censuses and in an orbit step alike
     ctx = context_from_text("rad:~0")
     with pytest.raises(UndecidableAtPrecision):
         collision_census(ctx, 2)
     with pytest.raises(UndecidableAtPrecision):
         brute_force_census(ctx, 2, RoundingMode.FLOOR, CensusKind.COLLISIONS)
+    with pytest.raises(UndecidableAtPrecision):
+        detect_cycle(ctx, (1, 0))
 
 
 # ROUND (collisions, holes) at M=64, the same in both orientations: the
@@ -461,7 +465,7 @@ def test_separable_agrees_with_grid_and_oracle(text):
         for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
             for kind in CensusKind:
                 n, idx, counters = census._separable_census(ctx, M, mode, kind, True, slope)
-                assert counters["redecided_pts"] == counters["scalar_pts"] == 0
+                assert counters["redecided_pts"] == 0
                 want = brute_force_census(ctx, M, mode, kind, keep_points=True)
                 assert (n, _sorted_points(idx, M)) == (want.count, want.points), (M, mode, kind)
                 assert grid(ctx, M, mode, kind) == (want.count, want.points), (M, mode, kind)

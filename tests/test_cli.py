@@ -59,7 +59,11 @@ def test_meta_reports_redecided_points():
                  ("udist", "--angle", float_pi4, "--M", "30", "--t1", "1/2", "--t2", "1/3")):
         _, out, _ = run_cli(*argv, "--format", "json")
         data = json.loads(out)
-        assert data["meta"]["redecided_pts"] > 0 and data["meta"]["scalar_pts"] == 0
+        assert data["meta"]["redecided_pts"] > 0
+        # census flagged points are all settled by the enclosure batch;
+        # udist still counts its ties {L} = t
+        assert data["meta"].get("scalar_pts", 0) == 0
+        assert ("scalar_pts" in data["meta"]) == (argv[0] == "udist")
         assert "redecided_pts" not in data and "scalar_pts" not in data
         _, out, _ = run_cli(*argv)
         assert "redecided" not in out and "scalar" not in out
@@ -74,6 +78,9 @@ def test_undecidable_census_exits_1():
         code, _, err = run_cli("census", "--angle", "rad:~0", "--M", "2",
                                "--kind", "collisions", *extra)
         assert code == 1 and "UndecidableAtPrecision" in err, extra
+    # an orbit step on the same boundary
+    code, _, err = run_cli("orbit", "--angle", "rad:~0", "--start", "1,0")
+    assert code == 1 and "UndecidableAtPrecision" in err
 
 
 def test_census_csv_header():
@@ -167,7 +174,7 @@ def test_oracle_flag_forces_brute_force():
                             "--format", "json")
         data = json.loads(out)
         assert data["method"] == method
-        assert data["meta"]["redecided_pts"] == data["meta"]["scalar_pts"] == 0
+        assert data["meta"]["redecided_pts"] == 0 and "scalar_pts" not in data["meta"]
     # growth takes the same flag; round fits count residue classes without it
     argv = ["growth", "--angle", "pi/4", "--mode", "round", "--kind", "holes",
             "--Ms", "16,32,64", "--format", "json"]
@@ -299,6 +306,21 @@ def test_env_var_precision(monkeypatch):
     code, out, _ = run_cli("classify", "--angle", "rad:~1.0", "--format", "json")
     assert code == 0
     assert json.loads(out)["angle"].endswith("@192")
+
+
+def test_config_precision_stays_in_its_own_call(tmp_path, monkeypatch):
+    monkeypatch.delenv("LATTICE_ROT_PRECISION_BITS", raising=False)
+    cfg = tmp_path / "bits.cfg"
+    cfg.write_text("precision_bits=64\n")
+    argv = ("classify", "--angle", "rad:~1.0", "--format", "json")
+    angles = [json.loads(run_cli(*args)[1])["angle"]
+              for args in (argv, argv + ("--config", str(cfg)), argv)]
+    assert angles == ["rad:~1@128", "rad:~1@64", "rad:~1@128"]
+    assert "LATTICE_ROT_PRECISION_BITS" not in os.environ
+    # a value set in the environment still wins over the config's
+    monkeypatch.setenv("LATTICE_ROT_PRECISION_BITS", "192")
+    assert json.loads(run_cli(*argv, "--config", str(cfg))[1])["angle"].endswith("@192")
+    assert os.environ["LATTICE_ROT_PRECISION_BITS"] == "192"
 
 
 def test_env_var_precision_must_be_an_integer(monkeypatch):

@@ -1,7 +1,7 @@
 """The exact quadratic kernel: fractional-part tests by one remainder,
 checked against the scalar exact layer, and square roots read from the
 per-form table; the batched re-decision of flagged points from integer
-enclosures, checked against discrete_rotate."""
+enclosures, checked against discrete_rotate, which is not on its path."""
 
 import ast
 import math
@@ -11,7 +11,7 @@ import sys
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from latrot import census, kernels, orbits, udist
+from latrot import census, kernels, orbits, rotation, udist
 from latrot.angle import context_from_text
 from latrot.census import CensusKind, _grid_census, _sorted_points, brute_force_census
 from latrot.exactnum import ZERO, compare, frac_part, highprec, parse_scalar, quad, rational
@@ -23,6 +23,7 @@ from latrot.kernels import (
     _images,
     image_forms,
     make_form,
+    make_step,
     vfloor_sqrt_multiple,
 )
 from latrot.rotation import RoundingMode, discrete_rotate
@@ -210,9 +211,8 @@ def test_enclosure_batch_matches_discrete_rotate(angle, mode, points, bound):
     want = [discrete_rotate(ctx, p, mode) for p in points]
     xs, ys = [x for x, _ in points], [y for _, y in points]
     A, B = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
-    X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, mode)
+    X, Y, redecided = _exact_images(forms, A, B, mode)
     assert list(zip(X.tolist(), Y.tolist())) == want
-    assert scalar == 0
     # every point, flagged or not: the coefficients' 128 bits decide it
     for c, k in enumerate(forms):
         assert k.decide_floor(xs, ys, mode is RoundingMode.TRUNC) == [w[c] for w in want]
@@ -255,12 +255,13 @@ def test_quadratic_enclosures_decide_every_point():
 
 def test_enclosures_of_general_forms():
     # -1 + 2^-10 encloses as [-256, -255] at 8 bits: the floor is -1, but
-    # whether L is the integer -1 stays open until a finer enclosure
-    for value, want8, want in (("-0.9990234375", None, 0), ("-1", -1, -1), ("-1.5", -1, -1)):
+    # whether L is the integer -1 stays open until a finer enclosure,
+    # which the batch reaches from an 8-bit start too
+    for value, want in (("-0.9990234375", 0), ("-1", -1), ("-1.5", -1)):
         k = make_form(highprec(value), ZERO, ZERO, max_abs=1)
         assert k.decide_floor([1], [0], trunc=True) == [want], value
         k._bits = 8
-        assert k.decide_floor([1], [0], trunc=True) == [want8], value
+        assert k.decide_floor([1], [0], trunc=True) == [want], value
     # an irrational constant term: L = x + sqrt(2)/2
     k = make_form(rational(1), ZERO, quad(0, 1, 2, 2), max_abs=5)
     xs = list(range(-5, 6))
@@ -269,9 +270,22 @@ def test_enclosures_of_general_forms():
     assert k.decide_frac_lt(xs, [0] * 11, rational(3, 4)) == [True] * 11
 
 
-def test_undecided_points_go_to_the_scalar_layer():
-    # at 8 bits the enclosures cannot separate most flagged points: they
-    # come back as None, not as a guess, and discrete_rotate decides them
+def _spy_enclosures(k):
+    """Record (bits, points) of each enclose call on the form k."""
+    calls, enclose = [], k.enclose
+
+    def spy(xs, ys, bits):
+        calls.append((bits, len(xs)))
+        return enclose(xs, ys, bits)
+
+    k.enclose = spy
+    return calls
+
+
+def test_open_points_escalate_to_the_exact_answer():
+    # from a low start the enclosures cannot separate most flagged
+    # points; the batch encloses only those again, at doubling
+    # precision, until each is settled at discrete_rotate's answer
     cases = 0
     for angle in FLOAT_ANGLES[::2]:  # pi/4 flags in floor and trunc, pi/6 in round
         ctx = context_from_text(angle)
@@ -285,14 +299,20 @@ def test_undecided_points_go_to_the_scalar_layer():
             idx = np.nonzero(unc)
             xs, ys = A[idx].tolist(), B[idx].tolist()
             want = [discrete_rotate(ctx, p, mode) for p in zip(xs, ys)]
-            full = _exact_images(ctx, forms, A, B, mode)
+            full = _exact_images(forms, A, B, mode)
+            escalated = False
             for c, k in enumerate(forms):
                 k._bits = 8
+                calls = _spy_enclosures(k)
                 got = k.decide_floor(xs, ys, mode is RoundingMode.TRUNC)
-                assert None in got, (angle, mode)
-                assert all(g is None or g == w[c] for g, w in zip(got, want)), (angle, mode)
-            X, Y, redecided, scalar = _exact_images(ctx, forms, A, B, mode)
-            assert scalar > 0 and redecided + scalar == len(xs) == full[2]
+                assert got == [w[c] for w in want], (angle, mode)
+                bits, sizes = zip(*calls)
+                assert sizes[0] == len(xs) and list(sizes) == sorted(sizes, reverse=True)
+                assert all(b == 2 * a for a, b in zip(bits, bits[1:])), bits
+                escalated |= len(calls) > 1 and sizes[-1] < len(xs)
+            assert escalated, (angle, mode)
+            X, Y, redecided = _exact_images(forms, A, B, mode)
+            assert redecided == len(xs) == full[2]
             assert list(zip(X[idx].tolist(), Y[idx].tolist())) == want
             assert (X == full[0]).all() and (Y == full[1]).all()
     assert cases >= 3
@@ -319,3 +339,29 @@ def test_flagged_points_are_redecided_only_in_kernels():
     for path in sorted(src.glob("*.py")):
         if path.name != "kernels.py":
             assert "zip(*np.nonzero(" not in path.read_text(), path.name
+
+
+def test_flagged_points_never_reach_the_scalar_map(monkeypatch):
+    # the orbit step and the image batch settle flagged points from
+    # their forms' enclosures alone, even from an 8-bit start; the
+    # scalar map stays an independent oracle
+    def images(text, mode):
+        forms = image_forms(context_from_text(text), mode, max_abs=40)
+        for k in forms:
+            k._bits = 8
+        X, Y, redecided = _exact_images(forms, *_window(40), mode)
+        return X.tolist(), Y.tolist(), redecided
+
+    angles = [FLOAT_ANGLES[0], FLOAT_ANGLES[2], "quad:sin=sqrt(3)/3,cos=sqrt(6)/3"]
+    cases = [(text, mode) for text in angles for mode in RoundingMode]
+    step = lambda: make_step(context_from_text("rad:~0.7853981633974483"))((5, 5))
+    want_step, want = step(), [images(*case) for case in cases]
+    assert sum(r for _, _, r in want) > 0
+
+    def boom(*args, **kwargs):
+        raise AssertionError("the scalar map was called")
+
+    monkeypatch.setattr(rotation, "rotate", boom)
+    assert step() == want_step
+    assert [images(*case) for case in cases] == want
+    assert not hasattr(kernels, "discrete_rotate")
