@@ -353,12 +353,14 @@ def _handle_growth(ns, out, started):
 
 def _handle_udist(ns, out, started):
     parity = Parity.ALL if ns.parity == "all" else Parity.ODD_ODD
-    counters = {"redecided_pts": 0, "scalar_pts": 0}  # the residue counter flags nothing
+    # the residue counter box-tests and flags nothing
+    counters = {"method": "residue", "scanned_pts": 0, "redecided_pts": 0, "scalar_pts": 0}
     if ns.residue:
         count = udist_mod.count_solutions_residue(ns.ctx, ns.box, ns.M, parity)
     else:
         count = udist_mod.count_solutions(ns.ctx, ns.box, ns.M, parity, counters)
-    total = (2 * ns.M + 1) ** 2
+    side = 2 * ns.M + 1 if parity is Parity.ALL else 2 * ((ns.M + 1) // 2)
+    total = side * side
     ratio = count / total if total else 0.0
     angle = ns.ctx.canonical_text()
     row = {

@@ -13,7 +13,10 @@ point evaluator for orbit steps:
   root, so everything stays exact.  A fractional test against a rational
   bound t = tp/tden is one remainder: with N = P*tden +
   floor(Q*tden*sqrt(d)), {L} < t iff N mod (D*tden) < tp*D, and {L} = t
-  iff they are equal and Q = 0.  The roots floor(Q*m*sqrt(d)) are read
+  iff they are equal and Q = 0.  When Q depends on one coordinate only
+  (sin or cos rational), N splits as F(x) + G(y) (split_frac_lt), and
+  the test depends on x and y only through F mod m and G mod m.  The
+  roots floor(Q*m*sqrt(d)) are read
   from a per-form table over |Q| <= the window's bound, built on the
   first call with at least as many points as the table has entries.
 * float prefilter        -- for high-precision or cross-field angles:
@@ -324,15 +327,24 @@ class QuadForm(LinearForm):
             P += self._floor_sqrt(Q, 1)
         return P // self.D, None
 
-    def frac_lt(self, X, Y, t: Scalar, strict: bool = True):
-        # with N = P*tden + floor(Q*tden*sqrt(d)), L = (N + phi)/(D*tden)
-        # for some 0 <= phi < 1, and phi = 0 exactly when Q = 0
+    def _frac_test(self, t: Scalar):
+        """(tden, modulus, bound) of the one-remainder test {L} < t, or
+        None when t is not rational or the test would overflow int64."""
         if not isinstance(t, Rational):
-            return self._prefilter.frac_lt(X, Y, t, strict)
+            return None
         tden = t.denominator
         modulus, bound = self.D * tden, self.D * t.numerator
         if not self._fits(tden) or modulus >= _INT64_SAFE or abs(bound) >= _INT64_SAFE:
+            return None
+        return tden, modulus, bound
+
+    def frac_lt(self, X, Y, t: Scalar, strict: bool = True):
+        # with N = P*tden + floor(Q*tden*sqrt(d)), L = (N + phi)/(D*tden)
+        # for some 0 <= phi < 1, and phi = 0 exactly when Q = 0
+        test = self._frac_test(t)
+        if test is None:
             return self._prefilter.frac_lt(X, Y, t, strict)
+        tden, modulus, bound = test
         N, Q = self._numerators(X, Y)
         N *= tden
         if Q is not None:
@@ -344,6 +356,31 @@ class QuadForm(LinearForm):
         if Q is not None:
             equal &= Q == 0
         return (r < bound) | equal, None
+
+    def split_frac_lt(self, cols: np.ndarray, rows: np.ndarray, t: Scalar):
+        """frac_lt's test {L} < t split by axis, when Q depends on one
+        coordinate only (sin or cos rational): N(x, y) = F(x) + G(y), so
+        {L(x, y)} < t iff (F(x) + G(y)) mod m < bound.  Returns (F mod m
+        over cols, G mod m over rows, m, bound), or None when Q depends
+        on both coordinates or the test would run the prefilter."""
+        test = self._frac_test(t)
+        if test is None or (self.qA and self.qB):
+            return None
+        tden, m, bound = test
+        if self.qA:
+            F, G = self._axis_numerator(self.pA, self.qA, cols, tden), self.pB * tden * rows
+        else:
+            F, G = self.pA * tden * cols, self._axis_numerator(self.pB, self.qB, rows, tden)
+        return _mod_inplace(F, m), _mod_inplace(G, m), m, bound
+
+    def _axis_numerator(self, p: int, q: int, v: np.ndarray, tden: int) -> np.ndarray:
+        """(p*v + pG)*tden + floor((q*v + qG)*tden*sqrt(d)): N along the
+        axis that carries Q and the constant terms.  Each value occurs
+        once, so the roots are computed, not looked up."""
+        N = (p * v + self.pG) * tden
+        if q or self.qG:
+            N += vfloor_sqrt_multiple((q * v + self.qG) * tden, self.d)
+        return N
 
     def frac_zero(self, X, Y):
         # L is an integer iff Q = 0 and D divides P

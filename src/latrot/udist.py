@@ -3,20 +3,28 @@ residue machinery that makes the rational-angle case exactly countable.
 
 The basic question: how many lattice pairs (x1, x2) in |x1|,|x2| <= M
 put both rotation forms' fractional parts into a half-open box
-[0,t1) x [0,t2)?  Two counters:
+[0,t1) x [0,t2)?  count_solutions answers it for any angle, optionally
+restricted to odd-odd pairs, by one of two routes:
 
-* a direct windowed scan (any angle, optionally restricted to odd-odd
-  pairs), and
-* for angles with sin = p1/q, cos = p2/q: a residue-class counter.
-  With h the inverse of p2 modulo q scaled by p1 (2uv*h == u^2-v^2 mod
-  q in triple coordinates), the residue d1 = (a - h*b) mod q determines
-  both fractional parts exactly:
-      {L1(a,b)} = {p2*d1/q},   {L2(a,b)} = {p1*d1/q},
-  so counting reduces to describing the admissible residue classes and
-  counting lattice points per class.
+* separable, when sin or cos is rational and both sides are rational:
+  each form's test is (F(x) + G(y)) mod m < bound
+  (QuadForm.split_frac_lt), so a pair passes by its column class and
+  its row class alone, and the count sums products of class sizes over
+  the class pairs that pass;
+* scan, for every other form or bound: every pair is box-tested in
+  bands (kernels._exact_box), which is also the separable route's
+  oracle.
 
-The two counters are independent algorithms; their exact agreement is a
-primary correctness oracle.
+count_solutions_residue is a third counter, for angles with sin = p1/q,
+cos = p2/q.  With h the inverse of p2 modulo q scaled by p1 (2uv*h ==
+u^2-v^2 mod q in triple coordinates), the residue d1 = (a - h*b) mod q
+determines both fractional parts exactly:
+    {L1(a,b)} = {p2*d1/q},   {L2(a,b)} = {p1*d1/q},
+so counting reduces to describing the admissible residue classes and
+counting lattice points per class.
+
+The residue counter and count_solutions are independent algorithms;
+their exact agreement is a primary correctness oracle.
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ import numpy as np
 from .angle import AngleContext, RationalPythagorean
 from .errors import InvalidSpec
 from .exactnum import Rational, Scalar, ZERO, ONE, compare, rational
-from .kernels import _bands, _exact_box, image_forms
+from .kernels import _INT64_SAFE, QuadForm, _bands, _exact_box, _mod_inplace, image_forms
 from .rotation import RoundingMode
 
 
@@ -148,22 +156,68 @@ def count_solutions(
 ) -> int:
     """Direct windowed count of {L1} in [0,t1) and {L2} in [0,t2).
 
-    A counters dict receives redecided_pts and scalar_pts: the points
-    the float prefilter flagged that the forms' enclosures decided, and
-    those the scalar exact layer decided."""
+    A counters dict receives method ("separable" or "scan"), scanned_pts
+    (the class pairs tested, or the points box-tested), and
+    redecided_pts and scalar_pts: the points the float prefilter flagged
+    that the forms' enclosures decided, and those the scalar exact layer
+    decided."""
     forms = image_forms(ctx, RoundingMode.FLOOR, max_abs=M)
-    vals = _coord_values(M, parity)
+    vals, ts = _coord_values(M, parity), (box.t1, box.t2)
+    total, tally = _separable_count(forms, ts, vals) or _scan_count(forms, ts, vals)
+    if counters is not None:
+        counters.update(tally)
+    return total
+
+
+def _scan_count(forms, ts, vals):
+    """Box-test every pair of vals: the route of every form the
+    separable route cannot split, and its oracle."""
     total = redecided = scalar = 0
     # banded over row indices, so odd-odd rows keep their step of 2
     for i0, i1 in _bands(0, len(vals) - 1, len(vals)):
         A, B = np.broadcast_arrays(vals[None, :], vals[i0 : i1 + 1, None])
-        m, r, s = _exact_box(forms, A, B, (box.t1, box.t2))
+        m, r, s = _exact_box(forms, A, B, ts)
         total += int(np.count_nonzero(m))
         redecided += r
         scalar += s
-    if counters is not None:
-        counters.update(redecided_pts=redecided, scalar_pts=scalar)
-    return total
+    return total, dict(method="scan", scanned_pts=len(vals) ** 2,
+                       redecided_pts=redecided, scalar_pts=scalar)
+
+
+def _classes(a: np.ndarray, b: np.ndarray, mb: int):
+    """The distinct pairs (a[i], b[i]), 0 <= b < mb, and how often each
+    occurs; the caller keeps a*mb + b inside int64."""
+    keys, counts = np.unique(a * mb + b, return_counts=True)
+    return keys // mb, keys % mb, counts
+
+
+def _separable_count(forms, ts, vals):
+    """(count, counters) when both forms split by axis
+    (QuadForm.split_frac_lt), else None.
+
+    With N_k(x, y) = F_k(x) + G_k(y), a pair passes when (F_k(x) +
+    G_k(y)) mod m_k < bound_k for k = 1, 2; that depends on x only
+    through its column class (F1(x) mod m1, F2(x) mod m2) and on y only
+    through its row class.  Each class pair that passes adds the product
+    of the classes' sizes.  There are never more class pairs than
+    points, so this never does more work than the scan."""
+    if not all(isinstance(k, QuadForm) for k in forms):
+        return None
+    splits = [k.split_frac_lt(vals, vals, t) for k, t in zip(forms, ts)]
+    if None in splits:
+        return None
+    (F1, G1, m1, b1), (F2, G2, m2, b2) = splits
+    if m1 * m2 >= _INT64_SAFE:  # a class's key would overflow
+        return None
+    c1, c2, wc = _classes(F1, F2, m2)
+    r1, r2, wr = _classes(G1, G2, m2)
+    total = 0
+    for i0, i1 in _bands(0, len(wr) - 1, len(wc)):
+        ok = _mod_inplace(c1[None, :] + r1[i0 : i1 + 1, None], m1) < b1
+        ok &= _mod_inplace(c2[None, :] + r2[i0 : i1 + 1, None], m2) < b2
+        total += int(wr[i0 : i1 + 1] @ (ok @ wc))
+    return total, dict(method="separable", scanned_pts=len(wc) * len(wr),
+                       redecided_pts=0, scalar_pts=0)
 
 
 def _count_residue_class(M: int, s: int, modulus: int) -> int:

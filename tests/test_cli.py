@@ -73,6 +73,36 @@ def test_meta_reports_redecided_points():
     assert meta["redecided_pts"] == meta["scalar_pts"] == 0
 
 
+def test_udist_meta_reports_its_route():
+    # meta names the route and its work; the payload and CSV row keep their bytes
+    base = ("udist", "--M", "30", "--t1", "1/2", "--t2", "1/3")
+    for angle, extra, method, scanned in (
+        ("pyth:3,4,5", (), "separable", 25),  # 5 column by 5 row classes
+        ("pi/4", (), "scan", 61 * 61),
+        ("pyth:3,4,5", ("--residue",), "residue", 0),
+    ):
+        _, out, _ = run_cli(*base, "--angle", angle, *extra, "--format", "json")
+        data = json.loads(out)
+        assert (data["meta"]["method"], data["meta"]["scanned_pts"]) == (method, scanned), angle
+        assert "method" not in data and "scanned_pts" not in data
+        _, out, _ = run_cli(*base, "--angle", angle, *extra)
+        assert out.splitlines()[0] == "angle,t1,t2,M,parity,count,ratio"
+
+
+def test_udist_odd_odd_ratio_counts_odd_pairs():
+    # 30 odd values in [-30, 30]: the full box holds all 900 odd-odd pairs
+    base = ("udist", "--angle", "pyth:3,4,5", "--t1", "1", "--t2", "1", "--parity", "oddodd")
+    for M, count, ratio in (("30", 900, 1.0), ("0", 0, 0.0)):
+        _, out, _ = run_cli(*base, "--M", M, "--format", "json")
+        data = json.loads(out)
+        assert (data["count"], data["ratio"]) == (count, ratio)
+        _, out, _ = run_cli(*base, "--M", M)
+        assert out.splitlines()[1] == f'"pyth:3,4,5",1,1,{M},odd_odd,{count},{ratio}'
+    _, out, _ = run_cli("udist", "--angle", "pyth:3,4,5", "--t1", "1/2", "--t2", "1/3",
+                        "--M", "7", "--parity", "oddodd")
+    assert out.splitlines()[1] == '"pyth:3,4,5",1/2,1/3,7,odd_odd,12,0.1875'  # 12 of 8 * 8
+
+
 def test_undecidable_census_exits_1():
     for extra in ((), ("--oracle",)):
         code, _, err = run_cli("census", "--angle", "rad:~0", "--M", "2",

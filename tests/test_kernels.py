@@ -134,8 +134,9 @@ def test_threads_share_lazily_built_tables(monkeypatch):
 
 def test_root_tables_in_use_at_benchmark_sizes(monkeypatch):
     # a default band holds more points than the table of a census at
-    # M=256, a udist count at M=1000 or a sweep at M=300 has entries; the
-    # period-8 chains are short and keep the direct root
+    # M=256, a udist scan at M=1000 or a sweep at M=300 has entries; the
+    # period-8 chains are short and keep the direct root (udist's
+    # separable route takes each root once and keeps no table)
     made = []
 
     def capture(*args, **kwargs):
@@ -147,7 +148,7 @@ def test_root_tables_in_use_at_benchmark_sizes(monkeypatch):
         monkeypatch.setattr(module, "image_forms", capture)
     _grid_census(context_from_text("pi/4"), 256, RoundingMode.FLOOR, CensusKind.HOLES, False, 1)
     box = udist.InequalityBox(rational(1, 2), rational(1, 3))
-    udist.count_solutions(context_from_text("pi/6"), box, 1000)
+    udist.count_solutions(context_from_text("pi/4"), box, 1000)
     orbits.orbit_sweep(context_from_text("pi/4"), 300)
     assert made and all(k._tables for forms in made for k in forms)
     orbits.verify_period8(10**6)

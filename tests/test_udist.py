@@ -1,11 +1,13 @@
 import random
+import time
 
 import pytest
 
 from latrot import kernels
-from latrot.angle import context_from_text
+from latrot.angle import RationalPythagorean, context_from_text
 from latrot.errors import InvalidSpec
 from latrot.exactnum import quad, rational
+from latrot.rotation import RoundingMode
 from latrot.udist import (
     InequalityBox,
     Parity,
@@ -14,6 +16,8 @@ from latrot.udist import (
     count_solutions_residue,
     gen_primitive_triples,
     residue_d1,
+    _coord_values,
+    _scan_count,
     verify_case3_congruences,
 )
 
@@ -93,24 +97,71 @@ def test_congruence_examples_and_random():
     assert verify_case3_congruences(t2, samples).all_passed
 
 
+def _routes(ctx, box, M, parity):
+    """The count from count_solutions, the route it took, and the banded
+    scan's count for the same window."""
+    counters = {}
+    got = count_solutions(ctx, box, M, parity, counters)
+    forms = kernels.image_forms(ctx, RoundingMode.FLOOR, max_abs=M)
+    scan, _ = _scan_count(forms, (box.t1, box.t2), _coord_values(M, parity))
+    return got, counters["method"], scan
+
+
 def test_direct_and_residue_counters_agree():
-    half = InequalityBox(rational(1, 2), rational(1, 2))
-    cases = [(text, half) for text in ["pyth:3,4,5", "pyth:5,12,13", "pyth:-3,4,5", "pyth:4,3,5"]]
+    # separable count, banded scan and (where Pythagorean) residue counter
+    boxes = [InequalityBox(rational(*a), rational(*b))
+             for a, b in (((1, 2), (1, 2)), ((1, 2), (1, 3)), ((1,), (2, 7)), ((3, 5), (1,)))]
+    triples = [f"pyth:{a},{b},5" for a, b in ((3, 4), (4, 3), (-3, 4), (-4, 3), (3, -4), (4, -3),
+                                                (-3, -4), (-4, -3))]
+    cases = [(text, boxes) for text in
+             ["pi/6", "pi/3", "pi*2/3", "pi*5/6", "pi*-1/6", "pi/2", "pi",
+              *triples, "pyth:5,12,13", "pyth:20,21,29"]]
     # a bound with denominator q = 40001: one remainder in int64 decides it
-    cases.append(("pyth:39999,400,40001", InequalityBox(rational(20000, 40001), rational(1, 2))))
-    for text, box in cases:
+    cases.append(("pyth:39999,400,40001", [InequalityBox(rational(20000, 40001), rational(1, 2))]))
+    for text, bs in cases:
         ctx = context_from_text(text)
-        for M in (7, 40):
-            for parity in Parity:
-                d = count_solutions(ctx, box, M, parity)
-                r = count_solutions_residue(ctx, box, M, parity)
-                assert d == r, (text, M, parity)
+        pyth = isinstance(ctx.classification, RationalPythagorean)
+        for box in bs:
+            for M in (0, 1, 2, 7, 30):
+                for parity in Parity:
+                    got, method, scan = _routes(ctx, box, M, parity)
+                    where = (text, box, M, parity)
+                    assert method == "separable" and got == scan, where
+                    if pyth:
+                        assert got == count_solutions_residue(ctx, box, M, parity), where
+
+
+def test_unsplittable_forms_take_the_scan():
+    half = InequalityBox(rational(1, 2), rational(1, 3))
+    cases = [(text, half, 30) for text in ("pi/4", "rad:~1.0", "quad:sin=sqrt(3)/3,cos=sqrt(6)/3")]
+    cases += [
+        ("pi/6", InequalityBox(quad(0, 1, 3, 3), rational(1, 2)), 30),  # irrational bound
+        # the int64 guard: the square roots of Q*100003 leave float range
+        ("pi/6", InequalityBox(rational(50000, 100003), rational(1, 2)), 1000),
+        # each remainder fits, a pair of them as one class key does not
+        ("pyth:3,4,5", InequalityBox(rational(1, 10**9 + 7), rational(1, 10**9 + 9)), 7),
+    ]
+    for text, box, M in cases:
+        got, method, scan = _routes(context_from_text(text), box, M, Parity.ALL)
+        assert method == "scan" and got == scan, text
+
+
+def test_separable_count_runs_in_the_window_side_not_its_area():
+    box = InequalityBox(rational(1, 2), rational(1, 3))
+    M = 10**6
+    for text in ("pi/6", "pyth:3,4,5"):
+        counters = {}
+        t0 = time.perf_counter()
+        count_solutions(context_from_text(text), box, M, Parity.ALL, counters)
+        assert time.perf_counter() - t0 < 1.0, text
+        assert counters["method"] == "separable" and counters["scanned_pts"] <= 100, text
 
 
 def test_one_row_bands_keep_counts(monkeypatch):
-    # odd-odd rows step by 2, so a one-row band holds every other row
+    # odd-odd rows step by 2, so a one-row band holds every other row;
+    # the scan runs for these angles, the separable route for 3-4-5
     box = InequalityBox(rational(1, 2), rational(1, 3))
-    for text in ["pyth:3,4,5", "pi/6", "rad:~1.0"]:
+    for text in ["pi/4", "quad:sin=sqrt(3)/3,cos=sqrt(6)/3", "rad:~1.0", "pyth:3,4,5"]:
         ctx = context_from_text(text)
         want = {p: count_solutions(ctx, box, 21, p) for p in Parity}
         with monkeypatch.context() as m:
@@ -163,7 +214,8 @@ def test_count_reports_its_redecided_points():
     counters = {}
     box = InequalityBox(rational(50000, 100003), rational(1, 2))
     assert count_solutions(context_from_text("pi/4"), box, 1000, Parity.ALL, counters) == 1002001
-    assert counters == {"redecided_pts": 2001, "scalar_pts": 0}
+    assert counters == {"method": "scan", "scanned_pts": 2001**2, "redecided_pts": 2001,
+                        "scalar_pts": 0}
     # {L1} = sqrt(3)/3 at (0, -1): intervals cannot separate an equality,
     # so the scalar layer decides that point
     ctx = context_from_text("quad:sin=sqrt(3)/3,cos=sqrt(6)/3")
