@@ -34,6 +34,7 @@ from .exactnum import (
     QuadIrr,
     Rational,
     Scalar,
+    _mpf_bounds,
     compare,
     default_precision_bits,
     format_scalar,
@@ -43,7 +44,7 @@ from .exactnum import (
     rational,
 )
 
-from mpmath.libmp import from_man_exp, mpf_add, mpf_cos, mpf_sin, round_nearest, round_up
+from mpmath.libmp import mpf_cos, mpf_sin, round_nearest
 
 
 # --------------------------------------------------------------------------
@@ -228,13 +229,19 @@ def _numeric_sincos(theta: HighPrec) -> tuple[HighPrec, HighPrec]:
     bits = theta.precision_bits
 
     def make(fun):
-        def fn(b):
-            tm, tr = theta.eval(b + 16)
-            # |sin'|, |cos'| <= 1, so the input radius passes through
-            rad = mpf_add(tr, from_man_exp(1, 4 - b), b + 16, round_up)
-            return fun(tm, b + 16, round_nearest), rad
+        def shown(b):
+            return fun(theta.shown(b + 16), b + 16, round_nearest)
 
-        return HighPrec(fn, bits)
+        def fn(b):
+            # the libmp value at b + 16 bits, widened by theta's width
+            # (|sin'|, |cos'| <= 1, and theta.shown lies in theta's
+            # enclosure) plus one unit at b for libmp's rounding
+            tlo, thi = theta.eval(b + 16)
+            lo, hi = _mpf_bounds(shown(b), b + 16)
+            slack = thi - tlo + (1 << 16)
+            return (lo - slack) >> 16, -(-(hi + slack) >> 16)
+
+        return HighPrec(fn, bits, shown)
 
     return make(mpf_sin), make(mpf_cos)
 

@@ -63,7 +63,7 @@ import numpy as np
 
 from .angle import AngleContext, CardinalMultiple, LinearRelation, RationalPythagorean, angle_text
 from .errors import CapExceeded, DegenerateCounts
-from .exactnum import ZERO, compare, floor_exact
+from .exactnum import ZERO, _floor_sqrt_multiple, compare, floor_exact
 from .kernels import (
     _SQRT_SAFE, _band, _bands, _domain_radius, _exact_images, _mod_inplace, image_forms,
     vfloor_sqrt_multiple,
@@ -382,9 +382,7 @@ def _interval_starts(n: np.ndarray, D: int, mode: RoundingMode) -> np.ndarray:
     if int(np.abs(t).max()) ** 2 * D < _SQRT_SAFE:
         F = vfloor_sqrt_multiple(t, D)
     else:
-        isqrt = math.isqrt
-        F = np.array([isqrt(x * x * D) if x >= 0 else -isqrt(x * x * D) - 1
-                      for x in t.tolist()], dtype=np.int64)
+        F = np.array([_floor_sqrt_multiple(x, D) for x in t.tolist()], dtype=np.int64)
     return np.where(t == 0, 0, (F >> 1) + 1)
 
 

@@ -6,22 +6,22 @@ Three representations cover everything the lattice machinery needs:
 * ``QuadIrr``     -- (p + q*sqrt(d))/den with integer p, q, den > 0 and
   squarefree d >= 2.  Floors and comparisons are decided purely by integer
   square comparisons, never by floating point.
-* ``HighPrec``    -- a lazily re-evaluable dyadic interval (midpoint +
-  error radius) on raw ``mpmath.libmp`` values.  Every derived value can
-  be recomputed at any working precision, so floor/comparison decisions
-  escalate precision (doubling, up to a cap) until they are certain.  If
-  a value sits exactly on a boundary the operation raises
+* ``HighPrec``    -- a lazily re-evaluable value that yields, at any
+  precision bits, integers lo <= value*2^bits <= hi: the same integer
+  enclosures the kernels decide flagged floors from.  Floor/comparison
+  decisions escalate precision (doubling, up to a cap) until they are
+  certain.  If a value sits exactly on a boundary the operation raises
   :class:`UndecidableAtPrecision` rather than guessing.
 
 Arithmetic between exact variants stays exact; anything mixed with a
 ``HighPrec`` degrades to ``HighPrec``.  Quadratic irrationals over
 different radicands cannot be combined (:class:`IncompatibleField`).
 
-All values are immutable and safe to share between threads.  Every
-HighPrec operation passes its precision and rounding mode explicitly:
-midpoints round to nearest, radii round up, and nothing reads mpmath's
-process-global working precision.  Floors and comparisons read interval
-endpoints exactly.
+All values are immutable and safe to share between threads.  HighPrec
+arithmetic is Python-int arithmetic on enclosure endpoints, with every
+shift rounded outward; mpmath's libmp only parses and prints leaves
+(and evaluates the rad: sine and cosine, in angle.py), always at an
+explicit precision, never mpmath's process-global one.
 """
 
 from __future__ import annotations
@@ -37,22 +37,10 @@ from mpmath.libmp import (
     from_float,
     from_int,
     from_man_exp,
-    from_rational,
     from_str,
-    mpf_abs,
-    mpf_add,
-    mpf_div,
-    mpf_mul,
-    mpf_mul_int,
     mpf_neg,
-    mpf_shift,
-    mpf_sign,
-    mpf_sqrt,
-    mpf_sub,
     round_nearest,
-    round_up,
     to_float,
-    to_int,
     to_str,
 )
 
@@ -89,7 +77,7 @@ def _is_squarefree(d: int) -> bool:
 
 
 def _floor_sqrt_multiple(q: int, d: int) -> int:
-    """floor(q * sqrt(d)) for integer q, squarefree d >= 2.
+    """floor(q * sqrt(d)) for integer q and a non-square d >= 2.
 
     q*sqrt(d) is irrational for q != 0, so the negative branch never sits
     on an integer.
@@ -255,52 +243,52 @@ HALF = Rational(1, 2)
 
 
 # --------------------------------------------------------------------------
-# HighPrec: lazily re-evaluable dyadic intervals.
+# HighPrec: lazily re-evaluable integer enclosures.
 #
-# A node carries fn(bits) -> (mid, rad), both raw libmp values,
-# guaranteeing |true - mid| <= rad when evaluated at working precision
-# `bits`.  Radii shrink like 2^-bits, so escalation terminates for any
-# value that is not exactly on the decision boundary.  Sums/products of
-# radius-zero nodes are exact, so dyadic chains stay exact.
+# A node carries fn(bits) -> (lo, hi), integers with lo <= value*2^bits
+# <= hi.  Each operation widens the enclosure by a few units, so
+# escalation terminates for any value that is not exactly on the decision
+# boundary.  A dyadic leaf encloses exactly once 2^bits clears its
+# exponent, and sums and products of exact enclosures stay exact.
 # --------------------------------------------------------------------------
 
-_EXACT_ZERO = (fzero, fzero)
-
-
-def _ulp(x, bits):
-    """One unit in the last place of x at `bits` (2^-bits for x = 0)."""
-    _, man, exp, bc = x
-    return from_man_exp(1, exp + bc - bits + 1 if man else -bits)
-
-
-def _radius(prec, *terms):
-    """Sum of nonnegative radius terms, rounded up."""
-    total = fzero
-    for t in terms:
-        total = mpf_add(total, t, prec, round_up)
-    return total
+def _mpf_bounds(x, bits: int) -> tuple[int, int]:
+    """Floor and ceiling of the libmp value x times 2^bits."""
+    sign, man, exp, _ = x
+    n, k = -man if sign else man, exp + bits
+    if k >= 0:
+        return n << k, n << k
+    return n >> -k, -(-n >> -k)
 
 
 class HighPrec(Scalar):
-    __slots__ = ("_fn", "precision_bits", "_cache")
+    __slots__ = ("_fn", "precision_bits", "_cache", "_shown")
 
-    def __init__(self, fn, precision_bits: int):
+    def __init__(self, fn, precision_bits: int, shown=None):
         self._fn = fn
         self.precision_bits = precision_bits
+        self._shown = shown
         self._cache = {}
 
-    def eval(self, bits: int):
-        """(mid, rad) as raw libmp values with |true - mid| <= rad, at
-        working precision `bits`."""
+    def eval(self, bits: int) -> tuple[int, int]:
+        """Integers lo <= value*2^bits <= hi."""
         got = self._cache.get(bits)
         if got is None:  # threads racing here compute equal values
             got = self._fn(bits)
             self._cache[bits] = got
         return got
 
+    def shown(self, bits: int):
+        """The libmp value that text and float() show, read at precision
+        `bits`: the node's own when it has one (a leaf's dyadic, a rad:
+        sine's libmp value), else the midpoint of eval(bits)."""
+        if self._shown is not None:
+            return self._shown(bits)
+        lo, hi = self.eval(bits)
+        return from_man_exp(lo + hi, -bits - 1)
+
     def __float__(self):
-        mid, _ = self.eval(max(64, self.precision_bits))
-        return to_float(mid, rnd=round_nearest)
+        return to_float(self.shown(max(64, self.precision_bits)), rnd=round_nearest)
 
     def __eq__(self, other):
         return self is other
@@ -309,15 +297,14 @@ class HighPrec(Scalar):
         return id(self)
 
     def __repr__(self):
-        mid, _ = self.eval(self.precision_bits)
-        return f"HighPrec(~{to_str(mid, 12)}, bits={self.precision_bits})"
+        return f"HighPrec(~{to_str(self.shown(self.precision_bits), 12)}, bits={self.precision_bits})"
 
 
 def highprec(value, precision_bits: int | None = None) -> HighPrec:
     """Leaf HighPrec from a decimal string, int or float.
 
     The stored value is the dyadic obtained by rounding at
-    ``precision_bits``; from then on it is treated as exact (radius 0).
+    ``precision_bits``; from then on it is treated as exact.
     """
     bits = precision_bits or default_precision_bits()
     if isinstance(value, str):
@@ -330,7 +317,7 @@ def highprec(value, precision_bits: int | None = None) -> HighPrec:
         raise InvalidSpec(f"cannot build HighPrec from {type(value).__name__}")
     if not x[1] and x != fzero:  # libmp's inf, -inf and nan
         raise InvalidSpec("HighPrec values must be finite")
-    return HighPrec(lambda _bits: (x, fzero), bits)
+    return HighPrec(lambda b: _mpf_bounds(x, b), bits, lambda _bits: x)
 
 
 def as_highprec(s: Scalar | int | Fraction, precision_bits: int | None = None) -> HighPrec:
@@ -338,74 +325,34 @@ def as_highprec(s: Scalar | int | Fraction, precision_bits: int | None = None) -
     s = _coerce_strict(s)
     if isinstance(s, HighPrec):
         return s
-    bits = precision_bits or default_precision_bits()
-    if isinstance(s, Rational):
-        num, den = s.numerator, s.denominator
-
-        def fn(b):
-            x = from_rational(num, den, b + 8, round_nearest)
-            if den & (den - 1) == 0 and abs(num) < (1 << b):
-                return x, fzero  # dyadic, exactly representable
-            return x, _ulp(x, b)
-
-        return HighPrec(fn, bits)
-    if isinstance(s, QuadIrr):
-        p, q, d, den = s.p, s.q, s.d, s.den
-        # an integer bound on (|p| + |q|*sqrt(d))/den + 1
-        scale = (abs(p) + abs(q) * (math.isqrt(d) + 1)) // den + 2
-
-        def fn(b):
-            w, rnd = b + 16, round_nearest
-            qroot = mpf_mul_int(mpf_sqrt(from_int(d), w, rnd), q, w, rnd)
-            x = mpf_div(mpf_add(qroot, from_int(p), w, rnd), from_int(den), w, rnd)
-            return x, from_man_exp(scale, -b - 8)
-
-        return HighPrec(fn, bits)
-    raise InvalidSpec(f"cannot render {type(s).__name__} as HighPrec")
+    if not isinstance(s, (Rational, QuadIrr)):
+        raise InvalidSpec(f"cannot render {type(s).__name__} as HighPrec")
+    return HighPrec(lambda b: dyadic_enclosure(s, b), precision_bits or default_precision_bits())
 
 
 def _hp_add(a: HighPrec, b: HighPrec) -> HighPrec:
-    bits = max(a.precision_bits, b.precision_bits)
-
     def fn(req):
-        (am, ar), (bm, br) = a.eval(req), b.eval(req)
-        if ar == fzero and br == fzero:
-            return mpf_add(am, bm), fzero  # exact
-        mid = mpf_add(am, bm, req + 8, round_nearest)
-        return mid, _radius(req + 8, ar, br, _ulp(mid, req))
+        (al, ah), (bl, bh) = a.eval(req), b.eval(req)
+        return al + bl, ah + bh
 
-    return HighPrec(fn, bits)
+    return HighPrec(fn, max(a.precision_bits, b.precision_bits))
 
 
 def _hp_mul(a: HighPrec, b: HighPrec) -> HighPrec:
-    bits = max(a.precision_bits, b.precision_bits)
-
     def fn(req):
-        av, bv = a.eval(req), b.eval(req)
-        if _EXACT_ZERO in (av, bv):
-            return _EXACT_ZERO
-        (am, ar), (bm, br) = av, bv
-        if ar == fzero and br == fzero:
-            return mpf_mul(am, bm), fzero  # exact
-        w = req + 8
-        mid = mpf_mul(am, bm, w, round_nearest)
-        return mid, _radius(
-            w,
-            mpf_mul(mpf_abs(am), br, w, round_up),
-            mpf_mul(mpf_abs(bm), ar, w, round_up),
-            mpf_mul(ar, br, w, round_up),
-            _ulp(mid, req),
-        )
+        (al, ah), (bl, bh) = a.eval(req), b.eval(req)
+        ends = (al * bl, al * bh, ah * bl, ah * bh)  # the product at 2^(2*req)
+        return min(ends) >> req, -(-max(ends) >> req)
 
-    return HighPrec(fn, bits)
+    return HighPrec(fn, max(a.precision_bits, b.precision_bits))
 
 
 def _hp_neg(a: HighPrec) -> HighPrec:
     def fn(req):
-        am, ar = a.eval(req)
-        return mpf_neg(am), ar
+        lo, hi = a.eval(req)
+        return -hi, -lo
 
-    return HighPrec(fn, a.precision_bits)
+    return HighPrec(fn, a.precision_bits, lambda bits: mpf_neg(a.shown(bits)))
 
 
 # --------------------------------------------------------------------------
@@ -480,19 +427,11 @@ def _neg(a: Scalar) -> Scalar:
 # --------------------------------------------------------------------------
 
 def _sign_p_plus_q_sqrt(A: int, B: int, d: int) -> int:
-    """Sign of A + B*sqrt(d), decided by integer squaring."""
+    """Sign of A + B*sqrt(d); for B != 0 the value is irrational, so it
+    is positive exactly when A + floor(B*sqrt(d)) >= 0."""
     if B == 0:
         return (A > 0) - (A < 0)
-    if A == 0:
-        return 1 if B > 0 else -1
-    if A > 0 and B > 0:
-        return 1
-    if A < 0 and B < 0:
-        return -1
-    lhs, rhs = A * A, B * B * d
-    if A > 0:  # B < 0
-        return 1 if lhs > rhs else -1 if lhs < rhs else 0
-    return 1 if rhs > lhs else -1 if rhs < lhs else 0
+    return 1 if A + _floor_sqrt_multiple(B, d) >= 0 else -1
 
 
 def refine(decide, start: int, what: str):
@@ -508,18 +447,12 @@ def refine(decide, start: int, what: str):
         bits *= 2
 
 
-def _enclosure(mid, rad):
-    """Endpoints mid - rad and mid + rad, computed exactly: rounding them
-    could move an endpoint across the integer or the zero being decided."""
-    return mpf_sub(mid, rad), mpf_add(mid, rad)
-
-
 def floor_exact(s: Scalar) -> int:
     """Provably correct floor(s).
 
     Rational: integer division.  QuadIrr: integer square comparisons.
-    HighPrec: interval refinement with doubling precision (refine);
-    raises UndecidableAtPrecision when the interval still straddles an
+    HighPrec: its integer enclosure at doubling precision (refine);
+    raises UndecidableAtPrecision when the enclosure still straddles an
     integer at the cap (the value may actually be an integer).
     """
     if isinstance(s, Rational):
@@ -529,8 +462,9 @@ def floor_exact(s: Scalar) -> int:
     if isinstance(s, HighPrec):
 
         def decide(bits):
-            lo, hi = (to_int(e, "f") for e in _enclosure(*s.eval(bits)))
-            return lo if lo == hi else None
+            lo, hi = s.eval(bits)
+            F = lo >> bits
+            return F if hi >> bits == F else None
 
         return refine(decide, s.precision_bits, "floor")
     raise TypeError(f"not a Scalar: {type(s).__name__}")
@@ -548,15 +482,14 @@ def dyadic_enclosure(s: Scalar, bits: int) -> tuple[int, int]:
 
     Exact for Rational and QuadIrr (floor and ceiling of the scaled
     value, an integer square root for the irrational part); HighPrec
-    reads the exact endpoints of its interval at working precision bits.
+    evaluates its own enclosure at bits.
     """
     if isinstance(s, Rational):
         return _quad_bounds(s.numerator, 0, 2, s.denominator, bits)  # d unused at q = 0
     if isinstance(s, QuadIrr):
         return _quad_bounds(s.p, s.q, s.d, s.den, bits)
     if isinstance(s, HighPrec):
-        lo, hi = _enclosure(*s.eval(bits))
-        return to_int(mpf_shift(lo, bits), "f"), to_int(mpf_shift(hi, bits), "c")
+        return s.eval(bits)
     raise TypeError(f"not a Scalar: {type(s).__name__}")
 
 
@@ -567,8 +500,10 @@ def compare(s1, s2) -> int:
         diff = _hp_add(as_highprec(s1), _hp_neg(as_highprec(s2)))
 
         def decide(bits):
-            lo, hi = (mpf_sign(e) for e in _enclosure(*diff.eval(bits)))
-            return lo if lo == hi else None  # the sign, once both ends agree
+            lo, hi = diff.eval(bits)
+            if lo > 0 or hi < 0:
+                return 1 if lo > 0 else -1
+            return 0 if lo == hi else None  # lo == hi == 0: exactly equal
 
         return refine(decide, diff.precision_bits, "comparison")
     if isinstance(s1, Rational) and isinstance(s2, Rational):
@@ -691,8 +626,7 @@ def format_scalar(s: Scalar) -> str:
             core = f"({s.p}{'+' if s.q > 0 else '-'}{abs(s.q)}*sqrt({s.d}))"
         return core if s.den == 1 else f"{core}/{s.den}"
     if isinstance(s, HighPrec):
-        mid, _ = s.eval(s.precision_bits)
-        sign, man, exp, _ = mid
+        sign, man, exp, _ = s.shown(s.precision_bits)
         if man == 0 and exp == 0:
             dec = "0"
         else:

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp
-from mpmath.libmp import mpf_abs, mpf_cmp, mpf_sub
+from mpmath import iv
+from mpmath.libmp import from_str, round_nearest
 
 from latrot.angle import context_from_text
 from latrot.errors import IncompatibleField, InvalidSpec, UndecidableAtPrecision
@@ -238,9 +239,13 @@ def test_highprec_decisions_keep_full_precision():
 
 def test_highprec_evaluation_ignores_global_precision():
     # Two threads flip mpmath's process-global precision while this thread
-    # evaluates fresh nodes at 1024 bits; every enclosure must still hold.
+    # parses fresh rad: angles and evaluates nodes over their libmp sines
+    # at 1024 bits; every enclosure must still hold.  The angle 1 + 2^-500
+    # is exact at 1024 bits and rounds to 1 at 20.
+    text = f"rad:~1.{str(5**500).rjust(500, '0')}@1024"
     with mp.workprec(4000):
-        ref = ((1 + 3 * mp.sqrt(2)) / 7)._mpf_
+        ref = mp.sin(1 + mp.mpf(2) ** -500) * 3 + (1 + 3 * mp.sqrt(2)) / 7
+        scaled = int(mp.floor(mp.ldexp(ref, 1024)))  # the value is irrational
     saved, stop = mp.prec, threading.Event()
 
     def churn():
@@ -254,8 +259,9 @@ def test_highprec_evaluation_ignores_global_precision():
     try:
         broken = 0
         for _ in range(4000):
-            mid, rad = (as_highprec(quad(1, 3, 2, 7)) * 1).eval(1024)
-            broken += mpf_cmp(mpf_abs(mpf_sub(mid, ref)), rad) > 0
+            node = context_from_text(text).sin * 3 + as_highprec(quad(1, 3, 2, 7))
+            lo, hi = node.eval(1024)
+            broken += not lo <= scaled < hi
     finally:
         stop.set()
         for t in threads:
@@ -372,3 +378,72 @@ def test_as_highprec_reads_the_environment_only_to_build(monkeypatch):
     assert as_highprec(h) is h
     with pytest.raises(InvalidSpec):
         as_highprec(rational(1, 3))
+
+
+# Random +, - and * trees over the four kinds of HighPrec leaf, with
+# enclosure widths bounded in units of 2^-bits: a leaf's floor and ceiling
+# are 1 apart at most, a rad: sine or cosine is within 4, a sum adds its
+# children's widths, and a product's endpoint products are at most
+# A*wb + B*wa apart at 2^(2*bits) (A, B bound the children's endpoints),
+# plus 2 for shifting them outward.  A child evaluated at fewer bits and
+# scaled up would be wider than these bounds allow.
+_DECIMALS = st.builds(lambda n, k: f"{n}e-{k}", st.integers(-10**9, 10**9), st.integers(0, 9))
+_TREE_LEAVES = st.one_of(
+    st.tuples(st.just("leaf"), _DECIMALS, st.integers(32, 256)),
+    st.tuples(st.just("rational"), st.integers(-10**6, 10**6), st.integers(1, 10**4)),
+    st.tuples(st.just("quad"), st.integers(-10**4, 10**4), st.integers(-10**3, 10**3).filter(bool),
+              st.sampled_from([2, 3, 5]), st.integers(1, 10**3)),
+    st.tuples(st.sampled_from(["sin", "cos"]), _DECIMALS, st.integers(32, 256)),
+)
+_TREES = st.recursive(
+    _TREE_LEAVES,
+    lambda kids: st.tuples(st.sampled_from(["+", "-", "*"]), kids, kids),
+    max_leaves=6,
+)
+
+
+def _build(tree, bits):
+    """(node, mpmath interval of its value, width bound at bits)."""
+    op = tree[0]
+    if op in ("+", "-", "*"):
+        a, ra, wa = _build(tree[1], bits)
+        b, rb, wb = _build(tree[2], bits)
+        if op == "+":
+            return a + b, ra + rb, wa + wb
+        if op == "-":
+            return a - b, ra - rb, wa + wb
+        A, B = (max(map(abs, _endpoints(r))) for r in (ra, rb))
+        return a * b, ra * rb, ((A * 2**bits + wa) * wb + (B * 2**bits + wb) * wa) / 2**bits + 2
+    if op == "rational":
+        return as_highprec(rational(tree[1], tree[2])), iv.mpf(tree[1]) / tree[2], 1
+    if op == "quad":
+        p, q, d, den = tree[1:]
+        return as_highprec(quad(p, q, d, den)), (p + q * iv.sqrt(d)) / den, 1
+    text, prec = tree[1:]
+    theta = iv.mpf(mp.make_mpf(from_str(text, prec, round_nearest)))
+    if op == "leaf":
+        return highprec(text, prec), theta, 1
+    ctx = context_from_text(f"rad:~{text}@{prec}")
+    if op == "sin":
+        return ctx.sin, iv.sin(theta), 4
+    return ctx.cos, iv.cos(theta), 4
+
+
+def _endpoints(ref) -> tuple[Fraction, Fraction]:
+    """The exact endpoints of an mpmath interval."""
+    return tuple((-man if sign else man) * Fraction(2) ** exp for sign, man, exp, _ in ref._mpi_)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_TREES, bits=st.sampled_from([8, 53, 128, 300]))
+def test_highprec_enclosures_are_tight(tree, bits):
+    saved = iv.prec
+    iv.prec = 4 * bits  # the reference: mpmath's interval arithmetic
+    try:
+        node, ref, width = _build(tree, bits)
+        lo, hi = dyadic_enclosure(node, bits)
+        ref_lo, ref_hi = (e * 2**bits for e in _endpoints(ref))
+    finally:
+        iv.prec = saved
+    assert lo <= ref_hi and ref_lo <= hi
+    assert hi - lo <= width

@@ -254,6 +254,35 @@ def test_quadratic_enclosures_decide_every_point():
                             assert g == k.exact_frac_lt(x, y, t), (angle, x, y, t)
 
 
+def test_quadratic_forms_past_the_int64_guard():
+    # 39999-400-40001 turned by pi/4: D is about 3.2e9, so the census takes
+    # the grid, and at M = 450 both image forms are past the int64 guard,
+    # so their vector floor and frac_zero run the float prefilter
+    ctx = context_from_text("quad:sin=40399*sqrt(2)/80002,cos=-39599*sqrt(2)/80002")
+    M = 450
+    R = kernels._domain_radius(M)
+    for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
+        assert not any(k.vector_ok for k in image_forms(ctx, mode, max_abs=R))
+        for kind in CensusKind:
+            count, idx, _ = _grid_census(ctx, M, mode, kind, True, 1)
+            o = brute_force_census(ctx, M, mode, kind, cap=None, keep_points=True)
+            assert count == o.count > 0 and _sorted_points(idx, M) == o.points
+    # trunc's images, frac_zero included, against the scalar map: at every
+    # point the prefilter flags and at sampled points of the window
+    mode = RoundingMode.TRUNC
+    forms = image_forms(ctx, mode, max_abs=R)
+    assert not any(k.vector_ok for k in forms)
+    A, B = _window(R)
+    _, _, unc = _images(forms, A, B, mode)
+    rng = np.random.default_rng(20261019)
+    A = np.concatenate([A[unc], rng.integers(-R, R + 1, 300)])
+    B = np.concatenate([B[unc], rng.integers(-R, R + 1, 300)])
+    X, Y, redecided = _exact_images(forms, A, B, mode)
+    assert redecided >= unc.sum() > 0
+    want = [discrete_rotate(ctx, p, mode) for p in zip(A.tolist(), B.tolist())]
+    assert list(zip(X.tolist(), Y.tolist())) == want
+
+
 def test_enclosures_of_general_forms():
     # -1 + 2^-10 encloses as [-256, -255] at 8 bits: the floor is -1, but
     # whether L is the integer -1 stays open until a finer enclosure,
