@@ -26,13 +26,13 @@ first two routes hold for every such translate of the floor map:
   - collisions: every colliding pair is a unit-distance neighbor pair
     and no image has more than two preimages, so the collision images
     are the shared images of right and up neighbor pairs.
-  - holes: (n, m) has no preimage iff some cell's four corner images are
-    exactly the four orthogonal neighbors of (n, m), in a fixed order
-    determined by the angle's quadrant (the rotated cell then covers
-    T_(n,m) up to corner triangles that belong to neighbors).  Note the
-    weaker test "no corner of the cell *containing* the inverse-rotated
-    point maps onto (n, m)" is necessary but not sufficient; see
-    hole_test_exact.
+  - holes: the multiplicities over the window sum to N, the number of
+    lattice points imaged into it, and each is 0, 1 or 2, so
+    (2M+1)^2 - holes + collisions = N: the pass that finds the pairs
+    counts N too, and the hole points are the window points no image
+    hits.  (A single point is tested by hole_test_exact; the weaker
+    test "no corner of the cell *containing* the inverse-rotated point
+    maps onto (n, m)" is necessary but not sufficient.)
 * brute force (any rounding mode): histogram the images and read off
   multiplicities.  Trunc always runs it: truncation is not a translate
   of floor, and its collisions can have more than two preimages.
@@ -191,55 +191,29 @@ def hole_pattern_exact(ctx: AngleContext, a: int, b: int) -> tuple[int, int] | N
 # Characterization censuses: one pass over the image grid
 # --------------------------------------------------------------------------
 
-# A shape is a tuple of offsets from an anchor point; its copies are read
-# off the image grid.  Collisions are right and up neighbour pairs;
-# holes are cells, corners in cell_corners order.
-_PAIRS = (((0, 0), (1, 0)), ((0, 0), (0, 1)))
-_CELLS = (((0, 0), (1, 0), (0, 1), (1, 1)),)
-
-
-def _shared_image(imgs):
-    """Pairs whose two images agree; the shared image is the collision."""
-    (X0, Y0), (X1, Y1) = imgs
-    return (X0 == X1) & (Y0 == Y1), X0, Y0
-
-
-def _surrounded(pattern):
-    """Cells whose corner images are the four neighbours of one point, in
-    the quadrant's order; that point is the hole."""
-    (px, py), rest = pattern[0], pattern[1:]
-
-    def test(imgs):
-        (X0, Y0), others = imgs[0], imgs[1:]
-        hit = np.ones(X0.shape, dtype=bool)
-        for (X, Y), (dx, dy) in zip(others, rest):
-            hit &= (X - X0 == dx - px) & (Y - Y0 == dy - py)
-        return hit, X0 - px, Y0 - py
-
-    return test
-
-
 def _row_spans(ctx, M, R):
     """Column spans (lo, hi) of the domain rows b = -R..R, at index b + R:
     row b's span holds every a whose rotated point A(a, b) = (a*cos -
     b*sin, a*sin + b*cos) lies in [-M-2, M+3]^2; an empty span is
     (R + 1, -R - 1).
 
-    A superset filter, not a floor decision.  A point whose image lies
-    in [-M-1, M+1]^2, as every point of a colliding pair and every corner
-    of a hole's cell in the window does, has A(a, b) in [-M-1, M+2)^2
-    under floor, a unit inside that box on every side.  Under round the
-    image is floor(A + 1/2), which puts A(a, b) in [-M-3/2, M+3/2)^2,
-    half a unit inside the box on the low side.  The spans solve
-    each coordinate a*k + off in [-M-2, M+3] for a, with float cos and
-    sin (k is one of them, off the other's term in b).  Over |a|, |b| <= R
-    the float coordinate is off from the exact one by at most
-    R*(|cos - cos_f| + |sin - sin_f|) plus the rounding of off, far below
-    that half unit for any window a scan can hold (the float prefilter's
-    much finer slack assumes the same accuracy of cos_f and sin_f), so
-    every such a solves it.  Each bound on a, a quotient by k, is rounded
-    outward and widened by one column, which covers the rounding of the
-    quotient.  A k that is 0 in float bounds the row instead.
+    A superset filter, not a floor decision.  The census needs every
+    preimage of the window in its row's span, both points of each
+    colliding pair among them; the box holds more.  A point whose image
+    lies in [-M-1, M+1]^2, a unit past the window, has A(a, b) in
+    [-M-1, M+2)^2 under floor, a unit inside that box on every side.
+    Under round the image is floor(A + 1/2), which puts A(a, b) in
+    [-M-3/2, M+3/2)^2, half a unit inside the box on the low side.  The
+    spans solve each coordinate a*k + off in [-M-2, M+3] for a, with
+    float cos and sin (k is one of them, off the other's term in b).
+    Over |a|, |b| <= R the float coordinate is off from the exact one by
+    at most R*(|cos - cos_f| + |sin - sin_f|) plus the rounding of off,
+    far below that half unit for any window a scan can hold (the float
+    prefilter's much finer slack assumes the same accuracy of cos_f and
+    sin_f), so every such a solves it.  Each bound on a, a quotient by k,
+    is rounded outward and widened by one column, which covers the
+    rounding of the quotient.  A k that is 0 in float bounds the row
+    instead.
     """
     b = np.arange(-R, R + 1, dtype=np.float64)
     c, s = float(ctx.cos), float(ctx.sin)
@@ -263,55 +237,58 @@ def _grid_census(ctx, M, mode, kind, keep_points, threads):
     holes; the counters are the report's scanned_pts and redecided_pts.
 
     One banded pass computes the images of the domain under mode once
-    per point; each band reads a one-row halo above it, so every pair and
-    cell anchored in the band is read there.  A band scans only the
-    columns of its rows' spans, halo row included (_row_spans), and a
-    band whose spans are all empty is skipped: every point of a pair or
-    cell that can count lies inside its row's span.  A collision has
-    exactly two preimages, a unit-neighbour pair, and a hole exactly one
-    pattern cell, so counts are plain sums.  Each band re-decides the
-    points its float prefilter flags, halo row included, and reads exact
-    images.
+    per point and tallies, over the window, the colliding right and up
+    neighbour pairs and N, the points imaged into it.  Each band reads a
+    one-row halo above it, so every pair anchored in the band is read
+    there; it scans only the columns of its rows' spans, halo row
+    included (_row_spans), and a band whose spans are all empty is
+    skipped: every preimage of the window lies inside its row's span.
+    No image has more than two preimages and the two of a collision are
+    unit neighbours, so the collisions are the pairs, and summing the
+    multiplicities over the window, (2M+1)^2 - holes + collisions = N.
+    Hole points are the window entries no image of the band's own rows
+    marks.  Each band re-decides the points its float prefilter flags,
+    halo row included, and reads exact images.
     """
     R = _domain_radius(M)
     W = 2 * M + 1
     forms = image_forms(ctx, mode, max_abs=R)
     lo, hi = _row_spans(ctx, M, R)
-    if kind is CensusKind.COLLISIONS:
-        shapes, found = _PAIRS, _shared_image
-    else:
-        shapes, found = _CELLS, _surrounded(_HOLE_PATTERNS[_quadrant(ctx)])
-
-    def tally(hit, N, Mv):
-        hit &= (np.abs(N) <= M) & (np.abs(Mv) <= M)
-        idx = (N[hit] + M) * W + (Mv[hit] + M) if keep_points else None
-        return int(np.count_nonzero(hit)), idx
+    collisions = kind is CensusKind.COLLISIONS
+    imaged = np.zeros(W * W, dtype=bool) if keep_points and not collisions else None
 
     def worker(span):
         blo, bhi = span
         top = min(bhi + 1, R)
         c0, c1 = lo[blo + R:top + R + 1].min(), hi[blo + R:top + R + 1].max()
         if c0 > c1:
-            return (0, 0), []
+            return (0, 0, 0, 0), []
         A, B = _band(np.arange(c0, c1 + 1, dtype=np.int64), blo, top)
         X, Y, redecided = _exact_images(forms, A, B, mode)
+        inwin = (np.abs(X) <= M) & (np.abs(Y) <= M)
         rows = bhi - blo + 1
-        tallies = []
-        for shape in shapes:
-            nr = min(rows, X.shape[0] - max(db for _, db in shape))
-            nc = X.shape[1] - max(da for da, _ in shape)
-            imgs = [(X[db:db + nr, da:da + nc], Y[db:db + nr, da:da + nc]) for da, db in shape]
-            tallies.append(tally(*found(imgs)))
-        return (X.size, redecided), tallies
+        pairs, parts = 0, []
+        # (anchor, partner) of the right pairs in the band's own rows and
+        # of the up pairs, whose anchors stop below the last row read
+        for a, b in ((np.s_[:rows, :-1], np.s_[:rows, 1:]), (np.s_[:-1], np.s_[1:])):
+            hit = inwin[a] & (X[a] == X[b]) & (Y[a] == Y[b])
+            pairs += int(np.count_nonzero(hit))
+            if keep_points and collisions:
+                parts.append((X[a][hit] + M) * W + (Y[a][hit] + M))
+        own = inwin[:rows]
+        if imaged is not None:
+            imaged[(X[:rows][own] + M) * W + (Y[:rows][own] + M)] = True
+        return (X.size, redecided, pairs, int(np.count_nonzero(own))), parts
 
     bands = _run_bands(-R, R, 2 * R + 1, worker, threads)
-    scanned, redecided = map(sum, zip(*(n for n, _ in bands)))
+    scanned, redecided, pairs, n_imaged = map(sum, zip(*(t for t, _ in bands)))
     counters = dict(scanned_pts=scanned, redecided_pts=redecided)
-    tallies = [t for _, band in bands for t in band]
-    count = sum(n for n, _ in tallies)
+    count = pairs if collisions else W * W - n_imaged + pairs
     if not keep_points:
         return count, None, counters
-    return count, np.concatenate([idx for _, idx in tallies]), counters
+    if collisions:
+        return count, np.concatenate([p for _, parts in bands for p in parts]), counters
+    return count, np.flatnonzero(~imaged), counters
 
 
 # --------------------------------------------------------------------------
@@ -504,10 +481,12 @@ def hole_census(
 
 
 def _census(ctx, M, mode, kind, oracle, keep_points, count_pairs, threads, oracle_cap):
-    # ROUND is FLOOR of the forms shifted by 1/2, so the grid's pair and
-    # cell characterizations, and the separable route's residue classes,
-    # hold for it; TRUNC is not a translate of FLOOR, and its collisions
-    # can have more than two preimages.
+    # ROUND is FLOOR of the forms shifted by 1/2, so the grid's pairs and
+    # counting identity, and the separable route's residue classes, hold
+    # for it; TRUNC is not a translate of FLOOR, and its collisions can
+    # have more than two preimages.
+    if M < 0:
+        raise ValueError(f"window M={M} is negative")
     if oracle or mode is RoundingMode.TRUNC:
         return brute_force_census(
             ctx, M, mode, kind, cap=oracle_cap, keep_points=keep_points,
@@ -553,6 +532,8 @@ def brute_force_census(
     threads: int = 1,
 ) -> CensusReport:
     """Independent oracle: enumerate the map, histogram the images."""
+    if M < 0:
+        raise ValueError(f"window M={M} is negative")
     if cap is not None and M > cap:
         raise CapExceeded(f"brute-force window M={M} exceeds the cap {cap}")
     start = time.perf_counter()
@@ -580,8 +561,10 @@ def brute_force_census(
     )
 
 
-def _image_histogram(ctx, M, mode, threads):
-    """(histogram of the window's images, flagged points re-decided)."""
+def _window_images(ctx, M, mode, threads, preimages=False):
+    """Window indices of the domain's images that land in the window, in
+    band order, with their preimages' coordinates a and b if asked, and
+    how many flagged points were re-decided."""
     R = _domain_radius(M)
     W = 2 * M + 1
     forms = image_forms(ctx, mode, max_abs=R)
@@ -591,14 +574,20 @@ def _image_histogram(ctx, M, mode, threads):
         A, B = _band(cols, *span)
         X, Y, redecided = _exact_images(forms, A, B, mode)
         keep = (np.abs(X) <= M) & (np.abs(Y) <= M)
-        return (X[keep] + M) * W + (Y[keep] + M), redecided
+        idx = (X[keep] + M) * W + (Y[keep] + M)
+        return ((idx, A[keep], B[keep]) if preimages else (idx,)), redecided
 
-    # one histogram of all bands' images: a histogram per band would
-    # allocate and add the whole window per band
     parts, redecided = zip(*_run_bands(-R, R, 2 * R + 1, worker, threads))
-    idx = np.concatenate(parts)
-    del parts  # free the bands' arrays before the histogram is allocated
-    return np.bincount(idx, minlength=W * W), sum(redecided)
+    return [np.concatenate(p) for p in zip(*parts)], sum(redecided)
+
+
+def _image_histogram(ctx, M, mode, threads):
+    """(histogram of the window's images, flagged points re-decided)."""
+    # one histogram of all bands' images: a histogram per band would
+    # allocate and add the whole window per band; the bands' arrays are
+    # freed before the histogram is allocated
+    (idx,), redecided = _window_images(ctx, M, mode, threads)
+    return np.bincount(idx, minlength=(2 * M + 1) ** 2), redecided
 
 
 def collision_preimages(
@@ -606,22 +595,12 @@ def collision_preimages(
 ) -> dict[tuple[int, int], list[tuple[int, int]]]:
     """Brute-force map image -> list of preimages, for images inside the
     window with multiplicity >= 2 (oracle-side diagnostics)."""
-    counts, _ = _image_histogram(ctx, M, mode, threads)
+    (idx, A, B), _ = _window_images(ctx, M, mode, threads, preimages=True)
     W = 2 * M + 1
-    hot = counts >= 2
-    R = _domain_radius(M)
-    forms = image_forms(ctx, mode, max_abs=R)
-    cols = np.arange(-R, R + 1, dtype=np.int64)
+    hot = np.bincount(idx, minlength=W * W)[idx] >= 2
     out: dict[tuple[int, int], list[tuple[int, int]]] = {}
-
-    for blo, bhi in _bands(-R, R, 2 * R + 1):
-        A, B = _band(cols, blo, bhi)
-        X, Y, _ = _exact_images(forms, A, B, mode)
-        inwin = (np.abs(X) <= M) & (np.abs(Y) <= M)
-        idx = (X + M) * W + (Y + M)
-        sel = inwin & hot[np.clip(idx, 0, W * W - 1)]
-        for a, b, x, y in zip(A[sel], B[sel], X[sel], Y[sel]):
-            out.setdefault((int(x), int(y)), []).append((int(a), int(b)))
+    for i, a, b in zip(idx[hot].tolist(), A[hot].tolist(), B[hot].tolist()):
+        out.setdefault((i // W - M, i % W - M), []).append((a, b))
     return out
 
 
@@ -649,6 +628,8 @@ def growth_fit(
         raise ValueError("need at least three window sizes")
     if sorted(Ms) != list(Ms) or len(set(Ms)) != len(Ms):
         raise ValueError("window sizes must be strictly increasing")
+    if Ms[0] < 1:
+        raise ValueError("window sizes must be positive: log M fits need M >= 1")
     run = collision_census if kind is CensusKind.COLLISIONS else hole_census
     cap = oracle_cap if oracle_cap is not None else max(Ms)
     counts = [

@@ -184,6 +184,8 @@ def parse_args(argv) -> argparse.Namespace:
         raise UsageError("--max-steps must be positive")
     if getattr(ns, "max_radius", None) is not None and ns.max_radius < 0:
         raise UsageError("--max-radius must be nonnegative")
+    if getattr(ns, "oracle_cap", None) is not None and ns.oracle_cap < 0:
+        raise UsageError("--oracle-cap must be nonnegative")
     ns.precision_bits = (_config_int(config, "precision_bits")
                          if "precision_bits" in config else None)
 
@@ -202,6 +204,8 @@ def parse_args(argv) -> argparse.Namespace:
             raise UsageError(f"--Ms {ns.Ms!r}: {exc}") from exc
         if len(ns.Ms_list) < 3 or sorted(set(ns.Ms_list)) != ns.Ms_list:
             raise UsageError("--Ms needs at least 3 strictly increasing values")
+        if ns.Ms_list[0] < 1:
+            raise UsageError("--Ms values must be positive")
     if ns.command == "udist":
         try:
             with _config_precision(ns):

@@ -503,7 +503,7 @@ def _ceil_sqrt2(m: int) -> int:
 
 def _domain_radius(M: int) -> int:
     """Radius of the domain window that holds every preimage of the
-    window |x|,|y| <= M + 1, so also every corner of a hole's cell."""
+    window |x|,|y| <= M + 1."""
     return _ceil_sqrt2(M + 2) + 2
 
 

@@ -219,10 +219,25 @@ def test_growth_fit_exponents_small():
         growth_fit(context_from_text("pi/2"), [16, 32, 64])
     with pytest.raises(ValueError):
         growth_fit(ctx, [16, 32])
+    for Ms in ([0, 2, 3], [-1, 2, 3]):
+        with pytest.raises(ValueError, match="positive"):
+            growth_fit(ctx, Ms)
+
+
+def test_negative_windows_are_rejected():
+    # W = 2M + 1 = -1 is no window; the grid's identity would read W^2 = 1
+    ctx = context_from_text("pi/6")
+    for run in (collision_census, hole_census):
+        with pytest.raises(ValueError, match="negative"):
+            run(ctx, -1)
+    for kind in CensusKind:
+        for mode in (RoundingMode.FLOOR, RoundingMode.TRUNC):
+            with pytest.raises(ValueError, match="negative"):
+                brute_force_census(ctx, -1, mode, kind, cap=None)
 
 
 def test_threads_do_not_change_results(monkeypatch):
-    # One-row bands, so every pair and cell straddles a band edge, and
+    # One-row bands, so every up pair straddles a band edge, and
     # angles whose float prefilter flags points for exact re-decision,
     # which runs in the pool threads; a short switch interval interleaves
     # their evaluations of the shared sin/cos nodes.
@@ -336,9 +351,9 @@ SPAN_ANGLES = [
 @settings(max_examples=120, deadline=None)
 @given(text=st.sampled_from(SPAN_ANGLES), M=st.integers(0, 40))
 def test_row_spans_hold_every_needed_point(text, M):
-    # a point whose exact floor or round image lies in [-M-1, M+1]^2, as
-    # each point of a colliding pair and each corner of a hole's cell
-    # does, lies in its row's span
+    # a point whose exact floor or round image lies in [-M-1, M+1]^2 lies
+    # in its row's span; the grid needs this for every preimage of the
+    # window, both points of each colliding pair among them
     ctx = context_from_text(text)
     R = _domain_radius(M)
     A, B = _band(np.arange(-R, R + 1, dtype=np.int64), -R, R)
@@ -351,9 +366,26 @@ def test_row_spans_hold_every_needed_point(text, M):
         assert not (needed & ~inside).any(), mode
 
 
+@settings(max_examples=120, deadline=None)
+@given(text=st.sampled_from(SPAN_ANGLES), M=st.integers(0, 40),
+       mode=st.sampled_from([RoundingMode.FLOOR, RoundingMode.ROUND]))
+def test_counting_identity_premise(text, M, mode):
+    # the grid's hole count reads (2M+1)^2 - holes + collisions = N(M), the
+    # points imaged into the window: it needs every image to have at most
+    # two preimages, which the brute-force histogram checks
+    ctx = context_from_text(text)
+    hist, _ = census._image_histogram(ctx, M, mode, 1)
+    assert hist.max(initial=0) <= 2
+    holes = int(np.count_nonzero(hist == 0))
+    collisions = int(np.count_nonzero(hist == 2))
+    assert (2 * M + 1) ** 2 - holes + collisions == int(hist.sum())
+    for kind, want in ((CensusKind.HOLES, holes), (CensusKind.COLLISIONS, collisions)):
+        assert _grid_census(ctx, M, mode, kind, False, 1)[0] == want, kind
+
+
 @pytest.mark.parametrize("band_points", [1, None, 1 << 40], ids=["one-row", "default", "one-band"])
 def test_band_geometry_keeps_censuses(monkeypatch, band_points):
-    # one-row bands read every pair and cell across a band edge; one band
+    # one-row bands read every up pair across a band edge; one band
     # holds the whole clipped domain
     if band_points is not None:
         monkeypatch.setattr(kernels, "_BAND_POINTS", band_points)

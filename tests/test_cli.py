@@ -183,6 +183,21 @@ def test_orbit_caps_validated(tmp_path):
     assert code == 2 and "--max-steps" in err
 
 
+def test_nonpositive_windows_and_negative_caps_are_usage_errors():
+    # log 0 would reach the growth fit; a negative cap is no window at all
+    for argv in (
+        ["growth", "--angle", "pi/6", "--Ms", "0,2,3", "--kind", "holes"],
+        ["growth", "--angle", "pi/6", "--Ms", "-2,2,3", "--kind", "collisions"],
+        ["census", "--angle", "pi/6", "--M", "4", "--kind", "holes", "--oracle",
+         "--oracle-cap", "-1"],
+        ["growth", "--angle", "pi/6", "--Ms", "2,3,4", "--kind", "holes", "--oracle",
+         "--oracle-cap", "-1"],
+    ):
+        code, out, err = run_cli(*argv)
+        assert code == 2 and out == "" and "usage error" in err, argv
+        assert "Traceback" not in err and "LinAlgError" not in err, argv
+
+
 def test_computational_errors_exit_1():
     code, out, err = run_cli("growth", "--angle", "pi/2", "--Ms", "16,32,64",
                              "--kind", "holes")
