@@ -220,6 +220,8 @@ def parse_args(argv) -> argparse.Namespace:
         except ValueError as exc:
             raise UsageError(f"--start {ns.start!r}: expected x,y") from exc
         ns.start_point = (x, y)
+    if ns.command == "census" and ns.pairs and ns.kind == CensusKind.HOLES.value:
+        raise UsageError("--pairs counts colliding pairs; it needs --kind collisions")
     if ns.command == "census" and ns.emit_points and ns.format == "csv" \
             and not ns.points_file:
         raise UsageError("--emit-points with csv output needs --points-file")
@@ -310,13 +312,13 @@ def _handle_census(ns, out, started):
         _emit_json(out, payload, rep.elapsed_ms, scanned_pts=rep.scanned_pts,
                    redecided_pts=rep.redecided_pts)
     else:
-        out.write("angle,mode,kind,M,count,method,elapsed_ms\n")
-        out.write(
-            _csv_row(
-                [rep.angle, rep.mode.value, rep.kind.value, rep.M, rep.count,
-                 rep.method.value, round(rep.elapsed_ms, 3)]
-            )
-        )
+        head = ["angle", "mode", "kind", "M", "count", "method"]
+        row = [rep.angle, rep.mode.value, rep.kind.value, rep.M, rep.count, rep.method.value]
+        if ns.pairs:
+            head.append("pair_count")
+            row.append(rep.pair_count)
+        out.write(_csv_row(head + ["elapsed_ms"]))
+        out.write(_csv_row(row + [round(rep.elapsed_ms, 3)]))
 
 
 def _handle_growth(ns, out, started):

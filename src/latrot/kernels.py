@@ -12,13 +12,15 @@ point evaluator for orbit steps:
   (P + floor(Q*sqrt(d))) // D, and floor(Q*sqrt(d)) is an integer square
   root, so everything stays exact.  A fractional test against a rational
   bound t = tp/tden is one remainder: with N = P*tden +
-  floor(Q*tden*sqrt(d)), {L} < t iff N mod (D*tden) < tp*D, and {L} = t
-  iff they are equal and Q = 0.  When Q depends on one coordinate only
-  (sin or cos rational), N splits as F(x) + G(y) (split_frac_lt), and
-  the test depends on x and y only through F mod m and G mod m.  The
-  roots floor(Q*m*sqrt(d)) are read
-  from a per-form table over |Q| <= the window's bound, built on the
-  first call with at least as many points as the table has entries.
+  floor(Q*tden*sqrt(d)), {L} < t iff N mod (D*tden) < tp*D.  One routine,
+  _numerator, builds N = m*P + floor(m*Q*sqrt(d)) for floor (m = 1),
+  frac_lt and split_frac_lt, with Q built over only the axes it varies
+  on.  When Q depends on one coordinate (sin or cos rational), its roots
+  are taken once per column or row, and N splits as F(x) + G(y)
+  (split_frac_lt): the test depends on x and y only through F mod m and
+  G mod m.  When Q depends on both (as at pi/4), each root is taken once
+  from a table over the call's own Q range if that range is smaller
+  than the call, else point by point.
 * float prefilter        -- for high-precision or cross-field angles:
   evaluate in float64 and flag any decision within a conservative slack
   of a boundary.  The slack dominates the float64 error bound
@@ -71,6 +73,7 @@ from .exactnum import (
     Rational,
     Scalar,
     ZERO,
+    _floor_sqrt_multiple,
     _quad_bounds,
     as_highprec,
     compare,
@@ -236,7 +239,7 @@ class LinearForm:
     def exact_floor(self, x: int, y: int) -> int:
         return floor_exact(self.exact_value(x, y))
 
-    def exact_frac_lt(self, x: int, y: int, t: Scalar, strict: bool = True) -> bool:
+    def exact_frac_lt(self, x: int, y: int, t: Scalar) -> bool:
         f = frac_part(self.exact_value(x, y))
         try:
             c = compare(f, t)
@@ -244,7 +247,7 @@ class LinearForm:
             # irrationals over different fields never coincide, so the
             # high-precision comparison always separates them
             c = compare(as_highprec(f), as_highprec(t))
-        return c < 0 if strict else c <= 0
+        return c < 0
 
     def exact_frac_zero(self, x: int, y: int) -> bool:
         return compare(frac_part(self.exact_value(x, y)), ZERO) == 0
@@ -268,7 +271,6 @@ class QuadForm(LinearForm):
         self.pG, self.qG = pg * (D // dg), qg * (D // dg)
         self._maxP = (abs(self.pA) + abs(self.pB)) * max_abs + abs(self.pG)
         self._maxQ = (abs(self.qA) + abs(self.qB)) * max_abs + abs(self.qG)
-        self._tables: dict[int, np.ndarray] = {}
         self.vector_ok = self._fits(1)
 
     def _fits(self, m: int) -> bool:
@@ -291,41 +293,44 @@ class QuadForm(LinearForm):
             for x, y in zip(xs, ys)
         ]
 
-    def _numerators(self, X, Y):
-        """P and Q of L = (P + Q*sqrt(d))/D; Q is None when it is 0."""
-        P = _affine(self.pA, self.pB, self.pG, X, Y)
-        if self.pure_rational:
-            return P, None
-        return P, _affine(self.qA, self.qB, self.qG, X, Y)
+    def _q(self, X, Y):
+        """Q = qA*X + qB*Y + qG over only the axes it varies on (a compact
+        view that broadcasts against the call), with its least and
+        greatest value, taken from those axes; Q is a plain int when it
+        is constant."""
+        Q = lo = hi = self.qG
+        for q, V in ((self.qA, X), (self.qB, Y)):
+            if q:
+                V = _compact(V)
+                a, b = q * int(V.min()), q * int(V.max())
+                lo, hi = lo + min(a, b), hi + max(a, b)
+                Q = Q + q * V
+        return Q, lo, hi
 
-    def _table(self, m: int) -> np.ndarray:
-        """floor(Q*m*sqrt(d)) at index Q + maxQ, for |Q| <= maxQ.  Built
-        whole before it is published, so threads can share it."""
-        table = self._tables.get(m)
-        if table is None:
-            n = self._maxQ
-            table = vfloor_sqrt_multiple(np.arange(-n, n + 1, dtype=np.int64) * m, self.d)
-            self._tables[m] = table
-        return table
-
-    def _floor_sqrt(self, Q, m: int):
-        """floor(Q*m*sqrt(d)): looked up when the call has at least as
-        many points as the table has entries, else computed directly."""
-        n = self._maxQ
-        if 2 * n + 1 <= Q.size:
-            idx = Q + n
-            # a Q outside the window's bound would wrap through a negative index
-            if not (idx.view(np.uint64) > 2 * n).any():
-                return np.take(self._table(m), idx)
-        return vfloor_sqrt_multiple(Q * m, self.d)
+    def _numerator(self, X, Y, m: int) -> np.ndarray:
+        """N = m*P + floor(m*Q*sqrt(d)) at the points (X, Y), so that
+        L = (N + phi)/(m*D) for some 0 <= phi < 1.  Each root is taken
+        once: from a table over Q's range on this call when the range
+        has fewer entries than Q (Q varies on both axes, as at pi/4),
+        else at each entry of Q (a row or column when Q varies on one
+        axis only, each point of a wide 1-D array)."""
+        N = _affine(self.pA * m, self.pB * m, self.pG * m, X, Y)
+        if self.pure_rational or not N.size:
+            return N
+        Q, lo, hi = self._q(X, Y)
+        if isinstance(Q, int):
+            N += _floor_sqrt_multiple(Q * m, self.d)
+        elif hi - lo < Q.size:
+            Q -= lo
+            N += vfloor_sqrt_multiple(np.arange(lo, hi + 1, dtype=np.int64) * m, self.d)[Q]
+        else:
+            N += vfloor_sqrt_multiple(Q * m, self.d)
+        return N
 
     def floor(self, X, Y):
         if not self.vector_ok:
             return self._prefilter.floor(X, Y)
-        P, Q = self._numerators(X, Y)
-        if Q is not None:
-            P += self._floor_sqrt(Q, 1)
-        return P // self.D, None
+        return self._numerator(X, Y, 1) // self.D, None
 
     def _frac_test(self, t: Scalar):
         """(tden, modulus, bound) of the one-remainder test {L} < t, or
@@ -338,24 +343,14 @@ class QuadForm(LinearForm):
             return None
         return tden, modulus, bound
 
-    def frac_lt(self, X, Y, t: Scalar, strict: bool = True):
-        # with N = P*tden + floor(Q*tden*sqrt(d)), L = (N + phi)/(D*tden)
-        # for some 0 <= phi < 1, and phi = 0 exactly when Q = 0
+    def frac_lt(self, X, Y, t: Scalar):
+        # with N = _numerator(X, Y, tden), L = (N + phi)/(D*tden) for some
+        # 0 <= phi < 1, so {L} < t = tp/tden iff N mod (D*tden) < tp*D
         test = self._frac_test(t)
         if test is None:
-            return self._prefilter.frac_lt(X, Y, t, strict)
+            return self._prefilter.frac_lt(X, Y, t)
         tden, modulus, bound = test
-        N, Q = self._numerators(X, Y)
-        N *= tden
-        if Q is not None:
-            N += self._floor_sqrt(Q, tden)
-        r = _mod_inplace(N, modulus)
-        if strict:
-            return r < bound, None
-        equal = r == bound
-        if Q is not None:
-            equal &= Q == 0
-        return (r < bound) | equal, None
+        return _mod_inplace(self._numerator(X, Y, tden), modulus) < bound, None
 
     def split_frac_lt(self, cols: np.ndarray, rows: np.ndarray, t: Scalar):
         """frac_lt's test {L} < t split by axis, when Q depends on one
@@ -367,29 +362,20 @@ class QuadForm(LinearForm):
         if test is None or (self.qA and self.qB):
             return None
         tden, m, bound = test
+        # the axis Q varies on carries Q and the constant terms
         if self.qA:
-            F, G = self._axis_numerator(self.pA, self.qA, cols, tden), self.pB * tden * rows
+            F, G = self._numerator(cols, 0 * cols, tden), self.pB * tden * rows
         else:
-            F, G = self.pA * tden * cols, self._axis_numerator(self.pB, self.qB, rows, tden)
+            F, G = self.pA * tden * cols, self._numerator(0 * rows, rows, tden)
         return _mod_inplace(F, m), _mod_inplace(G, m), m, bound
-
-    def _axis_numerator(self, p: int, q: int, v: np.ndarray, tden: int) -> np.ndarray:
-        """(p*v + pG)*tden + floor((q*v + qG)*tden*sqrt(d)): N along the
-        axis that carries Q and the constant terms.  Each value occurs
-        once, so the roots are computed, not looked up."""
-        N = (p * v + self.pG) * tden
-        if q or self.qG:
-            N += vfloor_sqrt_multiple((q * v + self.qG) * tden, self.d)
-        return N
 
     def frac_zero(self, X, Y):
         # L is an integer iff Q = 0 and D divides P
         if not self.vector_ok:
             return self._prefilter.frac_zero(X, Y)
-        P, Q = self._numerators(X, Y)
-        zero = _mod_inplace(P, self.D) == 0
-        if Q is not None:
-            zero &= Q == 0
+        zero = _mod_inplace(_affine(self.pA, self.pB, self.pG, X, Y), self.D) == 0
+        if not self.pure_rational and zero.size:
+            zero &= self._q(X, Y)[0] == 0
         return zero, None
 
     def point(self, trunc: bool = False):
@@ -439,11 +425,10 @@ class FloatForm(LinearForm):
         F, _, unc = self._floors(X, Y)
         return F.astype(np.int64), unc
 
-    def frac_lt(self, X, Y, t: Scalar, strict: bool = True):
+    def frac_lt(self, X, Y, t: Scalar):
         _, f, unc = self._floors(X, Y)
         ft = float(t)
-        mask = (f < ft) if strict else (f <= ft)
-        return mask, unc | (np.abs(f - ft) < self.slack)
+        return f < ft, unc | (np.abs(f - ft) < self.slack)
 
     def frac_zero(self, X, Y):
         _, f, unc = self._floors(X, Y)
@@ -556,7 +541,7 @@ def _exact_box(forms, A, B, ts):
     bounds ts, and how many flagged points the forms' enclosures decided
     and how many went to the scalar exact_frac_lt (a tie {L} = t, or a
     floor the enclosure left open)."""
-    (m1, u1), (m2, u2) = (k.frac_lt(A, B, t, strict=True) for k, t in zip(forms, ts))
+    (m1, u1), (m2, u2) = (k.frac_lt(A, B, t) for k, t in zip(forms, ts))
     m = m1 & m2
     flags = [u for u in (u1, u2) if u is not None]
     if not flags:

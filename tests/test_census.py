@@ -320,7 +320,7 @@ def test_exact_frac_lt_across_fields():
     k1, _ = image_forms(ctx, RoundingMode.FLOOR, max_abs=10)
     assert k1.exact_frac_lt(2, 0, ctx.sin) is False  # {2*sqrt(6)/3} ~ 0.633
     assert k1.exact_frac_lt(1, 0, ctx.sin) is False  # sqrt(6)/3 ~ 0.816
-    assert k1.exact_frac_lt(0, -1, ctx.sin, strict=False) is True  # equal
+    assert k1.exact_frac_lt(0, -1, ctx.sin) is False  # equal: the box is half-open
 
 
 def test_collision_site_exact_agrees_with_neighbors():

@@ -125,6 +125,31 @@ def test_census_csv_header():
     assert fields[:4] == ["pyth:3,4,5", "floor", "collisions", "8"]
 
 
+def test_census_pairs_in_csv_and_json():
+    # --pairs adds pair_count before the trailing elapsed_ms; rows without
+    # it keep their bytes
+    base = ("census", "--angle", "pi/6", "--M", "12", "--kind", "collisions")
+    _, plain, _ = run_cli(*base)
+    code, out, err = run_cli(*base, "--pairs")
+    assert code == 0 and err == ""
+    head, row = out.splitlines()
+    assert head == "angle,mode,kind,M,count,method,pair_count,elapsed_ms"
+    fields = row.split(",")
+    _, js, _ = run_cli(*base, "--pairs", "--format", "json")
+    data = json.loads(js)
+    assert int(fields[-2]) == data["pair_count"] == data["count"] == int(fields[4]) > 0
+    assert [len(line.split(",")) for line in plain.splitlines()] == [7, 7]
+    assert [line.split(",")[:6] for line in plain.splitlines()] == [
+        line.split(",")[:6] for line in out.splitlines()]
+
+
+def test_census_pairs_with_holes_is_a_usage_error():
+    for fmt in ("csv", "json"):
+        code, out, err = run_cli("census", "--angle", "pi/4", "--M", "5", "--kind", "holes",
+                                 "--pairs", "--format", fmt)
+        assert code == 2 and out == "" and "--pairs" in err
+
+
 def test_pyth_csv_rows():
     code, out, _ = run_cli("pyth", "--qmax", "13")
     assert code == 0

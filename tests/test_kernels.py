@@ -1,7 +1,8 @@
 """The exact quadratic kernel: fractional-part tests by one remainder,
-checked against the scalar exact layer, and square roots read from the
-per-form table; the batched re-decision of flagged points from integer
-enclosures, checked against discrete_rotate, which is not on its path."""
+checked against the scalar exact layer, and one numerator routine
+checked against exact roots on every view the scans pass it; the
+batched re-decision of flagged points from integer enclosures, checked
+against discrete_rotate, which is not on its path."""
 
 import ast
 import math
@@ -11,10 +12,19 @@ import sys
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from latrot import census, kernels, orbits, rotation, udist
+from latrot import kernels, rotation, udist
 from latrot.angle import context_from_text
 from latrot.census import CensusKind, _grid_census, _sorted_points, brute_force_census
-from latrot.exactnum import ZERO, compare, frac_part, highprec, parse_scalar, quad, rational
+from latrot.exactnum import (
+    ZERO,
+    _floor_sqrt_multiple,
+    compare,
+    frac_part,
+    highprec,
+    parse_scalar,
+    quad,
+    rational,
+)
 from latrot.kernels import (
     QuadForm,
     _band,
@@ -46,76 +56,136 @@ def _window(R):
     points=st.lists(st.tuples(st.integers(-R, R), st.integers(-R, R)), min_size=1, max_size=12),
     tden=st.integers(1, 13),
     data=st.data(),
-    strict=st.booleans(),
 )
-def test_frac_lt_matches_exact_layer(angle, mode, points, tden, data, strict):
+def test_frac_lt_matches_exact_layer(angle, mode, points, tden, data):
     t = rational(data.draw(st.integers(1, tden), label="tp"), tden)  # t = 1 included
     X = np.array([x for x, _ in points], dtype=np.int64)
     Y = np.array([y for _, y in points], dtype=np.int64)
-    # the same points alone (direct roots) and ahead of the whole window
-    # (enough points for the table)
+    # the same points alone (roots point by point) and ahead of the whole
+    # window (enough points for a table over their Q range)
     A, B = _window(R)
     big = (np.concatenate([X, A.ravel()]), np.concatenate([Y, B.ravel()]))
     for k in image_forms(context_from_text(angle), mode, max_abs=R):
         assert isinstance(k, QuadForm)
-        want = [k.exact_frac_lt(x, y, t, strict) for x, y in points]
+        want = [k.exact_frac_lt(x, y, t) for x, y in points]
         for PX, PY in ((X, Y), big):
-            got, unc = k.frac_lt(PX, PY, t, strict)
+            got, unc = k.frac_lt(PX, PY, t)
             assert unc is None
-            assert got[: len(points)].tolist() == want, (angle, mode, t, strict)
+            assert got[: len(points)].tolist() == want, (angle, mode, t)
 
 
 def test_frac_lt_at_the_bound_itself():
     # pi/6 at x = 0: L1 = -y/2, so {L1} = 1/2 exactly at odd y (Q = 0 and
-    # the remainder equals tp*D); 3-4-5 at x = 0: L1 = -3y/5 hits 2/5
+    # the remainder equals tp*D); 3-4-5 at x = 0: L1 = -3y/5 hits 2/5.
+    # The box is half-open: the tie {L} = t reads False.
     A, B = _window(R)
     column = (A[R + 1 : R + 4, R], B[R + 1 : R + 4, R])  # x = 0, y = 1..3
     for angle, t in (("pi/6", rational(1, 2)), ("pyth:3,4,5", rational(2, 5))):
         k1, _ = image_forms(context_from_text(angle), RoundingMode.FLOOR, max_abs=R)
-        for X, Y in ((A, B), column):  # table and direct roots
-            strict, _ = k1.frac_lt(X, Y, t, strict=True)
-            loose, _ = k1.frac_lt(X, Y, t, strict=False)
+        for X, Y in ((A, B), column):  # the whole window and one column
+            got, _ = k1.frac_lt(X, Y, t)
             on = 0
             for i in np.ndindex(X.shape):
                 x, y = int(X[i]), int(Y[i])
-                assert strict[i] == k1.exact_frac_lt(x, y, t)
-                assert loose[i] == k1.exact_frac_lt(x, y, t, strict=False)
-                on += bool(loose[i] and not strict[i])
+                assert got[i] == k1.exact_frac_lt(x, y, t)
+                if compare(frac_part(k1.exact_value(x, y)), t) == 0:
+                    assert not got[i]
+                    on += 1
             assert on > 0, angle  # some point has {L} = t
 
 
-def test_table_and_direct_roots_agree():
-    for angle in ["pi/4", "pi/6", "pi*7/6"]:
+ONE_AXIS = ["pi/6", "pi*7/6", "pi/3"]
+TWO_AXIS = ["pi/4", "pi*3/4", "quad:sin=sqrt(5)/5,cos=2*sqrt(5)/5"]
+
+
+def _exact_numerators(k, X, Y, m):
+    """P*m + floor(Q*m*sqrt(d)) at each point, the roots taken in Python
+    ints (exactnum._floor_sqrt_multiple) once per distinct Q."""
+    X, Y = np.broadcast_arrays(X, Y)
+    P = k.pA * X + k.pB * Y + k.pG
+    Q = k.qA * X + k.qB * Y + k.qG
+    values, inverse = np.unique(Q, return_inverse=True)
+    roots = np.array([_floor_sqrt_multiple(int(q) * m, k.d) for q in values], dtype=np.int64)
+    return P * m + roots[inverse.reshape(Q.shape)]
+
+
+def test_numerators_match_exact_roots_on_every_view(monkeypatch):
+    # one routine serves floor, frac_lt and split_frac_lt: on _band views
+    # (a default band of a census at M = 256, and one row), on broadcast
+    # views of step 2 (udist's odd-odd scan) and on plain 1-D arrays of
+    # wide range (the period-8 chains)
+    sizes = []
+
+    def spy(q, d):
+        sizes.append(np.size(q))
+        return vfloor_sqrt_multiple(q, d)
+
+    monkeypatch.setattr(kernels, "vfloor_sqrt_multiple", spy)
+    R0 = kernels._domain_radius(256)
+    cols = np.arange(-R0, R0 + 1, dtype=np.int64)
+    blo, bhi = next(kernels._bands(-R0, R0, cols.size))
+    odd = udist._coord_values(201, udist.Parity.ODD_ODD)
+    rng = np.random.default_rng(17)
+    wide = 10**5
+    chain = (rng.integers(-wide, wide + 1, 400), rng.integers(-wide, wide + 1, 400))
+    views = [
+        ("band", R0, _band(cols, blo, bhi)),
+        ("row", R0, _band(cols, 5, 5)),
+        ("odd", 201, np.broadcast_arrays(odd[None, :], odd[3:40, None])),
+        ("chain", wide, chain),
+        ("axis", wide, (chain[0], np.zeros_like(chain[0]))),
+    ]
+    for angle in ONE_AXIS + TWO_AXIS:
         ctx = context_from_text(angle)
-        for k in image_forms(ctx, RoundingMode.ROUND, max_abs=R):
-            assert not k._tables  # nothing is built up front
-            A, B = _window(R)
-            small = (A[3, 2:5], B[3, 2:5])
-            assert 3 < 2 * k._maxQ + 1 <= A.size
-            calls = ((k.floor, 1), (lambda X, Y: k.frac_lt(X, Y, rational(3, 7)), 7))
-            for call, m in calls:
-                assert call(*small)[0].tolist() == call(A, B)[0][3, 2:5].tolist()
-                assert m in k._tables  # the large call built its table
-                Q = k.qA * A + k.qB * B + k.qG
-                assert (k._floor_sqrt(Q, m) == vfloor_sqrt_multiple(Q * m, k.d)).all()
-            # a Q outside the table takes the direct root, never a wrapped index
-            Q = np.full(A.size, -k._maxQ - 1, dtype=np.int64)
-            Q[-1] = k._maxQ + 1
-            assert (k._floor_sqrt(Q, 1) == vfloor_sqrt_multiple(Q, k.d)).all()
+        for mode in MODES:
+            for name, max_abs, (X, Y) in views:
+                for k in image_forms(ctx, mode, max_abs=max_abs):
+                    assert isinstance(k, QuadForm) and (bool(k.qA and k.qB) == (angle in TWO_AXIS))
+                    # floor: the point evaluator at sampled points, and the
+                    # exact numerators everywhere
+                    sizes.clear()
+                    F, unc = k.floor(X, Y)
+                    assert unc is None
+                    assert (F == _exact_numerators(k, X, Y, 1) // k.D).all(), (angle, mode, name)
+                    if name == "band":
+                        rows, ncols = X.shape
+                        # each root once: over a row or a column, or over
+                        # the band's Q range |qA|*(cols-1) + |qB|*(rows-1) + 1
+                        bound = abs(k.qA) * ncols + abs(k.qB) * rows
+                        assert max(sizes) <= bound, (angle, mode, sizes)
+                        if max(abs(k.qA), abs(k.qB)) == 1:
+                            assert bound <= ncols + rows
+                    A, B = np.broadcast_arrays(X, Y)
+                    step = k.point()
+                    for i in rng.integers(0, A.size, 25):
+                        x, y = int(A.flat[i]), int(B.flat[i])
+                        assert F.flat[i] == step(x, y), (angle, mode, name, x, y)
+                    for m in (1, 3, 7):
+                        t = rational(m // 2 + 1, m)
+                        N = _exact_numerators(k, X, Y, m)
+                        want = N % (k.D * m) < (m // 2 + 1) * k.D
+                        got, unc = k.frac_lt(X, Y, t)
+                        assert unc is None and (got == want).all(), (angle, mode, name, m)
+                        if name in ("chain", "axis"):
+                            continue
+                        split = k.split_frac_lt(X[0], Y[:, 0], t)
+                        if angle in TWO_AXIS:
+                            assert split is None
+                            continue
+                        Fm, Gm, modulus, bound = split
+                        assert (((Fm[None, :] + Gm[:, None]) % modulus < bound) == want).all()
+    # no values at all (udist's odd-odd scan at M = 0)
+    empty = np.zeros(0, dtype=np.int64)
+    for angle in ONE_AXIS:
+        for k in image_forms(context_from_text(angle), RoundingMode.FLOOR, max_abs=0):
+            assert k.floor(empty, empty)[0].size == k.frac_zero(empty, empty)[0].size == 0
+            Fm, Gm, _, _ = k.split_frac_lt(empty, empty, rational(1, 3))
+            assert Fm.size == Gm.size == 0
 
 
-def test_threads_share_lazily_built_tables(monkeypatch):
-    # bands of four rows hold more points than a table has entries, so
-    # the first bands on the pool threads build the tables the rest read
-    made = []
-
-    def capture(*args, **kwargs):
-        forms = kernels.image_forms(*args, **kwargs)
-        assert not any(k._tables for k in forms)
-        made.append(forms)
-        return forms
-
-    monkeypatch.setattr(census, "image_forms", capture)
+def test_census_is_the_same_on_one_and_two_threads(monkeypatch):
+    # bands of four rows, shared by two pool threads, at pi/4 (whose
+    # roots come from each band's own table)
     monkeypatch.setattr(kernels, "_BAND_POINTS", 4 * (2 * kernels._domain_radius(30) + 1))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
@@ -129,30 +199,6 @@ def test_threads_share_lazily_built_tables(monkeypatch):
             assert _sorted_points(a[1], 30) == _sorted_points(b[1], 30) == o.points
     finally:
         sys.setswitchinterval(interval)
-    assert made and all(list(k._tables) == [1] for forms in made for k in forms)
-
-
-def test_root_tables_in_use_at_benchmark_sizes(monkeypatch):
-    # a default band holds more points than the table of a census at
-    # M=256, a udist scan at M=1000 or a sweep at M=300 has entries; the
-    # period-8 chains are short and keep the direct root (udist's
-    # separable route takes each root once and keeps no table)
-    made = []
-
-    def capture(*args, **kwargs):
-        forms = kernels.image_forms(*args, **kwargs)
-        made.append(forms)
-        return forms
-
-    for module in (census, udist, orbits):
-        monkeypatch.setattr(module, "image_forms", capture)
-    _grid_census(context_from_text("pi/4"), 256, RoundingMode.FLOOR, CensusKind.HOLES, False, 1)
-    box = udist.InequalityBox(rational(1, 2), rational(1, 3))
-    udist.count_solutions(context_from_text("pi/4"), box, 1000)
-    orbits.orbit_sweep(context_from_text("pi/4"), 300)
-    assert made and all(k._tables for forms in made for k in forms)
-    orbits.verify_period8(10**6)
-    assert not any(k._tables for k in made[-1])
 
 
 def test_band_size_is_defined_only_in_kernels():
