@@ -449,7 +449,7 @@ def _handle_sweep(ns, out, started):
         if summary.absorbed_all is not None:
             payload["absorbed_all"] = summary.absorbed_all
         _emit_json(out, payload, (time.perf_counter() - started) * 1000,
-                   scalar_starts=summary.scalar_starts)
+                   scalar_starts=summary.scalar_starts, redecided_pts=summary.redecided_pts)
     else:
         out.write("period,count\n")
         for p, c in sorted(summary.histogram.items()):

@@ -77,6 +77,7 @@ class SweepSummary:
     escaped: int
     absorbed_all: bool | None = None  # trunc mode: every orbit reached (0,0)?
     scalar_starts: int = field(default=0, compare=False)  # starts detect_cycle answered alone
+    redecided_pts: int = field(default=0, compare=False)  # flagged images re-decided exactly
 
     @property
     def total(self) -> int:
@@ -193,8 +194,12 @@ def orbit_sweep(
     the exact tails are computed only when the depth bound plus the
     longest period passes it.  Otherwise the sink means the orbit left
     the window: detect_cycle answers those starts one by one, and
-    scalar_starts counts them.
+    scalar_starts counts them.  redecided_pts counts the flagged images
+    the successor arrays re-decided exactly, over every window tried.
     """
+    if M < 0:
+        raise ValueError(f"window M={M} is negative")
+    redecided = 0
     # Floor orbits at generic angles drift further as M grows: rad:~0.3
     # needs 16 rows at M=200 and 32 at M=600, which the retry holds.
     for margin in (2, 8 + M // 8):
@@ -202,7 +207,8 @@ def orbit_sweep(
         W = 2 * R + 1
         sink = W * W
         escapes = caps.max_radius is not None and caps.max_radius < R
-        succ = _successors(ctx, mode, R, caps.max_radius)
+        succ, flagged = _successors(ctx, mode, R, caps.max_radius)
+        redecided += flagged
         jump, label, on_cycle, depth = _cycles(succ)
         ends = label[_starts(jump, R, M)]
         del jump
@@ -238,7 +244,7 @@ def orbit_sweep(
         escaped += rec.status is OrbitStatus.ESCAPED
     return SweepSummary(
         M, dict(sorted(histogram.items())), undetermined, escaped, absorbed,
-        scalar_starts=int(np.count_nonzero(handed)),
+        scalar_starts=int(np.count_nonzero(handed)), redecided_pts=redecided,
     )
 
 
@@ -249,12 +255,13 @@ def _starts(a, R, M):
     return a[:W * W].reshape(W, W)[R - M:R + M + 1, R - M:R + M + 1]
 
 
-def _successors(ctx, mode, R, radius) -> np.ndarray:
-    """succ[i] is the index of the image of point i of |x|,|y| <= R (row
-    by row, x fastest); every image outside the window goes to the sink,
-    index (2R+1)^2, which is its own successor.  A radius (None for none)
-    inside the window sends every point beyond it, and every image beyond
-    it, to the sink too."""
+def _successors(ctx, mode, R, radius) -> tuple[np.ndarray, int]:
+    """(succ, redecided): succ[i] is the index of the image of point i of
+    |x|,|y| <= R (row by row, x fastest); every image outside the window
+    goes to the sink, index (2R+1)^2, which is its own successor.  A
+    radius (None for none) inside the window sends every point beyond
+    it, and every image beyond it, to the sink too.  redecided counts
+    the flagged points whose images were re-decided exactly."""
     W = 2 * R + 1
     sink = W * W
     bound = R if radius is None else min(R, radius)
@@ -262,14 +269,16 @@ def _successors(ctx, mode, R, radius) -> np.ndarray:
     succ[sink] = sink
     forms = image_forms(ctx, mode, max_abs=R)
     cols = np.arange(-R, R + 1, dtype=np.int64)
+    redecided = 0
     for blo, bhi in _bands(-R, R, W):
         A, B = _band(cols, blo, bhi)
-        X, Y, _ = _exact_images(forms, A, B, mode)
+        X, Y, flagged = _exact_images(forms, A, B, mode)
+        redecided += flagged
         inside = (np.abs(X) <= bound) & (np.abs(Y) <= bound)
         if bound < R:
             inside &= (np.abs(A) <= bound) & (np.abs(B) <= bound)
         succ[(blo + R) * W:(bhi + R + 1) * W] = np.where(inside, (Y + R) * W + X + R, sink).ravel()
-    return succ
+    return succ, redecided
 
 
 def _cycles(succ):

@@ -11,9 +11,16 @@ restricted to odd-odd pairs, by one of two routes:
   (QuadForm.split_frac_lt), so a pair passes by its column class and
   its row class alone, and the count sums products of class sizes over
   the class pairs that pass;
-* scan, for every other form or bound: every pair is box-tested in
-  bands (kernels._exact_box), which is also the separable route's
-  oracle.
+* arcs, for every other form or bound: with u = {a*x} per column and
+  v = {b*y + c} per row from the forms' float coefficients, a pair
+  passes a form iff u lies in the arc [-v, t - v) mod 1.  Sorting the
+  columns by u1 and ranking their u2 turns each row's count into
+  rectangle counts over a merge-sort tree, O(n log^2 n) for n window
+  values; the columns within a float slack of an arc's end are
+  box-tested exactly (kernels._exact_box).
+
+_scan_count, which box-tests every pair in bands, is the tests'
+reference for both routes.
 
 count_solutions_residue is a third counter, for angles with sin = p1/q,
 cos = p2/q.  With h the inverse of p2 modulo q scaled by p1 (2uv*h ==
@@ -38,7 +45,7 @@ import numpy as np
 from .angle import AngleContext, RationalPythagorean
 from .errors import InvalidSpec
 from .exactnum import Rational, Scalar, ZERO, ONE, compare, rational
-from .kernels import _INT64_SAFE, QuadForm, _bands, _exact_box, _mod_inplace, image_forms
+from .kernels import _INT64_SAFE, FloatForm, QuadForm, _bands, _exact_box, _mod_inplace, image_forms
 from .rotation import RoundingMode
 
 
@@ -156,22 +163,24 @@ def count_solutions(
 ) -> int:
     """Direct windowed count of {L1} in [0,t1) and {L2} in [0,t2).
 
-    A counters dict receives method ("separable" or "scan"), scanned_pts
-    (the class pairs tested, or the points box-tested), and
+    A counters dict receives method ("separable" or "arcs"), scanned_pts
+    (the class pairs tested, or the strip pairs box-tested), and
     redecided_pts and scalar_pts: the points the float prefilter flagged
     that the forms' enclosures decided, and those the scalar exact layer
     decided."""
+    if M < 0:
+        raise ValueError(f"window M={M} is negative")
     forms = image_forms(ctx, RoundingMode.FLOOR, max_abs=M)
     vals, ts = _coord_values(M, parity), (box.t1, box.t2)
-    total, tally = _separable_count(forms, ts, vals) or _scan_count(forms, ts, vals)
+    total, tally = _separable_count(forms, ts, vals) or _arc_count(forms, ts, vals)
     if counters is not None:
         counters.update(tally)
     return total
 
 
 def _scan_count(forms, ts, vals):
-    """Box-test every pair of vals: the route of every form the
-    separable route cannot split, and its oracle."""
+    """Box-test every pair of vals: the tests' reference for the
+    separable and arc routes."""
     total = redecided = scalar = 0
     # banded over row indices, so odd-odd rows keep their step of 2
     for i0, i1 in _bands(0, len(vals) - 1, len(vals)):
@@ -182,6 +191,138 @@ def _scan_count(forms, ts, vals):
         scalar += s
     return total, dict(method="scan", scanned_pts=len(vals) ** 2,
                        redecided_pts=redecided, scalar_pts=scalar)
+
+
+def _frac(z: np.ndarray) -> np.ndarray:
+    return z - np.floor(z)
+
+
+def _arc_count(forms, ts, vals):
+    """(count, counters) for any pair of forms, by arc range counting.
+
+    With the float coefficients of each form's prefilter (FloatForm, or
+    QuadForm._prefilter), u(x) = {a*x} per column and v(y) = {b*y + c}
+    per row, {L(x, y)} = {u + v}, so a pair passes iff u lies in the arc
+    [-v, t - v) mod 1.  _arc_cuts splits each row's circle of columns,
+    sorted by u, into passes (the arc shrunk by the form's slack), fails
+    (its complement shrunk by the slack) and two strips of width
+    2*slack around the arc's ends.  The pairs that pass both forms
+    certainly are counted by rectangle counting over the columns' ranks
+    (_torus_dominance); the strip pairs of either form are box-tested
+    exactly (kernels._exact_box), and scanned_pts counts them.
+
+    Exactness.  Let e = 2^-53 and S = |a*x| + |b*y| + |c| + 1.  The
+    coefficient floats lie within a few ulps of a, b, c (the prefilter's
+    premise); a*x and b*y + c are rounded once or twice each; z - floor(z)
+    is exact except for z in (-1, 0), where it rounds once; the cut
+    points s - v, t - s - v, t + s - v, 1 - s - v and their fractional
+    parts are rounded a few times at magnitudes below 2; searchsorted
+    compares exactly.  So each column's place among the cuts is off from
+    the exact {L} by under 16*e*S, while the slack is at least
+    1e-12*S, about 9000*e*S: the prefilter's own margin of more than 100
+    times.  A pass therefore has 0 < {L} < t and a fail {L} >= t."""
+    n = len(vals)
+    orders, cuts = [], []
+    for k, t in zip(forms, ts):
+        f = k if isinstance(k, FloatForm) else k._prefilter
+        u = _frac(f.fa * vals)
+        order = np.argsort(u, kind="stable")
+        orders.append(order)
+        cuts.append(_arc_cuts(u[order], _frac(f.fb * vals + f.fg), t, f.slack))
+    total = redecided = scalar = scanned = 0
+    if n:
+        rank = np.empty(n, np.int64)
+        rank[orders[1]] = np.arange(n)
+        (a1, b1), (a2, b2) = ((c[:, 1], c[:, 2]) for c in cuts)
+        e = _torus_dominance(rank[orders[0]], np.concatenate([b1, a1, b1, a1]),
+                             np.concatenate([b2, b2, a2, a2])).reshape(4, n)
+        total = int((e[0] - e[1] - e[2] + e[3]).sum())
+    for rows, cols in _strips(orders, cuts):
+        m, r, s = _exact_box(forms, vals[cols], vals[rows], ts)
+        total += int(np.count_nonzero(m))
+        scanned += len(rows)
+        redecided += r
+        scalar += s
+    return total, dict(method="arcs", scanned_pts=scanned,
+                       redecided_pts=redecided, scalar_pts=scalar)
+
+
+def _arc_cuts(us: np.ndarray, v: np.ndarray, t: Scalar, slack: float) -> np.ndarray:
+    """Each row's cuts through the columns sorted by u (us), as a
+    (rows, 6) array c0 <= ... <= c5 = c0 + n of indices into those
+    columns repeated once per period: index j stands for the column at
+    place j mod n, at us[j mod n] + j // n.  [c1, c2) passes, [c3, c4)
+    fails, and [c0, c1), [c2, c3) and [c4, c5) are the strips.  The cuts
+    are the places of -s - v, s - v, t - s - v, t + s - v and 1 - s - v
+    for s the slack, made monotone and clipped to one period, which only
+    shrinks the passes and fails; a side t = 1 passes every column."""
+    n = len(us)
+    if compare(t, ONE) == 0:
+        return np.broadcast_to(np.array([0, 0, n, n, n, n]), (len(v), 6))
+    ft = float(t)
+    c = np.array([-slack, slack, ft - slack, ft + slack, 1 - slack]) - v[:, None]
+    F = np.floor(c)
+    cut = F.astype(np.int64) * n + np.searchsorted(us, c - F)
+    np.maximum.accumulate(cut, axis=1, out=cut)
+    cut = np.minimum(cut, cut[:, :1] + n)
+    return np.column_stack([cut, cut[:, 0] + n])
+
+
+def _torus_dominance(seq: np.ndarray, I: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """E(I, R) = sum over positions p of N(p, I) * N(seq[p], R), where
+    N(p, I) counts the indices p + k*n below I from a fixed k on; for
+    index ranges of at most n, E(b1, b2) - E(a1, b2) - E(b1, a2) +
+    E(a1, a2) counts the positions in [a1, b1) mod n whose seq lies in
+    [a2, b2) mod n.  With I = a*n + i and R = b*n + r, E = n*a*b + a*r
+    + b*i + D(i, r) for D the dominance count #{p < i : seq[p] < r}.
+
+    D comes from a merge-sort tree over seq, one level at a time: at
+    level l the keys (p >> l)*n + seq[p] sorted hold every block of 2^l
+    positions in place, sorted by seq, so one searchsorted answers the
+    level for every query whose prefix [0, i) holds a block there (bit l
+    of i).  O(n log^2 n) time for n queries, O(n) memory."""
+    n = len(seq)
+    a, i = np.divmod(I, n)
+    b, r = np.divmod(R, n)
+    out = n * a * b + a * r + b * i
+    keys = np.arange(n, dtype=np.int64) * n + seq
+    for lev in range((n - 1).bit_length()):
+        if lev:
+            # a level's blocks are pairs of the last level's sorted runs
+            keys = np.sort(keys // (2 * n) * n + keys % n, kind="stable")
+        hit = np.flatnonzero(i >> lev & 1)
+        start = i[hit] >> (lev + 1) << (lev + 1)
+        out[hit] += np.searchsorted(keys, (start >> lev) * n + r[hit]) - start
+    return out
+
+
+def _strips(orders, cuts):
+    """Banded (rows, cols) index arrays of the strip pairs of either
+    form (_arc_cuts), each pair once: form 2's strip pairs whose column
+    lies in one of form 1's strips come from form 1 only."""
+    n = len(orders[0])
+    # six strips a row: form 1's three, then form 2's
+    lo = np.stack([c[:, j] for c in cuts for j in (0, 2, 4)])
+    size = np.stack([c[:, j + 1] for c in cuts for j in (0, 2, 4)]) - lo
+    per_row = size.sum(axis=0)
+    if not per_row.any():
+        return
+    both = np.concatenate(orders)
+    place = np.empty(n, np.int64)  # each column's index among form 1's
+    place[orders[0]] = np.arange(n)
+    for r0, r1 in _bands(0, n - 1, int(per_row.max())):
+        sizes = size[:, r0 : r1 + 1].ravel()
+        strip = np.repeat(np.arange(sizes.size), sizes)  # each pair's strip
+        part, rows = np.divmod(strip, r1 + 1 - r0)
+        rows += r0
+        j = lo[part, rows] + np.arange(len(strip)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        second = part >= 3
+        cols = both[j % n + n * second]
+        c = cuts[0][rows[second]]
+        j = c[:, 0] + (place[cols[second]] - c[:, 0]) % n
+        keep = ~second
+        keep[second] = (c[:, 1] <= j) & (j < c[:, 2]) | (c[:, 3] <= j) & (j < c[:, 4])
+        yield rows[keep], cols[keep]
 
 
 def _classes(a: np.ndarray, b: np.ndarray, mb: int):
@@ -200,7 +341,7 @@ def _separable_count(forms, ts, vals):
     through its column class (F1(x) mod m1, F2(x) mod m2) and on y only
     through its row class.  Each class pair that passes adds the product
     of the classes' sizes.  There are never more class pairs than
-    points, so this never does more work than the scan."""
+    points, so this never does more work than box-testing every pair."""
     if not all(isinstance(k, QuadForm) for k in forms):
         return None
     splits = [k.split_frac_lt(vals, vals, t) for k, t in zip(forms, ts)]
@@ -233,10 +374,12 @@ def count_solutions_residue(
 ) -> int:
     """Residue-class counter for rational (Pythagorean) angles.
 
-    Independent of the direct scan: admissible residues d1 are read off
+    Independent of count_solutions: admissible residues d1 are read off
     the exact fractional values {p2*d1/q}, {p1*d1/q}, then lattice pairs
     are counted per class in closed form.
     """
+    if M < 0:
+        raise ValueError(f"window M={M} is negative")
     cls = ctx.classification
     if not isinstance(cls, RationalPythagorean):
         raise InvalidSpec("residue counting needs a rational Pythagorean angle")

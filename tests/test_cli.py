@@ -78,7 +78,7 @@ def test_udist_meta_reports_its_route():
     base = ("udist", "--M", "30", "--t1", "1/2", "--t2", "1/3")
     for angle, extra, method, scanned in (
         ("pyth:3,4,5", (), "separable", 25),  # 5 column by 5 row classes
-        ("pi/4", (), "scan", 61 * 61),
+        ("pi/4", (), "arcs", 121),  # the strips: L1 = 0 on x = y, L2 = 0 on x = -y
         ("pyth:3,4,5", ("--residue",), "residue", 0),
     ):
         _, out, _ = run_cli(*base, "--angle", angle, *extra, "--format", "json")
@@ -317,6 +317,22 @@ def test_sweep_json_histogram_sorted():
     data = json.loads(out)
     assert data["histogram"] == [[1, 1], [4, 24]]
     assert data["meta"]["scalar_starts"] == 0
+
+
+def test_sweep_meta_reports_redecided_points():
+    # float pi/4 flags points near the diagonals that exact pi/4 decides
+    # in integers; both sweeps give the same payload apart from the angle
+    base = ("sweep", "--M", "37", "--format", "json")
+    runs = {}
+    for angle in ("pi/4", "rad:~0.7853981633974483"):
+        _, out, _ = run_cli(*base, "--angle", angle)
+        data = json.loads(out)
+        runs[angle] = data["meta"]["redecided_pts"]
+        assert "redecided_pts" not in data
+        data.pop("angle")
+        runs[angle, "payload"] = strip_timing(json.dumps(data), "json")
+    assert runs["pi/4"] == 0 and runs["rad:~0.7853981633974483"] > 0
+    assert runs["pi/4", "payload"] == runs["rad:~0.7853981633974483", "payload"]
 
 
 def test_period8_cli():

@@ -318,6 +318,21 @@ def test_vector_sweep_matches_detect_cycle(text, memo_steps):
                 assert got.scalar_starts == (0 if caps.max_radius is not None else handed), (mode, M, caps)
 
 
+def test_sweep_counts_its_redecided_points():
+    # float pi/4's prefilter flags points near the diagonals, where the
+    # exact forms have integer values; exact pi/4 flags none.  M=37 fits
+    # the first window, so the count is that window's
+    s = orbit_sweep(context_from_text(FLOAT_PI4), 37)
+    assert s.redecided_pts == 241
+    exact = orbit_sweep(quarter_turn_context(), 37)
+    assert exact.redecided_pts == 0 and exact == s
+
+
+def test_negative_windows_are_rejected():
+    with pytest.raises(ValueError, match="M=-2 is negative"):
+        orbit_sweep(quarter_turn_context(), -2)
+
+
 def test_caps_inside_the_window_keep_their_answers():
     # the windows that the memoized scalar walk used to answer whole
     s = orbit_sweep(context_from_text("pyth:3,4,5"), 100, RoundingMode.ROUND, OrbitCaps(max_steps=1000))

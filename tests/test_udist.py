@@ -2,11 +2,12 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latrot import kernels
 from latrot.angle import RationalPythagorean, context_from_text
 from latrot.errors import InvalidSpec
-from latrot.exactnum import quad, rational
+from latrot.exactnum import parse_scalar, quad, rational
 from latrot.rotation import RoundingMode
 from latrot.udist import (
     InequalityBox,
@@ -98,8 +99,8 @@ def test_congruence_examples_and_random():
 
 
 def _routes(ctx, box, M, parity):
-    """The count from count_solutions, the route it took, and the banded
-    scan's count for the same window."""
+    """The count from count_solutions, the route it took, and the
+    reference scan's count for the same window."""
     counters = {}
     got = count_solutions(ctx, box, M, parity, counters)
     forms = kernels.image_forms(ctx, RoundingMode.FLOOR, max_abs=M)
@@ -131,7 +132,7 @@ def test_direct_and_residue_counters_agree():
                         assert got == count_solutions_residue(ctx, box, M, parity), where
 
 
-def test_unsplittable_forms_take_the_scan():
+def test_unsplittable_forms_take_the_arcs():
     half = InequalityBox(rational(1, 2), rational(1, 3))
     cases = [(text, half, 30) for text in ("pi/4", "rad:~1.0", "quad:sin=sqrt(3)/3,cos=sqrt(6)/3")]
     cases += [
@@ -143,7 +144,62 @@ def test_unsplittable_forms_take_the_scan():
     ]
     for text, box, M in cases:
         got, method, scan = _routes(context_from_text(text), box, M, Parity.ALL)
-        assert method == "scan" and got == scan, text
+        assert method == "arcs" and got == scan, text
+
+
+CROSS_FIELD = "quad:sin=sqrt(3)/3,cos=sqrt(6)/3"
+# pi/6 and 3-4-5 take the arc route with an irrational side or two tiny
+# ones, the others always; {L} = 0 at the origin, and {L} = t for
+# t = 4/5 = cos on 3-4-5's x axis, sqrt(3)/2 = cos on pi/6's and
+# sqrt(3)/3 = sin on the cross-field angle's y axis
+ARC_ANGLES = ["pi/4", "pi*3/4", "pi*-1/4", CROSS_FIELD, "rad:~1.0", "rad:~0.3",
+              "rad:~-2.2", "rad:~0.7853981633974483", "pi/6", "pyth:3,4,5"]
+ARC_SIDES = [
+    rational(1),
+    rational(1, 10**9 + 7),  # below 2 * slack; at pi/4 past the int64 guard
+    rational(50000, 100003),  # pi/4's guard-trip side, which trips from M=238
+    rational(1, 2),
+    rational(4, 5),
+    quad(0, 1, 3, 3),  # irrational, a tie at the cross-field angle
+    quad(0, 1, 3, 2),  # irrational, a tie at pi/6
+    parse_scalar("~0.3"),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(ARC_ANGLES), st.sampled_from(ARC_SIDES), st.sampled_from(ARC_SIDES),
+       st.sampled_from([0, 1, 2, 30]), st.sampled_from(list(Parity)))
+def test_arc_route_matches_the_scan(text, t1, t2, M, parity):
+    ctx = context_from_text(text)
+    box = InequalityBox(t1, t2)
+    counters = {}
+    got = count_solutions(ctx, box, M, parity, counters)
+    forms = kernels.image_forms(ctx, RoundingMode.FLOOR, max_abs=M)
+    want, _ = _scan_count(forms, (t1, t2), _coord_values(M, parity))
+    assert got == want
+    if counters["method"] == "arcs":
+        assert counters["scanned_pts"] <= len(_coord_values(M, parity)) ** 2
+
+
+def test_arc_route_at_large_windows():
+    # the scan would box-test 4 * 10^8 pairs at each angle
+    box = InequalityBox(rational(1, 2), rational(1, 3))
+    for text in ("rad:~1.0", CROSS_FIELD):
+        counters = {}
+        t0 = time.perf_counter()
+        count = count_solutions(context_from_text(text), box, 10**4, Parity.ALL, counters)
+        assert time.perf_counter() - t0 < 2.0, text
+        assert counters["method"] == "arcs" and counters["scanned_pts"] < 1000, text
+        assert abs(count / 20001**2 - 1 / 6) < 1e-3, text
+
+
+def test_negative_windows_are_rejected():
+    box = InequalityBox(rational(1, 2), rational(1, 3))
+    for text in ("pi/4", "pyth:3,4,5"):
+        with pytest.raises(ValueError, match="M=-2 is negative"):
+            count_solutions(context_from_text(text), box, -2)
+    with pytest.raises(ValueError, match="M=-2 is negative"):
+        count_solutions_residue(context_from_text("pyth:3,4,5"), box, -2)
 
 
 def test_separable_count_runs_in_the_window_side_not_its_area():
@@ -159,14 +215,20 @@ def test_separable_count_runs_in_the_window_side_not_its_area():
 
 def test_one_row_bands_keep_counts(monkeypatch):
     # odd-odd rows step by 2, so a one-row band holds every other row;
-    # the scan runs for these angles, the separable route for 3-4-5
+    # the arc route (its strips) and the reference scan run for these
+    # angles, the separable route for 3-4-5
     box = InequalityBox(rational(1, 2), rational(1, 3))
     for text in ["pi/4", "quad:sin=sqrt(3)/3,cos=sqrt(6)/3", "rad:~1.0", "pyth:3,4,5"]:
         ctx = context_from_text(text)
+        forms = kernels.image_forms(ctx, RoundingMode.FLOOR, max_abs=21)
         want = {p: count_solutions(ctx, box, 21, p) for p in Parity}
         with monkeypatch.context() as m:
             m.setattr(kernels, "_BAND_POINTS", 1)
             assert {p: count_solutions(ctx, box, 21, p) for p in Parity} == want, text
+            if text != "pyth:3,4,5":
+                scan = {p: _scan_count(forms, (box.t1, box.t2), _coord_values(21, p))[0]
+                        for p in Parity}
+                assert scan == want, text
         if text == "pyth:3,4,5":
             assert want == {p: count_solutions_residue(ctx, box, 21, p) for p in Parity}
 
@@ -210,11 +272,12 @@ def test_quadratic_bound_boxes_match_census_thresholds():
 def test_count_reports_its_redecided_points():
     # past the square-root guard (a bound with a denominator near 10^5 at
     # M=1000) pi/4's float twin flags the diagonal x = y, where L1 = 0;
-    # the form's exact enclosures decide all 2001 points
+    # the form's exact enclosures decide all 2001 points.  The strips hold
+    # the diagonal and the antidiagonal, where L2 = 0: 4001 points
     counters = {}
     box = InequalityBox(rational(50000, 100003), rational(1, 2))
     assert count_solutions(context_from_text("pi/4"), box, 1000, Parity.ALL, counters) == 1002001
-    assert counters == {"method": "scan", "scanned_pts": 2001**2, "redecided_pts": 2001,
+    assert counters == {"method": "arcs", "scanned_pts": 4001, "redecided_pts": 2001,
                         "scalar_pts": 0}
     # {L1} = sqrt(3)/3 at (0, -1): intervals cannot separate an equality,
     # so the scalar layer decides that point
@@ -222,3 +285,4 @@ def test_count_reports_its_redecided_points():
     box = InequalityBox(quad(0, 1, 3, 3), rational(1, 2))
     count_solutions(ctx, box, 30, counters=counters)
     assert counters["scalar_pts"] == 1 and counters["redecided_pts"] >= 1
+    assert counters["scanned_pts"] == 2
