@@ -212,13 +212,10 @@ def _check_unit_circle(sin: Scalar, cos: Scalar) -> None:
     s2, c2 = square_or_none(sin), square_or_none(cos)
     if s2 is None or c2 is None:
         raise InvalidSpec("sin/cos must be exact scalars")
-    if isinstance(s2, Rational) and isinstance(c2, Rational):
+    try:
         total = s2 + c2
-    else:
-        try:
-            total = s2 + c2
-        except (IncompatibleField, TypeError) as exc:
-            raise InvalidSpec(f"sin^2 + cos^2 not verifiable: {exc}") from exc
+    except (IncompatibleField, TypeError) as exc:
+        raise InvalidSpec(f"sin^2 + cos^2 not verifiable: {exc}") from exc
     if compare(total, rational(1)) != 0:
         raise InvalidSpec("sin^2 + cos^2 != 1")
 

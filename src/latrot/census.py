@@ -538,12 +538,14 @@ def brute_force_census(
         raise CapExceeded(f"brute-force window M={M} exceeds the cap {cap}")
     start = time.perf_counter()
     counts, redecided = _image_histogram(ctx, M, mode, threads)
+    pair_count = None
     if kind is CensusKind.COLLISIONS:
         mask = counts >= 2
-        pair_count = int(sum(math.comb(int(c), 2) for c in counts[mask])) if count_pairs else None
+        if count_pairs:  # a trunc image can have more than two preimages
+            c = counts[mask]
+            pair_count = int((c * (c - 1) // 2).sum())
     else:
         mask = counts == 0
-        pair_count = None
     idx = np.nonzero(mask)[0]
     elapsed = (time.perf_counter() - start) * 1000
     return CensusReport(

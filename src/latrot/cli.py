@@ -6,9 +6,11 @@ or JSON report on stdout; diagnostics go to stderr.  Exit codes:
 0 success, 1 computational error (undecidable precision, caps, ...),
 2 usage error.
 
-Output is byte-identical across runs for identical inputs, except the
-timing: JSON isolates elapsed_ms, with the scan counters, in a "meta"
-block, CSV carries it as the spec'd trailing column.
+Each handler builds its JSON payload and its CSV rows and hands both to
+_write, the one place that picks the format and builds the JSON "meta"
+block.  Output is byte-identical across runs for identical inputs,
+except the timing: JSON isolates elapsed_ms, with the scan counters, in
+"meta", CSV carries it as the spec'd trailing column of census.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import functools
-import io
 import json
 import os
 import sys
@@ -241,16 +242,26 @@ def _caps(ns) -> orbits_mod.OrbitCaps:
     return orbits_mod.OrbitCaps(**kwargs)
 
 
-def _emit_json(out, payload: dict, elapsed_ms: float, **meta) -> None:
-    payload = dict(payload)
-    payload["meta"] = {"elapsed_ms": round(elapsed_ms, 3), **meta}
-    out.write(json.dumps(payload) + "\n")
+def _columns(payload: dict) -> tuple[list, list]:
+    """Header and row of a flat payload, its lists joined with ';'."""
+    return list(payload), [
+        ";".join(map(str, v)) if isinstance(v, list) else v for v in payload.values()
+    ]
 
 
-def _csv_row(values) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(list(values))
-    return buf.getvalue()
+def _write(ns, out, payload: dict, rows, elapsed_ms: float, **meta) -> None:
+    """Write the one report: `payload` with a meta block (elapsed_ms, then
+    `meta`) as one JSON line, or `rows` as CSV lines.  `rows` may be
+    lazy: it is walked only for CSV."""
+    if ns.format == "json":
+        meta = {"elapsed_ms": round(elapsed_ms, 3), **meta}
+        out.write(json.dumps({**payload, "meta": meta}) + "\n")
+    else:
+        csv.writer(out, lineterminator="\n").writerows(rows)
+
+
+def _elapsed_ms(started: float) -> float:
+    return (time.perf_counter() - started) * 1000
 
 
 def run(ns: argparse.Namespace, out) -> int:
@@ -263,14 +274,14 @@ def run(ns: argparse.Namespace, out) -> int:
 
 def _handle_classify(ns, out, started):
     payload = context_to_dict(ns.ctx)
-    if ns.format == "json":
-        _emit_json(out, payload, (time.perf_counter() - started) * 1000)
-    else:
-        out.write("angle,sin,cos,class\n")
-        cls = payload["class"]
-        detail = ";".join(f"{k}={v}" for k, v in cls.items() if k != "type")
-        label = cls["type"] + (f"[{detail}]" if detail else "")
-        out.write(_csv_row([payload["angle"], payload["sin"], payload["cos"], label]))
+    cls = payload["class"]
+    detail = ";".join(f"{k}={v}" for k, v in cls.items() if k != "type")
+    label = cls["type"] + (f"[{detail}]" if detail else "")
+    rows = [
+        ["angle", "sin", "cos", "class"],
+        [payload["angle"], payload["sin"], payload["cos"], label],
+    ]
+    _write(ns, out, payload, rows, _elapsed_ms(started))
 
 
 def _census_report(ns):
@@ -293,32 +304,23 @@ def _handle_census(ns, out, started):
     rep = _census_report(ns)
     if ns.points_file:
         with open(ns.points_file, "w") as fh:
-            fh.write("x,y\n")
-            for x, y in rep.points or []:
-                fh.write(_csv_row([x, y]))
-    if ns.format == "json":
-        payload = {
-            "angle": rep.angle,
-            "mode": rep.mode.value,
-            "kind": rep.kind.value,
-            "M": rep.M,
-            "count": rep.count,
-            "method": rep.method.value,
-        }
-        if rep.pair_count is not None:
-            payload["pair_count"] = rep.pair_count
-        if ns.emit_points:
-            payload["points"] = [[x, y] for x, y in rep.points or []]
-        _emit_json(out, payload, rep.elapsed_ms, scanned_pts=rep.scanned_pts,
-                   redecided_pts=rep.redecided_pts)
-    else:
-        head = ["angle", "mode", "kind", "M", "count", "method"]
-        row = [rep.angle, rep.mode.value, rep.kind.value, rep.M, rep.count, rep.method.value]
-        if ns.pairs:
-            head.append("pair_count")
-            row.append(rep.pair_count)
-        out.write(_csv_row(head + ["elapsed_ms"]))
-        out.write(_csv_row(row + [round(rep.elapsed_ms, 3)]))
+            csv.writer(fh, lineterminator="\n").writerows([("x", "y"), *(rep.points or [])])
+    payload = {
+        "angle": rep.angle,
+        "mode": rep.mode.value,
+        "kind": rep.kind.value,
+        "M": rep.M,
+        "count": rep.count,
+        "method": rep.method.value,
+    }
+    if rep.pair_count is not None:
+        payload["pair_count"] = rep.pair_count
+    # CSV keeps the point list for --points-file
+    rows = _columns({**payload, "elapsed_ms": round(rep.elapsed_ms, 3)})
+    if ns.emit_points:
+        payload["points"] = [[x, y] for x, y in rep.points or []]
+    _write(ns, out, payload, rows, rep.elapsed_ms,
+           scanned_pts=rep.scanned_pts, redecided_pts=rep.redecided_pts)
 
 
 def _handle_growth(ns, out, started):
@@ -331,30 +333,16 @@ def _handle_growth(ns, out, started):
         threads=ns.threads,
         oracle_cap=ns.oracle_cap,
     )
-    angle = ns.ctx.canonical_text()
-    if ns.format == "json":
-        _emit_json(
-            out,
-            {
-                "angle": angle,
-                "mode": ns.mode,
-                "kind": ns.kind,
-                "Ms": fit.Ms,
-                "counts": fit.counts,
-                "exponent": round(fit.exponent, 6),
-                "r_squared": round(fit.r_squared, 6),
-            },
-            (time.perf_counter() - started) * 1000,
-        )
-    else:
-        out.write("angle,mode,kind,Ms,counts,exponent,r_squared\n")
-        out.write(
-            _csv_row(
-                [angle, ns.mode, ns.kind, ";".join(map(str, fit.Ms)),
-                 ";".join(map(str, fit.counts)), round(fit.exponent, 6),
-                 round(fit.r_squared, 6)]
-            )
-        )
+    payload = {
+        "angle": ns.ctx.canonical_text(),
+        "mode": ns.mode,
+        "kind": ns.kind,
+        "Ms": fit.Ms,
+        "counts": fit.counts,
+        "exponent": round(fit.exponent, 6),
+        "r_squared": round(fit.r_squared, 6),
+    }
+    _write(ns, out, payload, _columns(payload), _elapsed_ms(started))
 
 
 def _handle_udist(ns, out, started):
@@ -368,9 +356,8 @@ def _handle_udist(ns, out, started):
     side = 2 * ns.M + 1 if parity is Parity.ALL else 2 * ((ns.M + 1) // 2)
     total = side * side
     ratio = count / total if total else 0.0
-    angle = ns.ctx.canonical_text()
-    row = {
-        "angle": angle,
+    payload = {
+        "angle": ns.ctx.canonical_text(),
         "t1": format_scalar(ns.box.t1),
         "t2": format_scalar(ns.box.t2),
         "M": ns.M,
@@ -378,86 +365,66 @@ def _handle_udist(ns, out, started):
         "count": count,
         "ratio": round(ratio, 9),
     }
-    if ns.format == "json":
-        _emit_json(out, row, (time.perf_counter() - started) * 1000, **counters)
-    else:
-        out.write("angle,t1,t2,M,parity,count,ratio\n")
-        out.write(_csv_row(row.values()))
+    _write(ns, out, payload, _columns(payload), _elapsed_ms(started), **counters)
+
+
+_TRIPLE_FIELDS = ("q", "u", "v", "p1", "p2", "h")
 
 
 def _handle_pyth(ns, out, started):
-    triples = udist_mod.gen_primitive_triples(ns.qmax)
-    if ns.format == "json":
-        _emit_json(
-            out,
-            {
-                "q_max": ns.qmax,
-                "triples": [
-                    {"q": t.q, "u": t.u, "v": t.v, "p1": t.p1, "p2": t.p2, "h": t.h}
-                    for t in triples
-                ],
-            },
-            (time.perf_counter() - started) * 1000,
-        )
-    else:
-        out.write("q,u,v,p1,p2,h\n")
-        for t in triples:
-            out.write(_csv_row([t.q, t.u, t.v, t.p1, t.p2, t.h]))
+    triples = [
+        {k: getattr(t, k) for k in _TRIPLE_FIELDS}
+        for t in udist_mod.gen_primitive_triples(ns.qmax)
+    ]
+    payload = {"q_max": ns.qmax, "triples": triples}
+    rows = [_TRIPLE_FIELDS, *(t.values() for t in triples)]
+    _write(ns, out, payload, rows, _elapsed_ms(started))
+
+
+def _orbit_rows(ns, rec):
+    """The CSV dump: one row per step of the orbit's path."""
+    n_steps = (
+        rec.preperiod + rec.period
+        if rec.status is orbits_mod.OrbitStatus.PERIODIC
+        else min(rec.steps_used, 10_000)
+    )
+    yield ["step", "x", "y"]
+    path = orbits_mod.orbit_path(ns.ctx, ns.start_point, _MODES[ns.mode], n_steps)
+    for i, (x, y) in enumerate(path):
+        yield [i, x, y]
 
 
 def _handle_orbit(ns, out, started):
     rec = orbits_mod.detect_cycle(ns.ctx, ns.start_point, _MODES[ns.mode], _caps(ns))
-    if ns.format == "json":
-        _emit_json(
-            out,
-            {
-                "angle": ns.ctx.canonical_text(),
-                "mode": ns.mode,
-                "start": list(rec.start),
-                "status": rec.status.value,
-                "preperiod": rec.preperiod,
-                "period": rec.period,
-                "max_norm": rec.max_norm,
-                "steps_used": rec.steps_used,
-            },
-            (time.perf_counter() - started) * 1000,
-        )
-    else:
-        n_steps = (
-            rec.preperiod + rec.period
-            if rec.status is orbits_mod.OrbitStatus.PERIODIC
-            else min(rec.steps_used, 10_000)
-        )
-        out.write("step,x,y\n")
-        for i, (x, y) in enumerate(
-            orbits_mod.orbit_path(ns.ctx, ns.start_point, _MODES[ns.mode], n_steps)
-        ):
-            out.write(_csv_row([i, x, y]))
+    payload = {
+        "angle": ns.ctx.canonical_text(),
+        "mode": ns.mode,
+        "start": list(rec.start),
+        "status": rec.status.value,
+        "preperiod": rec.preperiod,
+        "period": rec.period,
+        "max_norm": rec.max_norm,
+        "steps_used": rec.steps_used,
+    }
+    _write(ns, out, payload, _orbit_rows(ns, rec), _elapsed_ms(started))
 
 
 def _handle_sweep(ns, out, started):
     summary = orbits_mod.orbit_sweep(ns.ctx, ns.M, _MODES[ns.mode], _caps(ns))
-    if ns.format == "json":
-        payload = {
-            "angle": ns.ctx.canonical_text(),
-            "mode": ns.mode,
-            "M": summary.M,
-            "histogram": [[p, c] for p, c in sorted(summary.histogram.items())],
-            "undetermined": summary.undetermined,
-            "escaped": summary.escaped,
-        }
-        if summary.absorbed_all is not None:
-            payload["absorbed_all"] = summary.absorbed_all
-        _emit_json(out, payload, (time.perf_counter() - started) * 1000,
-                   scalar_starts=summary.scalar_starts, redecided_pts=summary.redecided_pts)
-    else:
-        out.write("period,count\n")
-        for p, c in sorted(summary.histogram.items()):
-            out.write(_csv_row([p, c]))
-        out.write(_csv_row(["undetermined", summary.undetermined]))
-        out.write(_csv_row(["escaped", summary.escaped]))
-        if summary.absorbed_all is not None:
-            out.write(_csv_row(["absorbed_all", summary.absorbed_all]))
+    payload = {
+        "angle": ns.ctx.canonical_text(),
+        "mode": ns.mode,
+        "M": summary.M,
+        "histogram": [[p, c] for p, c in sorted(summary.histogram.items())],
+        "undetermined": summary.undetermined,
+        "escaped": summary.escaped,
+    }
+    if summary.absorbed_all is not None:
+        payload["absorbed_all"] = summary.absorbed_all
+    tail = [[k, payload[k]] for k in ("undetermined", "escaped", "absorbed_all") if k in payload]
+    rows = [["period", "count"], *payload["histogram"], *tail]
+    _write(ns, out, payload, rows, _elapsed_ms(started),
+           scalar_starts=summary.scalar_starts, redecided_pts=summary.redecided_pts)
 
 
 def _handle_period8(ns, out, started):
@@ -466,32 +433,24 @@ def _handle_period8(ns, out, started):
         strict_boundary=ns.strict_boundary,
         open_endpoints=ns.open_endpoints,
     )
-    if ns.format == "json":
-        _emit_json(
-            out,
-            {
-                "a_max": rep.a_max,
-                "candidates": len(rep.candidates),
-                "verified": rep.verified,
-                "boundary": rep.boundary,
-                "violators": [
-                    {"a": a, "chain": [list(p) for p in chain]}
-                    for a, chain in rep.violators[:16]
-                ],
-                "strict_boundary": ns.strict_boundary,
-                "open_endpoints": ns.open_endpoints,
-            },
-            (time.perf_counter() - started) * 1000,
-        )
-    else:
-        out.write("a_max,candidates,verified,boundary,violators\n")
-        out.write(
-            _csv_row(
-                [rep.a_max, len(rep.candidates), rep.verified,
-                 ";".join(map(str, rep.boundary)),
-                 ";".join(str(a) for a, _ in rep.violators)]
-            )
-        )
+    # CSV lists every violator; JSON the first 16, with their chains
+    head = {
+        "a_max": rep.a_max,
+        "candidates": len(rep.candidates),
+        "verified": rep.verified,
+        "boundary": rep.boundary,
+        "violators": [a for a, _ in rep.violators],
+    }
+    payload = {
+        **head,
+        "violators": [
+            {"a": a, "chain": [list(p) for p in chain]}
+            for a, chain in rep.violators[:16]
+        ],
+        "strict_boundary": ns.strict_boundary,
+        "open_endpoints": ns.open_endpoints,
+    }
+    _write(ns, out, payload, _columns(head), _elapsed_ms(started))
 
 
 _HANDLERS = {

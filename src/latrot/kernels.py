@@ -334,7 +334,11 @@ class QuadForm(LinearForm):
 
     def _frac_test(self, t: Scalar):
         """(tden, modulus, bound) of the one-remainder test {L} < t, or
-        None when t is not rational or the test would overflow int64."""
+        None when t is not rational (for a form with an irrational
+        coefficient) or the test would overflow int64."""
+        if self.pure_rational and not isinstance(t, Rational):
+            # {L} is a multiple of 1/D, so {L} < t iff {L} < ceil(t*D)/D
+            t = Rational(-floor_exact(-t * self.D), self.D)
         if not isinstance(t, Rational):
             return None
         tden = t.denominator

@@ -6,7 +6,9 @@ put both rotation forms' fractional parts into a half-open box
 [0,t1) x [0,t2)?  count_solutions answers it for any angle, optionally
 restricted to odd-odd pairs, by one of two routes:
 
-* separable, when sin or cos is rational and both sides are rational:
+* separable, when sin or cos is rational and both sides are rational,
+  or both forms have rational coefficients (cardinal and Pythagorean
+  angles; {L} is a multiple of 1/D, so any side t acts as ceil(t*D)/D):
   each form's test is (F(x) + G(y)) mod m < bound
   (QuadForm.split_frac_lt), so a pair passes by its column class and
   its row class alone, and the count sums products of class sizes over

@@ -1,6 +1,9 @@
+import csv
 import io
 import json
 import os
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -422,3 +425,29 @@ def test_parse_args_surface():
     assert ns.command == "census" and ns.M == 16
     with pytest.raises(UsageError):
         parse_args(["census", "--angle", "pi/4", "--M", "16"])
+
+
+def _readme_cli_lines():
+    """Each `latrot ...` line of README's CLI block, as argv."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("latrot ")]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_readme_cli_block_runs_as_written(fmt):
+    lines = _readme_cli_lines()
+    assert {argv[0] for argv in lines} == {"classify", "census", "growth", "udist", "pyth",
+                                          "orbit", "sweep", "period8"}
+    for argv in lines:
+        if "--format" in argv:
+            i = argv.index("--format")
+            argv = argv[:i] + argv[i + 2:]
+        code, out, err = run_cli(*argv, "--format", fmt)
+        assert code == 0 and err == "", argv
+        if fmt == "json":
+            assert "elapsed_ms" in json.loads(out)["meta"], argv
+        else:
+            header, *rows = csv.reader(io.StringIO(out))
+            assert rows and all(name.isidentifier() for name in header), argv
+            assert all(len(row) == len(header) for row in rows), argv

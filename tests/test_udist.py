@@ -119,6 +119,14 @@ def test_direct_and_residue_counters_agree():
               *triples, "pyth:5,12,13", "pyth:20,21,29"]]
     # a bound with denominator q = 40001: one remainder in int64 decides it
     cases.append(("pyth:39999,400,40001", [InequalityBox(rational(20000, 40001), rational(1, 2))]))
+    # forms with rational coefficients put {L} on multiples of 1/D, so
+    # they take any side exactly: irrational and decimal ones too
+    sides = [InequalityBox(quad(0, 1, 2, 2), rational(1, 1000)),
+             InequalityBox(quad(0, 1, 3, 3), parse_scalar("~0.3")),
+             InequalityBox(parse_scalar("~0.5"), quad(0, 1, 5, 5)),
+             InequalityBox(rational(1), parse_scalar("~0.25"))]
+    cases += [(text, sides) for text in
+              ("pi/2", "pi", "pi*3/2", "pyth:3,4,5", "pyth:-5,12,13", "pyth:20,21,29")]
     for text, bs in cases:
         ctx = context_from_text(text)
         pyth = isinstance(ctx.classification, RationalPythagorean)
@@ -148,8 +156,9 @@ def test_unsplittable_forms_take_the_arcs():
 
 
 CROSS_FIELD = "quad:sin=sqrt(3)/3,cos=sqrt(6)/3"
-# pi/6 and 3-4-5 take the arc route with an irrational side or two tiny
-# ones, the others always; {L} = 0 at the origin, and {L} = t for
+# pi/6 takes the arc route with an irrational side or two tiny ones,
+# 3-4-5 (rational coefficients, so any side is exact) with two tiny ones
+# only, the others always; {L} = 0 at the origin, and {L} = t for
 # t = 4/5 = cos on 3-4-5's x axis, sqrt(3)/2 = cos on pi/6's and
 # sqrt(3)/3 = sin on the cross-field angle's y axis
 ARC_ANGLES = ["pi/4", "pi*3/4", "pi*-1/4", CROSS_FIELD, "rad:~1.0", "rad:~0.3",
@@ -203,14 +212,18 @@ def test_negative_windows_are_rejected():
 
 
 def test_separable_count_runs_in_the_window_side_not_its_area():
-    box = InequalityBox(rational(1, 2), rational(1, 3))
+    half = InequalityBox(rational(1, 2), rational(1, 3))
     M = 10**6
-    for text in ("pi/6", "pyth:3,4,5"):
+    for text, box in (("pi/6", half), ("pyth:3,4,5", half),
+                      # irrational sides of forms with rational coefficients
+                      ("pi/2", InequalityBox(quad(0, 1, 2, 2), rational(1, 1000))),
+                      ("pyth:3,4,5", InequalityBox(rational(1), quad(0, 1, 2, 2)))):
         counters = {}
         t0 = time.perf_counter()
         count_solutions(context_from_text(text), box, M, Parity.ALL, counters)
-        assert time.perf_counter() - t0 < 1.0, text
-        assert counters["method"] == "separable" and counters["scanned_pts"] <= 100, text
+        assert time.perf_counter() - t0 < 1.0, (text, box)
+        assert counters["method"] == "separable" and counters["scanned_pts"] <= 100, (text, box)
+        assert counters["redecided_pts"] == 0, (text, box)
 
 
 def test_one_row_bands_keep_counts(monkeypatch):
