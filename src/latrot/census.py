@@ -42,20 +42,19 @@ every preimage of the window, half the area of the bounding square it
 sits in; brute force scans the whole bounding square, so it stays
 independent of that clip.
 
-Scans run over rows in kernels._bands' cache-sized bands: bands can be
-handed to worker threads, and the merge (integer sums and index lists,
-sorted at the end) is independent of the thread count.  Each band
-re-decides the points its float prefilter flags exactly, on its own
-thread, from its forms' integer enclosures (kernels._exact_images);
-discrete_rotate stays an independent oracle.  The separable route
-scans no images and ignores the thread count.
+Scans run over rows in kernels._bands' cache-sized bands, which
+kernels._run_bands hands to worker threads; the merge (integer sums and
+kernels._window_index lists, sorted at the end) is independent of the
+thread count.  Each band re-decides the points its float prefilter
+flags exactly, on its own thread, from its forms' integer enclosures
+(kernels._exact_images); discrete_rotate stays an independent oracle.
+The separable route scans no images and ignores the thread count.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -65,8 +64,8 @@ from .angle import AngleContext, CardinalMultiple, LinearRelation, RationalPytha
 from .errors import CapExceeded, DegenerateCounts
 from .exactnum import ZERO, _floor_sqrt_multiple, compare, floor_exact
 from .kernels import (
-    _SQRT_SAFE, _band, _bands, _domain_radius, _exact_images, _mod_inplace, image_forms,
-    vfloor_sqrt_multiple,
+    _SQRT_SAFE, _band, _bands, _domain_radius, _exact_images, _mod_inplace, _run_bands,
+    _sorted_points, _square_images, _window_index, image_forms, vfloor_sqrt_multiple,
 )
 from .rotation import RoundingMode, cell_corners, discrete_rotate, quantize, rotate_inverse
 from .udist import _count_residue_class
@@ -106,22 +105,6 @@ class GrowthFit:
     counts: list[int]
     exponent: float
     r_squared: float
-
-
-def _run_bands(lo, hi, width, worker, threads):
-    spans = list(_bands(lo, hi, width))
-    if threads <= 1 or len(spans) <= 1:
-        return [worker(span) for span in spans]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(worker, spans))
-
-
-def _sorted_points(idx: np.ndarray, M: int) -> list[tuple[int, int]]:
-    W = 2 * M + 1
-    xs = idx // W - M
-    ys = idx % W - M
-    order = np.lexsort((xs, ys))  # lexicographic by (y, x)
-    return [(int(x), int(y)) for x, y in zip(xs[order], ys[order])]
 
 
 def collision_site_exact(ctx: AngleContext, a: int, b: int):
@@ -252,10 +235,12 @@ def _grid_census(ctx, M, mode, kind, keep_points, threads):
     """
     R = _domain_radius(M)
     W = 2 * M + 1
+    sink = W * W
     forms = image_forms(ctx, mode, max_abs=R)
     lo, hi = _row_spans(ctx, M, R)
     collisions = kind is CensusKind.COLLISIONS
-    imaged = np.zeros(W * W, dtype=bool) if keep_points and not collisions else None
+    # the window's entries an image marks, and the sink
+    imaged = np.zeros(sink + 1, dtype=bool) if keep_points and not collisions else None
 
     def worker(span):
         blo, bhi = span
@@ -265,20 +250,21 @@ def _grid_census(ctx, M, mode, kind, keep_points, threads):
             return (0, 0, 0, 0), []
         A, B = _band(np.arange(c0, c1 + 1, dtype=np.int64), blo, top)
         X, Y, redecided = _exact_images(forms, A, B, mode)
-        inwin = (np.abs(X) <= M) & (np.abs(Y) <= M)
+        I = _window_index(X, Y, M)
+        inside = I != sink
         rows = bhi - blo + 1
         pairs, parts = 0, []
         # (anchor, partner) of the right pairs in the band's own rows and
-        # of the up pairs, whose anchors stop below the last row read
+        # of the up pairs, whose anchors stop below the last row read; a
+        # pair collides when I[a] == I[b] != sink
         for a, b in ((np.s_[:rows, :-1], np.s_[:rows, 1:]), (np.s_[:-1], np.s_[1:])):
-            hit = inwin[a] & (X[a] == X[b]) & (Y[a] == Y[b])
+            hit = (I[a] == I[b]) & inside[a]
             pairs += int(np.count_nonzero(hit))
             if keep_points and collisions:
-                parts.append((X[a][hit] + M) * W + (Y[a][hit] + M))
-        own = inwin[:rows]
+                parts.append(I[a][hit])
         if imaged is not None:
-            imaged[(X[:rows][own] + M) * W + (Y[:rows][own] + M)] = True
-        return (X.size, redecided, pairs, int(np.count_nonzero(own))), parts
+            imaged[I[:rows]] = True
+        return (X.size, redecided, pairs, int(np.count_nonzero(inside[:rows]))), parts
 
     bands = _run_bands(-R, R, 2 * R + 1, worker, threads)
     scanned, redecided, pairs, n_imaged = map(sum, zip(*(t for t, _ in bands)))
@@ -288,7 +274,7 @@ def _grid_census(ctx, M, mode, kind, keep_points, threads):
         return count, None, counters
     if collisions:
         return count, np.concatenate([p for _, parts in bands for p in parts]), counters
-    return count, np.flatnonzero(~imaged), counters
+    return count, np.flatnonzero(~imaged[:sink]), counters
 
 
 # --------------------------------------------------------------------------
@@ -442,12 +428,11 @@ def _separable_census(ctx, M, mode, kind, keep_points, slope):
     counters = dict(scanned_pts=scanned, redecided_pts=0)
     if not keep_points:
         return count, None, counters
-    W = 2 * M + 1
     cols = cls_of(np.arange(-M, M + 1, dtype=np.int64))
     parts = []
-    for lo, hi in _bands(-M, M, W):
-        r, c = np.nonzero(bad(cls_of(np.arange(lo, hi + 1, dtype=np.int64)), cols))
-        parts.append((r + lo + M) * W + c)
+    for lo, hi in _bands(-M, M, 2 * M + 1):
+        n, m = np.nonzero(bad(cls_of(np.arange(lo, hi + 1, dtype=np.int64)), cols))
+        parts.append(_window_index(n + lo, m - M, M))
     return count, np.concatenate(parts), counters
 
 
@@ -563,46 +548,29 @@ def brute_force_census(
     )
 
 
-def _window_images(ctx, M, mode, threads, preimages=False):
-    """Window indices of the domain's images that land in the window, in
-    band order, with their preimages' coordinates a and b if asked, and
-    how many flagged points were re-decided."""
-    R = _domain_radius(M)
-    W = 2 * M + 1
-    forms = image_forms(ctx, mode, max_abs=R)
-    cols = np.arange(-R, R + 1, dtype=np.int64)
-
-    def worker(span):
-        A, B = _band(cols, *span)
-        X, Y, redecided = _exact_images(forms, A, B, mode)
-        keep = (np.abs(X) <= M) & (np.abs(Y) <= M)
-        idx = (X[keep] + M) * W + (Y[keep] + M)
-        return ((idx, A[keep], B[keep]) if preimages else (idx,)), redecided
-
-    parts, redecided = zip(*_run_bands(-R, R, 2 * R + 1, worker, threads))
-    return [np.concatenate(p) for p in zip(*parts)], sum(redecided)
-
-
 def _image_histogram(ctx, M, mode, threads):
     """(histogram of the window's images, flagged points re-decided)."""
-    # one histogram of all bands' images: a histogram per band would
-    # allocate and add the whole window per band; the bands' arrays are
-    # freed before the histogram is allocated
-    (idx,), redecided = _window_images(ctx, M, mode, threads)
-    return np.bincount(idx, minlength=(2 * M + 1) ** 2), redecided
+    R = _domain_radius(M)
+    I, redecided = _square_images(image_forms(ctx, mode, max_abs=R), mode, R, M, threads)
+    return np.bincount(I)[:-1], redecided
 
 
 def collision_preimages(
-    ctx: AngleContext, M: int, mode: RoundingMode = RoundingMode.FLOOR, threads: int = 1
+    ctx: AngleContext, M: int, mode: RoundingMode = RoundingMode.FLOOR
 ) -> dict[tuple[int, int], list[tuple[int, int]]]:
     """Brute-force map image -> list of preimages, for images inside the
-    window with multiplicity >= 2 (oracle-side diagnostics)."""
-    (idx, A, B), _ = _window_images(ctx, M, mode, threads, preimages=True)
-    W = 2 * M + 1
-    hot = np.bincount(idx, minlength=W * W)[idx] >= 2
+    window with multiplicity >= 2 (oracle-side diagnostics), in the
+    domain's (b, a) order."""
+    R = _domain_radius(M)
+    I, _ = _square_images(image_forms(ctx, mode, max_abs=R), mode, R, M)
+    counts = np.bincount(I)
+    counts[-1] = 0  # the sink
+    hot = np.flatnonzero(counts[I] >= 2)  # preimages' window indices at R
+    keys = np.unique(I[hot])
+    point = dict(zip(keys.tolist(), _sorted_points(keys, M)))
     out: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for i, a, b in zip(idx[hot].tolist(), A[hot].tolist(), B[hot].tolist()):
-        out.setdefault((i // W - M, i % W - M), []).append((a, b))
+    for i, pre in zip(I[hot].tolist(), _sorted_points(hot, R)):
+        out.setdefault(point[i], []).append(pre)
     return out
 
 

@@ -303,8 +303,11 @@ def _census_report(ns):
 def _handle_census(ns, out, started):
     rep = _census_report(ns)
     if ns.points_file:
-        with open(ns.points_file, "w") as fh:
-            csv.writer(fh, lineterminator="\n").writerows([("x", "y"), *(rep.points or [])])
+        try:
+            with open(ns.points_file, "w") as fh:
+                csv.writer(fh, lineterminator="\n").writerows([("x", "y"), *(rep.points or [])])
+        except OSError as exc:
+            raise UsageError(f"cannot write --points-file {ns.points_file}: {exc}") from exc
     payload = {
         "angle": rep.angle,
         "mode": rep.mode.value,
@@ -470,12 +473,11 @@ def main(argv=None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     try:
         ns = parse_args(argv if argv is not None else sys.argv[1:])
+        with _config_precision(ns):
+            return run(ns, out)
     except UsageError as exc:
         err.write(f"usage error: {exc}\n")
         return 2
-    try:
-        with _config_precision(ns):
-            return run(ns, out)
     except LatrotError as exc:
         err.write(f"error: {type(exc).__name__}: {exc}\n")
         return 1

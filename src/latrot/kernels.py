@@ -47,19 +47,23 @@ are re-decided as above; the quadratic point evaluator uses Python ints
 and needs no guard.
 
 _exact_images is the one image kernel every scan runs: the censuses'
-image grids, the orbit sweeps' successor arrays and the period-8 chains
-all read their images of lattice points from it; _exact_box is udist's
-fractional-part box test.  Both re-decide flagged points as above.
+image grids, _square_images (the brute-force histogram and the orbit
+sweeps' successor arrays) and the period-8 chains all read their images
+from it; _exact_box is udist's fractional-part box test.  Both re-decide
+flagged points as above.  Every scan numbers window points one way,
+_window_index's (y, x) order, which _sorted_points, a plain sort, reads.
 
 Banding lives here too.  Every vector scan walks its window through
-_bands, in bands of about _BAND_POINTS points: small enough that a
-band's int64 temporaries (512 KiB each) stay in a core's L2 cache, and
-large enough that numpy's per-call overhead stays small.
+_bands (on worker threads through _run_bands), in bands of about
+_BAND_POINTS points: small enough that a band's int64 temporaries (512
+KiB each) stay in a core's L2 cache, and large enough that numpy's
+per-call overhead stays small.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 
 import numpy as np
@@ -504,6 +508,31 @@ def _bands(lo: int, hi: int, width: int):
         yield blo, min(hi, blo + rows - 1)
 
 
+def _run_bands(lo, hi, width, worker, threads):
+    """worker(span) for each span of _bands, in band order."""
+    spans = list(_bands(lo, hi, width))
+    if threads <= 1 or len(spans) <= 1:
+        return [worker(span) for span in spans]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(worker, spans))
+
+
+def _window_index(X, Y, M: int) -> np.ndarray:
+    """The index of (X, Y) in the window |x|,|y| <= M, row by row from
+    y = -M, x fastest, or the sink (2M+1)^2 for a point outside it."""
+    W = 2 * M + 1
+    I = np.asarray((Y + M) * W + X + M)
+    np.copyto(I, W * W, where=(np.abs(X) > M) | (np.abs(Y) > M))
+    return I
+
+
+def _sorted_points(idx: np.ndarray, M: int) -> list[tuple[int, int]]:
+    """The points (x, y) of the window indices idx (_window_index),
+    sorted by (y, x)."""
+    ys, xs = np.divmod(np.sort(idx), 2 * M + 1)
+    return list(zip((xs - M).tolist(), (ys - M).tolist()))
+
+
 def _band(cols: np.ndarray, blo: int, bhi: int):
     """Lattice points of rows blo..bhi as broadcast (A, B) views of shape
     (rows, cols); A[i, j] = cols[j], B[i, j] = blo + i."""
@@ -538,6 +567,26 @@ def _exact_images(forms, A, B, mode):
     trunc = mode is RoundingMode.TRUNC
     X[idx], Y[idx] = (k.decide_floor(xs, ys, trunc) for k in forms)
     return X, Y, len(xs)
+
+
+def _square_images(forms, mode, R: int, M: int, threads: int = 1):
+    """(images, redecided): images[i] is the window index in |x|,|y| <= M
+    (_window_index, sink included) of the image of point i of the square
+    |a|,|b| <= R, plus one trailing sink entry, so that at M = R the sink
+    is its own successor; redecided counts the flagged points."""
+    W = 2 * R + 1
+    # int64, the index type bincount and fancy indexing read without a copy
+    out = np.empty(W * W + 1, dtype=np.int64)
+    out[-1] = (2 * M + 1) ** 2
+    cols = np.arange(-R, R + 1, dtype=np.int64)
+
+    def worker(span):
+        blo, bhi = span
+        X, Y, redecided = _exact_images(forms, *_band(cols, blo, bhi), mode)
+        out[(blo + R) * W:(bhi + R + 1) * W] = _window_index(X, Y, M).ravel()
+        return redecided
+
+    return out, sum(_run_bands(-R, R, W, worker, threads))
 
 
 def _exact_box(forms, A, B, ts):

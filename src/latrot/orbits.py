@@ -5,14 +5,15 @@ period in one pass) with Brent's constant-memory algorithm as the
 fallback for runs whose step budget exceeds the memory budget.
 
 Window sweeps read every start's eventual period off one successor
-array.  The exact image kernel the censuses run (kernels._exact_images)
-maps every point of a window |x|,|y| <= R, a margin past the domain
-radius of the start window, to its image's index; an image outside the
-window goes to a sink, its own successor.  Pointer doubling, rounds of
-label = min(label, label[jump]) and jump = jump[jump] until 2^k steps
-cover every node's depth and every cycle, lands every node on its cycle
-and labels each cycle by its smallest node, so a cycle's period is the
-count of its label among the cycle nodes.
+array, kernels._square_images at M = R, which the brute-force census
+histograms too: it maps every point of a window |x|,|y| <= R, a margin
+past the domain radius of the start window, to its image's index; an
+image outside the window goes to a sink, its own successor.  Pointer
+doubling, rounds of label = min(label, label[jump]) and jump =
+jump[jump] until 2^k steps cover every node's depth and every cycle,
+lands every node on its cycle and labels each cycle by its smallest
+node, so a cycle's period is the count of its label among the cycle
+nodes.
 
 The caps are read off the same array, so every start is answered as
 detect_cycle answers it.  A max_radius inside the window turns the sink
@@ -37,7 +38,10 @@ import numpy as np
 from .angle import AngleContext, PiMultiple, resolve
 from .errors import HypothesisViolated
 from .exactnum import compare, floor_exact, frac_in, frac_part, quad, rational
-from .kernels import _SQRT_SAFE, _band, _bands, _domain_radius, _exact_images, image_forms, make_step, visqrt
+from .kernels import (
+    _SQRT_SAFE, _bands, _domain_radius, _exact_images, _sorted_points, _square_images,
+    _window_index, image_forms, make_step, visqrt,
+)
 from .rotation import LatticePoint, RoundingMode, discrete_rotate
 
 
@@ -207,8 +211,14 @@ def orbit_sweep(
         W = 2 * R + 1
         sink = W * W
         escapes = caps.max_radius is not None and caps.max_radius < R
-        succ, flagged = _successors(ctx, mode, R, caps.max_radius)
+        succ, flagged = _square_images(image_forms(ctx, mode, max_abs=R), mode, R, R)
         redecided += flagged
+        if sink < 2**31 - 1:  # int32 halves the pointer doubling's arrays
+            succ = succ.astype(np.int32)
+        if escapes:  # points beyond the radius, and their preimages, go to the sink
+            beyond = np.abs(np.arange(-R, R + 1)) > caps.max_radius
+            far = np.append(beyond[:, None] | beyond, True)
+            succ[far | far[succ]] = sink
         jump, label, on_cycle, depth = _cycles(succ)
         ends = label[_starts(jump, R, M)]
         del jump
@@ -234,10 +244,9 @@ def orbit_sweep(
     if mode is RoundingMode.TRUNC:
         # (0, 0) is fixed, so it labels its own cycle; trunc never grows a
         # point's norm, so no trunc orbit leaves the window
-        absorbed = bool((periodic & (ends == R * W + R)).all())
-    for i in np.flatnonzero(handed):
-        y, x = divmod(int(i), 2 * M + 1)
-        rec = detect_cycle(ctx, (x - M, y - M), mode, caps)
+        absorbed = bool((periodic & (ends == _window_index(0, 0, R))).all())
+    for start in _sorted_points(np.flatnonzero(handed), M):
+        rec = detect_cycle(ctx, start, mode, caps)
         if rec.status is OrbitStatus.PERIODIC:
             histogram[rec.period] = histogram.get(rec.period, 0) + 1
         undetermined += rec.status is OrbitStatus.UNDETERMINED
@@ -253,32 +262,6 @@ def _starts(a, R, M):
     sink), at the starts |x|,|y| <= M, as a (2M+1, 2M+1) view."""
     W = 2 * R + 1
     return a[:W * W].reshape(W, W)[R - M:R + M + 1, R - M:R + M + 1]
-
-
-def _successors(ctx, mode, R, radius) -> tuple[np.ndarray, int]:
-    """(succ, redecided): succ[i] is the index of the image of point i of
-    |x|,|y| <= R (row by row, x fastest); every image outside the window
-    goes to the sink, index (2R+1)^2, which is its own successor.  A
-    radius (None for none) inside the window sends every point beyond
-    it, and every image beyond it, to the sink too.  redecided counts
-    the flagged points whose images were re-decided exactly."""
-    W = 2 * R + 1
-    sink = W * W
-    bound = R if radius is None else min(R, radius)
-    succ = np.empty(sink + 1, dtype=np.int32 if sink < 2**31 - 1 else np.int64)
-    succ[sink] = sink
-    forms = image_forms(ctx, mode, max_abs=R)
-    cols = np.arange(-R, R + 1, dtype=np.int64)
-    redecided = 0
-    for blo, bhi in _bands(-R, R, W):
-        A, B = _band(cols, blo, bhi)
-        X, Y, flagged = _exact_images(forms, A, B, mode)
-        redecided += flagged
-        inside = (np.abs(X) <= bound) & (np.abs(Y) <= bound)
-        if bound < R:
-            inside &= (np.abs(A) <= bound) & (np.abs(B) <= bound)
-        succ[(blo + R) * W:(bhi + R + 1) * W] = np.where(inside, (Y + R) * W + X + R, sink).ravel()
-    return succ, redecided
 
 
 def _cycles(succ):

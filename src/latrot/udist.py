@@ -47,7 +47,7 @@ import numpy as np
 from .angle import AngleContext, RationalPythagorean
 from .errors import InvalidSpec
 from .exactnum import Rational, Scalar, ZERO, ONE, compare, rational
-from .kernels import _INT64_SAFE, FloatForm, QuadForm, _bands, _exact_box, _mod_inplace, image_forms
+from .kernels import FloatForm, QuadForm, _bands, _exact_box, _mod_inplace, image_forms
 from .rotation import RoundingMode
 
 
@@ -327,9 +327,14 @@ def _strips(orders, cuts):
         yield rows[keep], cols[keep]
 
 
-def _classes(a: np.ndarray, b: np.ndarray, mb: int):
-    """The distinct pairs (a[i], b[i]), 0 <= b < mb, and how often each
-    occurs; the caller keeps a*mb + b inside int64."""
+def _classes(a: np.ndarray, b: np.ndarray, ma: int, mb: int):
+    """The distinct pairs (a[i], b[i]), 0 <= a < ma and 0 <= b < mb, and
+    how often each occurs, keyed as a*mb + b, or as the pair of the
+    ranks of a and b among their values when a*mb + b passes int64."""
+    if ma * mb > 1 << 63:
+        (ua, ia), (ub, ib) = (np.unique(v, return_inverse=True) for v in (a, b))
+        ka, kb, counts = _classes(ia, ib, len(ua), len(ub))
+        return ua[ka], ub[kb], counts
     keys, counts = np.unique(a * mb + b, return_counts=True)
     return keys // mb, keys % mb, counts
 
@@ -350,10 +355,8 @@ def _separable_count(forms, ts, vals):
     if None in splits:
         return None
     (F1, G1, m1, b1), (F2, G2, m2, b2) = splits
-    if m1 * m2 >= _INT64_SAFE:  # a class's key would overflow
-        return None
-    c1, c2, wc = _classes(F1, F2, m2)
-    r1, r2, wr = _classes(G1, G2, m2)
+    c1, c2, wc = _classes(F1, F2, m1, m2)
+    r1, r2, wr = _classes(G1, G2, m1, m2)
     total = 0
     for i0, i1 in _bands(0, len(wr) - 1, len(wc)):
         ok = _mod_inplace(c1[None, :] + r1[i0 : i1 + 1, None], m1) < b1

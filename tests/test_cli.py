@@ -289,6 +289,14 @@ def test_emit_points_and_points_file(tmp_path):
     code, _, err = run_cli("census", "--angle", "pi/4", "--M", "4",
                            "--kind", "holes", "--emit-points")
     assert code == 2
+    # a points file that cannot be written is a usage error, with nothing
+    # on stdout: a missing directory, and a directory
+    for bad in (tmp_path / "missing" / "pts.csv", tmp_path):
+        code, out, err = run_cli("census", "--angle", "pi/6", "--M", "3",
+                                 "--kind", "holes", "--points-file", str(bad))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"usage error: cannot write --points-file {bad}: ")
+        assert err.count("\n") == 1
     # json embeds points
     code, out, _ = run_cli("census", "--angle", "pi/4", "--M", "4",
                            "--kind", "holes", "--format", "json", "--emit-points")

@@ -5,11 +5,13 @@ batched re-decision of flagged points from integer enclosures, checked
 against discrete_rotate, which is not on its path."""
 
 import ast
+import functools
 import math
 import pathlib
 import sys
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from latrot import kernels, rotation, udist
@@ -31,6 +33,8 @@ from latrot.kernels import (
     _exact_box,
     _exact_images,
     _images,
+    _square_images,
+    _window_index,
     image_forms,
     make_form,
     make_step,
@@ -217,6 +221,72 @@ def test_band_size_is_defined_only_in_kernels():
             for name in names:
                 if "BAND" in name or name == "_bands":  # constants are upper case
                     assert path.name == "kernels.py", (path.name, node.lineno, name)
+
+
+SQUARE_ANGLES = ["pi/6", "pi/4", "pyth:3,4,5", "quad:sin=sqrt(3)/3,cos=sqrt(6)/3", "rad:~1.0",
+                 "rad:~" + repr(math.pi / 4)]
+
+
+@functools.cache
+def _rotated(angle, mode):
+    """discrete_rotate over |a|,|b| <= 12, the scalar oracle."""
+    ctx = context_from_text(angle)
+    square = range(-12, 13)
+    return {(a, b): discrete_rotate(ctx, (a, b), mode) for a in square for b in square}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    angle=st.sampled_from(SQUARE_ANGLES),
+    mode=st.sampled_from(list(RoundingMode)),
+    R=st.integers(0, 12),
+    data=st.data(),
+    threads=st.sampled_from([1, 2]),
+    one_row_bands=st.booleans(),
+)
+def test_square_images_match_discrete_rotate(angle, mode, R, data, threads, one_row_bands):
+    M = data.draw(st.integers(0, R), label="M")
+    W, sink = 2 * M + 1, (2 * M + 1) ** 2
+    with pytest.MonkeyPatch.context() as mp:
+        if one_row_bands:
+            mp.setattr(kernels, "_BAND_POINTS", 1)
+        forms = image_forms(context_from_text(angle), mode, max_abs=R)
+        I, _ = _square_images(forms, mode, R, M, threads)
+    assert I.shape == ((2 * R + 1) ** 2 + 1,) and I[-1] == sink
+    # the square's points in (b, a) order, a fastest
+    want = []
+    for b in range(-R, R + 1):
+        for a in range(-R, R + 1):
+            x, y = _rotated(angle, mode)[a, b]
+            want.append((y + M) * W + x + M if max(abs(x), abs(y)) <= M else sink)
+    assert I[:-1].tolist() == want, (angle, mode, R, M)
+    # _window_index numbers the window's points row by row, x fastest,
+    # and _sorted_points reads any set of indices back in that order
+    ys, xs = np.mgrid[-M:M + 1, -M:M + 1]
+    idx = _window_index(xs, ys, M).ravel()
+    assert idx.tolist() == list(range(W * W))
+    points = list(zip(xs.ravel().tolist(), ys.ravel().tolist()))
+    assert _sorted_points(idx[::-1], M) == points
+    hit = np.unique(I[I < sink])
+    assert _sorted_points(hit, M) == [points[i] for i in hit]
+
+
+def test_window_indices_are_encoded_only_in_kernels():
+    # one window index layout: kernels._window_index encodes it and
+    # kernels._sorted_points, a plain sort, decodes it; an affine
+    # (u + k)*w + v outside kernels would be a second layout
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "latrot"
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert "lexsort" not in text, path.name
+        if path.name == "kernels.py":
+            continue
+        for node in ast.walk(ast.parse(text)):
+            if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+                    and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.Mult)
+                    and isinstance(node.left.left, ast.BinOp)
+                    and isinstance(node.left.left.op, (ast.Add, ast.Sub))):
+                raise AssertionError((path.name, node.lineno, ast.unparse(node)))
 
 
 # angles the float prefilter serves: float angles ulps from pi/4, the

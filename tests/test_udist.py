@@ -119,6 +119,9 @@ def test_direct_and_residue_counters_agree():
               *triples, "pyth:5,12,13", "pyth:20,21,29"]]
     # a bound with denominator q = 40001: one remainder in int64 decides it
     cases.append(("pyth:39999,400,40001", [InequalityBox(rational(20000, 40001), rational(1, 2))]))
+    # each remainder fits int64, the pair of them as one class key does
+    # not: the classes key on their ranks
+    cases.append(("pyth:3,4,5", [InequalityBox(rational(1, 10**9 + 7), rational(1, 10**9 + 9))]))
     # forms with rational coefficients put {L} on multiples of 1/D, so
     # they take any side exactly: irrational and decimal ones too
     sides = [InequalityBox(quad(0, 1, 2, 2), rational(1, 1000)),
@@ -147,8 +150,6 @@ def test_unsplittable_forms_take_the_arcs():
         ("pi/6", InequalityBox(quad(0, 1, 3, 3), rational(1, 2)), 30),  # irrational bound
         # the int64 guard: the square roots of Q*100003 leave float range
         ("pi/6", InequalityBox(rational(50000, 100003), rational(1, 2)), 1000),
-        # each remainder fits, a pair of them as one class key does not
-        ("pyth:3,4,5", InequalityBox(rational(1, 10**9 + 7), rational(1, 10**9 + 9)), 7),
     ]
     for text, box, M in cases:
         got, method, scan = _routes(context_from_text(text), box, M, Parity.ALL)
@@ -156,9 +157,10 @@ def test_unsplittable_forms_take_the_arcs():
 
 
 CROSS_FIELD = "quad:sin=sqrt(3)/3,cos=sqrt(6)/3"
-# pi/6 takes the arc route with an irrational side or two tiny ones,
-# 3-4-5 (rational coefficients, so any side is exact) with two tiny ones
-# only, the others always; {L} = 0 at the origin, and {L} = t for
+# pi/6 takes the arc route with a side that is not rational or a tiny
+# one, the others always, but 3-4-5: its coefficients are rational, so it
+# takes every side on the separable route, which the scan checks here
+# too; {L} = 0 at the origin, and {L} = t for
 # t = 4/5 = cos on 3-4-5's x axis, sqrt(3)/2 = cos on pi/6's and
 # sqrt(3)/3 = sin on the cross-field angle's y axis
 ARC_ANGLES = ["pi/4", "pi*3/4", "pi*-1/4", CROSS_FIELD, "rad:~1.0", "rad:~0.3",
