@@ -427,7 +427,8 @@ def _handle_sweep(ns, out, started):
     tail = [[k, payload[k]] for k in ("undetermined", "escaped", "absorbed_all") if k in payload]
     rows = [["period", "count"], *payload["histogram"], *tail]
     _write(ns, out, payload, rows, _elapsed_ms(started),
-           scalar_starts=summary.scalar_starts, redecided_pts=summary.redecided_pts)
+           scalar_starts=summary.scalar_starts, redecided_pts=summary.redecided_pts,
+           doubling_rounds=summary.doubling_rounds, cycle_nodes=summary.cycle_nodes)
 
 
 def _handle_period8(ns, out, started):

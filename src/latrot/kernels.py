@@ -97,11 +97,17 @@ _BAND_POINTS = 1 << 16  # points per band of every vector scan
 
 
 def visqrt(x: np.ndarray) -> np.ndarray:
-    """Elementwise floor(sqrt(x)) for nonnegative int64 x < 2**52."""
-    s = np.sqrt(x.astype(np.float64)).astype(np.int64)
-    s = np.where((s + 1) * (s + 1) <= x, s + 1, s)
-    s = np.where(s * s > x, s - 1, s)
-    return s
+    """Elementwise floor(sqrt(x)) for nonnegative int64 x < 2**52 (every
+    caller checks its arguments against _SQRT_SAFE).
+
+    One float square root is exact there.  x < 2^52 converts to float64
+    exactly, and IEEE sqrt rounds correctly, so with k = floor(sqrt(x)) the
+    root rounds to no less than k.  And x <= (k+1)^2 - 1 gives
+    sqrt(x) < (k+1) - 1/(2(k+1)), a gap of at least 2^-27 below k+1 since
+    k+1 <= 2^26, where floats below k+1 lie at most 2^-27 apart: more
+    than half a spacing, so the root rounds below k+1 and truncates to k.
+    """
+    return np.sqrt(x.astype(np.float64)).astype(np.int64)
 
 
 def vfloor_sqrt_multiple(q: np.ndarray, d: int) -> np.ndarray:

@@ -9,17 +9,21 @@ array, kernels._square_images at M = R, which the brute-force census
 histograms too: it maps every point of a window |x|,|y| <= R, a margin
 past the domain radius of the start window, to its image's index; an
 image outside the window goes to a sink, its own successor.  Pointer
-doubling, rounds of label = min(label, label[jump]) and jump =
-jump[jump] until 2^k steps cover every node's depth and every cycle,
-lands every node on its cycle and labels each cycle by its smallest
-node, so a cycle's period is the count of its label among the cycle
-nodes.
+doubling runs in two phases.  The first doubles jump = jump[jump] alone
+until its image stops shrinking: that image is then the cycle nodes, so
+jump lands every node on its cycle and the previous round's 2^k bounds
+every node's depth.  The second runs over the cycle nodes only, numbered
+in node order, rounds of label = min(label, label[next]) and
+next = next[next] until no label changes, which labels each cycle by its
+smallest node's number; a cycle's period is the count of its label among
+the cycle nodes.
 
 The caps are read off the same array, so every start is answered as
 detect_cycle answers it.  A max_radius inside the window turns the sink
 into an escape, and a binding max_steps is checked against each node's
-exact tail, from one pass back from the cycle nodes.  Only starts whose
-orbits leave the wider retry window go to detect_cycle one by one.
+exact tail, from a breadth-first search back from the cycle nodes.
+Only starts whose orbits leave the wider retry window go to
+detect_cycle one by one.
 
 The period-8 family is checked in lockstep: every candidate's
 eight-step chain runs through the same image kernel.  All 45-degree
@@ -82,6 +86,8 @@ class SweepSummary:
     absorbed_all: bool | None = None  # trunc mode: every orbit reached (0,0)?
     scalar_starts: int = field(default=0, compare=False)  # starts detect_cycle answered alone
     redecided_pts: int = field(default=0, compare=False)  # flagged images re-decided exactly
+    doubling_rounds: int = field(default=0, compare=False)  # pointer doubling's array rounds
+    cycle_nodes: int = field(default=0, compare=False)  # nodes on a cycle, the sink included
 
     @property
     def total(self) -> int:
@@ -199,11 +205,13 @@ def orbit_sweep(
     longest period passes it.  Otherwise the sink means the orbit left
     the window: detect_cycle answers those starts one by one, and
     scalar_starts counts them.  redecided_pts counts the flagged images
-    the successor arrays re-decided exactly, over every window tried.
+    the successor arrays re-decided exactly, and doubling_rounds the
+    rounds of both doubling phases, over every window tried; cycle_nodes
+    counts the cycle nodes of the window that answered.
     """
     if M < 0:
         raise ValueError(f"window M={M} is negative")
-    redecided = 0
+    redecided = rounds = 0
     # Floor orbits at generic angles drift further as M grows: rad:~0.3
     # needs 16 rows at M=200 and 32 at M=600, which the retry holds.
     for margin in (2, 8 + M // 8):
@@ -219,14 +227,17 @@ def orbit_sweep(
             beyond = np.abs(np.arange(-R, R + 1)) > caps.max_radius
             far = np.append(beyond[:, None] | beyond, True)
             succ[far | far[succ]] = sink
-        jump, label, on_cycle, depth = _cycles(succ)
-        ends = label[_starts(jump, R, M)]
+        jump, label, on_cycle, depth, passes = _cycles(succ)
+        rounds += passes
+        ends = label[_starts(jump, R, M)]  # the places in C of the starts' cycles
         del jump
-        if escapes or not (ends == sink).any():
+        if escapes or not (ends == label[sink]).any():
             break
-    to_sink = ends == sink
+    to_sink = ends == label[sink]
     handed = np.zeros_like(to_sink) if escapes else to_sink
-    label = label[on_cycle]
+    # (0, 0) is fixed, so it labels its own cycle
+    origin = label[_window_index(0, 0, R)]
+    label = label[on_cycle]  # frees the node-sized labels before counting
     period = np.bincount(label)[ends]  # nodes on each start's cycle
     del label
     late = np.zeros_like(to_sink)
@@ -242,9 +253,8 @@ def orbit_sweep(
     escaped = int(np.count_nonzero(to_sink & ~handed & ~late))
     absorbed = None
     if mode is RoundingMode.TRUNC:
-        # (0, 0) is fixed, so it labels its own cycle; trunc never grows a
-        # point's norm, so no trunc orbit leaves the window
-        absorbed = bool((periodic & (ends == _window_index(0, 0, R))).all())
+        # trunc never grows a point's norm, so no trunc orbit leaves the window
+        absorbed = bool((periodic & (ends == origin)).all())
     for start in _sorted_points(np.flatnonzero(handed), M):
         rec = detect_cycle(ctx, start, mode, caps)
         if rec.status is OrbitStatus.PERIODIC:
@@ -254,6 +264,7 @@ def orbit_sweep(
     return SweepSummary(
         M, dict(sorted(histogram.items())), undetermined, escaped, absorbed,
         scalar_starts=int(np.count_nonzero(handed)), redecided_pts=redecided,
+        doubling_rounds=rounds, cycle_nodes=int(np.count_nonzero(on_cycle)),
     )
 
 
@@ -265,45 +276,94 @@ def _starts(a, R, M):
 
 
 def _cycles(succ):
-    """Pointer doubling on the functional graph succ.
+    """Cycles of the functional graph succ, by pointer doubling in two
+    phases; succ is not written.
 
-    Round k sets label = min(label, label[jump]) and then jump = jump[jump],
-    so jump = succ^(2^k) and label[i] is the smallest node among i's next
-    2^k.  The image of jump shrinks to the cycle nodes; once it stops
-    shrinking every node of the previous image is on a cycle, and once label
-    agrees along every cycle each cycle node carries its cycle's smallest
-    node.  Returns (jump, label, on_cycle, depth), where every node lies at
-    most depth steps before its cycle.
+    Phase 1 doubles jump = succ^(2^k) alone.  The images of succ^m shrink
+    as m grows, and once two in a row agree they stay put, at the cycle
+    nodes C.  So when the image of succ^(2^k) is no smaller than that of
+    succ^(2^(k-1)), the latter is C: every node lies at most
+    depth = 2^(k-1) steps before its cycle, and jump lands every node on C.
+
+    Phase 2 runs over C alone, numbered by place in node order, with
+    next = succ on C: rounds of label = min(label, label[next]) and
+    next = next[next] leave label[i] the least place among i's next 2^r
+    nodes, and stop on the first round that changes no label.  While some
+    cycle is longer than 2^r, the node 2^r steps before its least place
+    still changes, so by then every cycle node carries the place of its
+    cycle's smallest node.
+
+    Returns (jump, label, on_cycle, depth, rounds), where label, set on
+    the cycle nodes only, holds places in C, and rounds counts the rounds
+    of both phases.
     """
-    jump = succ.copy()
-    label = np.arange(succ.size, dtype=succ.dtype)
     on_cycle = np.zeros(succ.size, dtype=bool)
-    on_cycle[succ] = True
-    size = np.count_nonzero(on_cycle)
-    rounds = 0
-    while True:
-        np.minimum(label, label[jump], out=label)
-        jump = jump[jump]
+    size, rounds = _mark(on_cycle, succ), 0
+    jump, spare = succ, np.empty_like(succ)
+    while True:  # the first round's jump is succ, which must not become the spare
+        jump, spare = _gather(jump, jump, spare), jump if rounds else np.empty_like(succ)
         rounds += 1
-        on_cycle[:] = False
-        on_cycle[jump] = True
-        shrunk, size = size, np.count_nonzero(on_cycle)
-        if size == shrunk and ((label[succ] == label) | ~on_cycle).all():
-            return jump, label, on_cycle, 2 ** (rounds - 1)
+        shrunk, size = size, _mark(on_cycle, jump)
+        if size == shrunk:
+            break
+    depth = 2 ** (rounds - 1)
+    # the spare array maps each cycle node to its place in C, and then
+    # holds the labels
+    label = spare
+    least = np.arange(size, dtype=succ.dtype)
+    label[on_cycle] = least
+    nxt = _gather(label, succ[on_cycle], np.empty_like(least))
+    got = np.empty_like(least)
+    while True:
+        _gather(least, nxt, got)
+        rounds += 1
+        if not (got < least).any():
+            break
+        np.minimum(least, got, out=least)
+        nxt, got = _gather(nxt, nxt, got), nxt
+    label[on_cycle] = least
+    return jump, label, on_cycle, depth, rounds
+
+
+def _gather(a, idx, out):
+    """out = a[idx] for node numbers idx, each in range by construction.
+    Band by band, since np.take copies its indices to intp and a band's
+    copy stays small where an int32 array's would double it; with
+    mode="clip", since mode="raise" also buffers out."""
+    for lo, hi in _bands(0, idx.size - 1, 1):
+        np.take(a, idx[lo:hi + 1], out=out[lo:hi + 1], mode="clip")
+    return out
+
+
+def _mark(flags, idx) -> int:
+    """Set flags to the image of idx and return its size.  Indexed
+    assignment is twice as fast with intp indices, cast band by band."""
+    flags[:] = False
+    for lo, hi in _bands(0, idx.size - 1, 1):
+        flags[idx[lo:hi + 1].astype(np.intp, copy=False)] = True
+    return int(np.count_nonzero(flags))
 
 
 def _tails(succ, on_cycle) -> np.ndarray:
-    """tail[i], the steps from node i to its cycle, by one pass back from
-    the cycle nodes: a node is one step further than its successor."""
-    tail = np.full(succ.size, -1, dtype=succ.dtype)
-    tail[on_cycle] = 0
-    todo = np.flatnonzero(~on_cycle)
-    level = 0
-    while todo.size:
-        level += 1
-        ready = tail[succ[todo]] == level - 1
-        tail[todo[ready]] = level
-        todo = todo[~ready]
+    """tail[i], the steps from node i to its cycle, by a breadth-first
+    search back from the cycle nodes: the tail nodes, sorted by successor,
+    list each node's predecessors from offsets counted per successor, and
+    each level is the predecessors of the last."""
+    tail = np.zeros(succ.size, dtype=succ.dtype)
+    preds = np.flatnonzero(~on_cycle)
+    to = succ[preds]
+    preds = preds[np.argsort(to, kind="stable")]  # timsort gains on the runs rotations leave
+    first = np.zeros(succ.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(to, minlength=succ.size), out=first[1:])
+    del to
+    level, steps = np.flatnonzero(on_cycle), 0
+    while level.size:
+        steps += 1
+        lo = first[level]
+        count = first[level + 1] - lo
+        ends = np.cumsum(count)
+        level = preds[np.repeat(lo - ends + count, count) + np.arange(ends[-1])]
+        tail[level] = steps
     return tail
 
 
@@ -320,12 +380,18 @@ def quarter_turn_context() -> AngleContext:
     return resolve(PiMultiple(1, 4))
 
 
-PERIOD8_AMAX_LIMIT = math.isqrt(_SQRT_SAFE // 2)  # 2*a^2 stays where visqrt is exact
+# a*a <= 2^51: visqrt(a*a // 2) stays inside visqrt's exact range, x < 2^52
+PERIOD8_AMAX_LIMIT = math.isqrt(_SQRT_SAFE // 2)
 
 
 def period8_candidates(a_max: int, closed_endpoints: bool = True) -> list[int]:
     """All a in [1, a_max] with w = floor(a/sqrt2) satisfying
     floor(sqrt2*w) = a-1 and {a/sqrt2} in [1-1/sqrt2, sqrt2-1].
+
+    The interval test implies the floor one: with a/sqrt2 = w + f and
+    f in [1-1/sqrt2, sqrt2-1], sqrt2*w = a - sqrt2*f lies in
+    [a-(2-sqrt2), a-(sqrt2-1)], inside (a-1, a); so only the interval is
+    tested (brute_force_period8_filter tests both).
 
     The right endpoint matters: the eight-step return chain branches on
     {a/sqrt2} against sqrt2-1 at its fifth step, and every a beyond that
@@ -344,8 +410,7 @@ def period8_candidates(a_max: int, closed_endpoints: bool = True) -> list[int]:
     for lo, hi in _bands(1, a_max, 1):
         a = np.arange(lo, hi + 1, dtype=np.int64)
         w = visqrt(a * a // 2)  # floor(a/sqrt2)
-        ok = ((a - 1) ** 2 <= 2 * w * w) & (2 * w * w < a * a)  # floor(sqrt2*w) = a-1
-        ok &= (a + 1) ** 2 >= 2 * (w + 1) ** 2  # {a/sqrt2} >= 1 - 1/sqrt2
+        ok = (a + 1) ** 2 >= 2 * (w + 1) ** 2  # {a/sqrt2} >= 1 - 1/sqrt2
         # {a/sqrt2} <= sqrt2 - 1  <=>  a - 2 <= sqrt2*(w - 1)
         s, t = a - 2, w - 1
         ok &= np.where(t >= 0, (s <= 0) | (s * s < 2 * t * t), (s < 0) & (s * s > 2 * t * t))

@@ -322,6 +322,11 @@ def test_sweep_json_histogram_sorted():
     assert data["histogram"] == [[1, 1], [4, 24]]
     assert data["undetermined"] == 0 and data["escaped"] == 0
     assert data["meta"]["scalar_starts"] == 0
+    # a quarter turn permutes the successor array's window |x|,|y| <= 10,
+    # so its 441 points and the sink are all cycle nodes
+    assert list(data["meta"]) == ["elapsed_ms", "scalar_starts", "redecided_pts",
+                                  "doubling_rounds", "cycle_nodes"]
+    assert data["meta"]["cycle_nodes"] == 442
     # a max_radius inside the window is read off the same successor array
     code, out, _ = run_cli("sweep", "--angle", "pi/2", "--M", "2", "--max-radius", "3",
                            "--format", "json")

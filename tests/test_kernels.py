@@ -39,6 +39,7 @@ from latrot.kernels import (
     make_form,
     make_step,
     vfloor_sqrt_multiple,
+    visqrt,
 )
 from latrot.rotation import RoundingMode, discrete_rotate
 
@@ -203,6 +204,27 @@ def test_census_is_the_same_on_one_and_two_threads(monkeypatch):
             assert _sorted_points(a[1], 30) == _sorted_points(b[1], 30) == o.points
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_visqrt_is_exact_where_its_proof_is_tightest():
+    # one float square root: the gap below (k+1)^2 shrinks as k grows, so
+    # the top 2^20 roots below 2^26 are the closest calls, and powers of
+    # two sit on the float grid's steps
+    k = np.arange(2**26 - 2**20, 2**26, dtype=np.int64)
+    sq = k * k
+    assert (visqrt(sq - 1) == k - 1).all()
+    assert (visqrt(sq) == k).all()
+    assert (visqrt(sq + 1) == k).all()
+    for x in (int(sq[0]) - 1, int(sq[-1]) + 1):
+        assert math.isqrt(x) == visqrt(np.array([x]))[0]
+    xs = [x for j in range(52) for x in (2**j - 1, 2**j, 2**j + 1)]
+    assert visqrt(np.array(xs, dtype=np.int64)).tolist() == [math.isqrt(x) for x in xs]
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 2**52 - 1), min_size=1, max_size=40))
+def test_visqrt_matches_isqrt_below_2_52(xs):
+    assert visqrt(np.array(xs, dtype=np.int64)).tolist() == [math.isqrt(x) for x in xs]
 
 
 def test_band_size_is_defined_only_in_kernels():

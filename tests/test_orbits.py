@@ -5,7 +5,9 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latrot import kernels, orbits
 from latrot.angle import context_from_text
@@ -316,6 +318,77 @@ def test_vector_sweep_matches_detect_cycle(text, memo_steps):
                 assert (got.histogram, got.undetermined, got.escaped) == want, (mode, M, caps)
                 handed = 14 if (text, mode, M) == ("rad:~1.0", RoundingMode.FLOOR, 12) else 0
                 assert got.scalar_starts == (0 if caps.max_radius is not None else handed), (mode, M, caps)
+
+
+@st.composite
+def functional_graphs(draw):
+    """A successor array: short cycles (self-loops among them), at most one
+    cycle of up to 5000 nodes, one long tail, trees hung on random nodes,
+    and a last node that is its own successor and that some tree nodes
+    feed, like a sweep's sink; all but the last node shuffled."""
+    cycles = draw(st.lists(st.integers(1, 6), min_size=1, max_size=40))
+    cycles += [draw(st.integers(1, 5000))] * draw(st.booleans())
+    tail, trees = draw(st.integers(0, 3000)), draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    succ = []
+    for size in cycles:
+        succ += [len(succ) + (i + 1) % size for i in range(size)]
+    prev = int(rng.integers(len(succ)))
+    for _ in range(tail):
+        succ.append(prev)
+        prev = len(succ) - 1
+    sink = len(succ) + trees
+    succ += [sink if rng.random() < 0.1 else int(rng.integers(len(succ))) for _ in range(trees)]
+    succ.append(sink)
+    order = np.append(rng.permutation(sink), sink)  # node i becomes order[i]
+    shuffled = np.empty(sink + 1, dtype=draw(st.sampled_from([np.int32, np.int64])))
+    shuffled[order] = order[succ]
+    return shuffled
+
+
+def _walk(succ):
+    """Each node's cycle, named by its smallest node, and its steps to that
+    cycle, by walking the graph in Python."""
+    least, steps = [None] * len(succ), [None] * len(succ)
+    for start in range(len(succ)):
+        path, seen, x = [], {}, start
+        while least[x] is None and x not in seen:
+            seen[x] = len(path)
+            path.append(x)
+            x = int(succ[x])
+        if least[x] is None:  # the walk closed a new cycle
+            cycle = path[seen[x]:]
+            for y in cycle:
+                least[y], steps[y] = min(cycle), 0
+            path = path[:seen[x]]
+        for y in reversed(path):
+            least[y], steps[y] = least[int(succ[y])], steps[int(succ[y])] + 1
+    return np.array(least), np.array(steps)
+
+
+@settings(max_examples=40, deadline=None)
+@given(functional_graphs())
+def test_cycles_and_tails_match_a_walk(succ):
+    least, steps = _walk(succ)
+    kept = succ.copy()
+    jump, label, on_cycle, depth, rounds = orbits._cycles(succ)
+    assert (succ == kept).all() and jump.dtype == label.dtype == succ.dtype
+    assert (on_cycle == (steps == 0)).all()
+    assert (np.flatnonzero(on_cycle)[label[on_cycle]] == least[on_cycle]).all()
+    assert on_cycle[jump].all() and (least[jump] == least).all()
+    # succ^depth lands on the cycles, and no smaller power of two does
+    assert depth == 1 << max(int(steps.max()) - 1, 0).bit_length()
+    assert rounds >= 2
+    assert (orbits._tails(succ, on_cycle) == steps).all()
+
+
+def test_sweep_meta_counts_cycle_nodes_and_rounds():
+    # 3-4-5 floor orbits run into few cycles down tails up to 1183 steps
+    # long; pi/4's cycles hold over a third of the window
+    s = orbit_sweep(quarter_turn_context(), 300)
+    assert (s.cycle_nodes, s.doubling_rounds) == (277_739, 9)
+    s = orbit_sweep(context_from_text("pyth:3,4,5"), 200)
+    assert (s.cycle_nodes, s.doubling_rounds) == (6_928, 23)
 
 
 def test_sweep_counts_its_redecided_points():
