@@ -20,7 +20,9 @@ point evaluator for orbit steps:
   (split_frac_lt): the test depends on x and y only through F mod m and
   G mod m.  When Q depends on both (as at pi/4), each root is taken once
   from a table over the call's own Q range if that range is smaller
-  than the call, else point by point.
+  than the call, else point by point.  floor divides N by D, by a shift
+  when D is a power of two, and truncation reads the same N: L is an
+  integer iff Q = 0 and D divides N.
 * float prefilter        -- for high-precision or cross-field angles:
   evaluate in float64 and flag any decision within a conservative slack
   of a boundary.  The slack dominates the float64 error bound
@@ -49,7 +51,9 @@ and needs no guard.
 _exact_images is the one image kernel every scan runs: the censuses'
 image grids, _square_images (the brute-force histogram and the orbit
 sweeps' successor arrays) and the period-8 chains all read their images
-from it; _exact_box is udist's fractional-part box test.  Both re-decide
+from it.  Its _images evaluates each form once under every mode: floor,
+the form shifted by 1/2 under round, and floor(trunc=True) under trunc.
+_exact_box is udist's fractional-part box test.  Both re-decide
 flagged points as above.  Every scan numbers window points one way,
 _window_index's (y, x) order, which _sorted_points, a plain sort, reads.
 
@@ -107,14 +111,21 @@ def visqrt(x: np.ndarray) -> np.ndarray:
     k+1 <= 2^26, where floats below k+1 lie at most 2^-27 apart: more
     than half a spacing, so the root rounds below k+1 and truncates to k.
     """
-    return np.sqrt(x.astype(np.float64)).astype(np.int64)
+    f = x.astype(np.float64)
+    np.sqrt(f, out=f)
+    return f.astype(np.int64)
 
 
 def vfloor_sqrt_multiple(q: np.ndarray, d: int) -> np.ndarray:
-    """Elementwise floor(q * sqrt(d)); q*q*d is never a perfect square
-    for q != 0 since d is squarefree."""
-    r = visqrt(q * q * d)
-    return np.where(q >= 0, r, -r - (q != 0))
+    """Elementwise floor(q * sqrt(d)) for d not a perfect square, by one
+    XOR: with r = isqrt(q*q*d), floor(q*sqrt(d)) is r for q >= 0, and
+    -r - 1 = ~r for q < 0, where q*q*d is not a perfect square either;
+    q >> 63 is -1 exactly where q < 0, and 0 elsewhere."""
+    r = q * q
+    r *= d
+    r = visqrt(r)
+    r ^= q >> 63
+    return r
 
 
 def _compact(X: np.ndarray) -> np.ndarray:
@@ -160,9 +171,9 @@ class LinearForm:
     must re-decide.  The decide_* methods re-decide a batch of points
     from integer enclosures of L*2^bits: decide_floor settles every
     point, decide_frac_lt leaves None where the enclosures cannot
-    separate a point, which exact_frac_lt then decides.  point(trunc)
-    returns the scalar evaluator (x, y) -> floor(L), or L truncated
-    toward 0 when trunc.
+    separate a point, which exact_frac_lt then decides.  floor(X, Y,
+    trunc) returns floor(L), or L truncated toward 0 when trunc, and
+    point(trunc) the scalar evaluator (x, y) -> the same.
     """
 
     def __init__(self, alpha: Scalar, beta: Scalar, gamma: Scalar):
@@ -281,6 +292,7 @@ class QuadForm(LinearForm):
         self.pG, self.qG = pg * (D // dg), qg * (D // dg)
         self._maxP = (abs(self.pA) + abs(self.pB)) * max_abs + abs(self.pG)
         self._maxQ = (abs(self.qA) + abs(self.qB)) * max_abs + abs(self.qG)
+        self._shift = D.bit_length() - 1 if D & (D - 1) == 0 else None  # D = 2^shift
         self.vector_ok = self._fits(1)
 
     def _fits(self, m: int) -> bool:
@@ -305,42 +317,85 @@ class QuadForm(LinearForm):
 
     def _q(self, X, Y):
         """Q = qA*X + qB*Y + qG over only the axes it varies on (a compact
-        view that broadcasts against the call), with its least and
-        greatest value, taken from those axes; Q is a plain int when it
-        is constant."""
-        Q = lo = hi = self.qG
+        view that broadcasts against the call); a plain int when Q is
+        constant."""
+        qA, qB, qG = self.qA, self.qB, self.qG
+        if qA and qB:
+            return _affine(qA, qB, qG, X, Y)
+        if not (qA or qB):
+            return qG
+        Q = qA * _compact(X) if qA else qB * _compact(Y)
+        if qG:
+            Q += qG
+        return Q
+
+    def _q_range(self, X, Y) -> tuple[int, int]:
+        """Bounds lo <= Q <= hi over the call, from the least and greatest
+        coordinate on each axis Q varies on (its compact axes)."""
+        lo = hi = self.qG
         for q, V in ((self.qA, X), (self.qB, Y)):
             if q:
                 V = _compact(V)
                 a, b = q * int(V.min()), q * int(V.max())
                 lo, hi = lo + min(a, b), hi + max(a, b)
-                Q = Q + q * V
-        return Q, lo, hi
+        return lo, hi
 
-    def _numerator(self, X, Y, m: int) -> np.ndarray:
-        """N = m*P + floor(m*Q*sqrt(d)) at the points (X, Y), so that
-        L = (N + phi)/(m*D) for some 0 <= phi < 1.  Each root is taken
-        once: from a table over Q's range on this call when the range
-        has fewer entries than Q (Q varies on both axes, as at pi/4),
-        else at each entry of Q (a row or column when Q varies on one
-        axis only, each point of a wide 1-D array)."""
-        N = _affine(self.pA * m, self.pB * m, self.pG * m, X, Y)
-        if self.pure_rational or not N.size:
-            return N
-        Q, lo, hi = self._q(X, Y)
+    def _numerator(self, X, Y, m: int):
+        """(N, Q): N = m*P + floor(m*Q*sqrt(d)) at the points (X, Y), so
+        that L = (N + phi)/(m*D) for some 0 <= phi < 1 with phi = 0 only
+        where Q = 0, and Q as _q builds it (0 for a rational form).
+
+        Each root is taken once: from a table over Q's range on this call
+        when the range has fewer entries than Q (Q varies on both axes,
+        as at pi/4), else at each entry of Q (a row or column when Q
+        varies on one axis only, each point of a wide 1-D array).  The
+        window the form was built for bounds Q's range by 2*maxQ, so the
+        call's own range is taken only when that bound is below Q's size.
+        """
+        Pm = (self.pA * m, self.pB * m, self.pG * m)
+        Q = self._q(X, Y)
         if isinstance(Q, int):
-            N += _floor_sqrt_multiple(Q * m, self.d)
-        elif hi - lo < Q.size:
+            N = _affine(*Pm, X, Y)
+            if Q:
+                N += _floor_sqrt_multiple(Q * m, self.d)
+            return N, Q
+        table = 2 * self._maxQ < Q.size
+        if table:
+            lo, hi = self._q_range(X, Y)
+            table = hi - lo < Q.size
+        if table:
             Q -= lo
-            N += vfloor_sqrt_multiple(np.arange(lo, hi + 1, dtype=np.int64) * m, self.d)[Q]
+            roots = vfloor_sqrt_multiple(np.arange(lo, hi + 1, dtype=np.int64) * m, self.d)[Q]
+            Q += lo
         else:
-            N += vfloor_sqrt_multiple(Q * m, self.d)
-        return N
+            roots = vfloor_sqrt_multiple(Q * m if m != 1 else Q, self.d)
+        if self.pA or self.pB or roots.shape != np.broadcast_shapes(X.shape, Y.shape):
+            N = _affine(*Pm, X, Y)
+            N += roots
+        else:  # P is constant (0 at pi/4): N is the roots themselves
+            N = roots
+            if Pm[2]:
+                N += Pm[2]
+        return N, Q
 
-    def floor(self, X, Y):
+    def floor(self, X, Y, trunc: bool = False):
         if not self.vector_ok:
-            return self._prefilter.floor(X, Y)
-        return self._numerator(X, Y, 1) // self.D, None
+            return self._prefilter.floor(X, Y, trunc)
+        N, Q = self._numerator(X, Y, 1)
+        out = None if trunc else N  # truncation reads N again
+        if self._shift is None:
+            F = np.floor_divide(N, self.D, out=out)
+        else:
+            F = np.right_shift(N, self._shift, out=out)
+        if not trunc:
+            return F, None
+        # L is an integer iff Q = 0 and F*D = N; elsewhere below 0,
+        # truncation is floor + 1
+        N -= F * self.D
+        if not isinstance(Q, int) or Q:
+            N |= Q
+        F += (F < 0) & (N != 0)
+        return F, None
 
     def _frac_test(self, t: Scalar):
         """(tden, modulus, bound) of the one-remainder test {L} < t, or
@@ -364,7 +419,7 @@ class QuadForm(LinearForm):
         if test is None:
             return self._prefilter.frac_lt(X, Y, t)
         tden, modulus, bound = test
-        return _mod_inplace(self._numerator(X, Y, tden), modulus) < bound, None
+        return _mod_inplace(self._numerator(X, Y, tden)[0], modulus) < bound, None
 
     def split_frac_lt(self, cols: np.ndarray, rows: np.ndarray, t: Scalar):
         """frac_lt's test {L} < t split by axis, when Q depends on one
@@ -378,18 +433,20 @@ class QuadForm(LinearForm):
         tden, m, bound = test
         # the axis Q varies on carries Q and the constant terms
         if self.qA:
-            F, G = self._numerator(cols, 0 * cols, tden), self.pB * tden * rows
+            F, G = self._numerator(cols, 0 * cols, tden)[0], self.pB * tden * rows
         else:
-            F, G = self.pA * tden * cols, self._numerator(0 * rows, rows, tden)
+            F, G = self.pA * tden * cols, self._numerator(0 * rows, rows, tden)[0]
         return _mod_inplace(F, m), _mod_inplace(G, m), m, bound
 
     def frac_zero(self, X, Y):
+        # no caller in latrot (floor(trunc=True) decides integers itself);
+        # kept because perfbench/tracer.py patches it by name
         # L is an integer iff Q = 0 and D divides P
         if not self.vector_ok:
             return self._prefilter.frac_zero(X, Y)
         zero = _mod_inplace(_affine(self.pA, self.pB, self.pG, X, Y), self.D) == 0
         if not self.pure_rational and zero.size:
-            zero &= self._q(X, Y)[0] == 0
+            zero &= self._q(X, Y) == 0
         return zero, None
 
     def point(self, trunc: bool = False):
@@ -435,16 +492,19 @@ class FloatForm(LinearForm):
         f = L - F
         return F, f, (f < self.slack) | (f > 1 - self.slack)
 
-    def floor(self, X, Y):
+    def floor(self, X, Y, trunc: bool = False):
         F, _, unc = self._floors(X, Y)
-        return F.astype(np.int64), unc
+        F = F.astype(np.int64)
+        if trunc:  # outside the slack L is never an integer
+            F += F < 0
+        return F, unc
 
     def frac_lt(self, X, Y, t: Scalar):
         _, f, unc = self._floors(X, Y)
         ft = float(t)
         return f < ft, unc | (np.abs(f - ft) < self.slack)
 
-    def frac_zero(self, X, Y):
+    def frac_zero(self, X, Y):  # no caller in latrot; see QuadForm.frac_zero
         _, f, unc = self._floors(X, Y)
         return np.zeros(f.shape, dtype=bool), unc
 
@@ -547,18 +607,16 @@ def _band(cols: np.ndarray, blo: int, bhi: int):
 
 
 def _images(forms, A, B, mode: RoundingMode = RoundingMode.FLOOR):
-    """Images of the points (A, B) under mode; returns (X, Y, unc), where
-    unc (None for exact kernels) flags the entries to re-decide."""
-    k1, k2 = forms
-    (X, u1), (Y, u2) = k1.floor(A, B), k2.floor(A, B)
-    flags = [u1, u2]
-    if mode is RoundingMode.TRUNC:
-        (z1, u3), (z2, u4) = k1.frac_zero(A, B), k2.frac_zero(A, B)
-        flags += [u3, u4]
-        X = X + ((X < 0) & ~z1)
-        Y = Y + ((Y < 0) & ~z2)
-    flags = [u for u in flags if u is not None]
-    return X, Y, np.logical_or.reduce(flags) if flags else None
+    """Images of the points (A, B) under mode, one evaluation of each form
+    (floor, truncating under trunc); returns (X, Y, unc), where unc (None
+    for exact kernels) flags the entries to re-decide."""
+    trunc = mode is RoundingMode.TRUNC
+    (X, unc), (Y, u2) = (k.floor(A, B, trunc) for k in forms)
+    if unc is None:
+        unc = u2
+    elif u2 is not None:
+        unc |= u2
+    return X, Y, unc
 
 
 def _exact_images(forms, A, B, mode):
@@ -575,14 +633,16 @@ def _exact_images(forms, A, B, mode):
     return X, Y, len(xs)
 
 
-def _square_images(forms, mode, R: int, M: int, threads: int = 1):
+def _square_images(forms, mode, R: int, M: int, threads: int = 1, dtype=np.int64):
     """(images, redecided): images[i] is the window index in |x|,|y| <= M
     (_window_index, sink included) of the image of point i of the square
     |a|,|b| <= R, plus one trailing sink entry, so that at M = R the sink
-    is its own successor; redecided counts the flagged points."""
+    is its own successor; redecided counts the flagged points.  images
+    has the given dtype, by default int64, the index type bincount and
+    fancy indexing read without a copy; a narrower one must hold the
+    sink."""
     W = 2 * R + 1
-    # int64, the index type bincount and fancy indexing read without a copy
-    out = np.empty(W * W + 1, dtype=np.int64)
+    out = np.empty(W * W + 1, dtype=dtype)
     out[-1] = (2 * M + 1) ** 2
     cols = np.arange(-R, R + 1, dtype=np.int64)
 

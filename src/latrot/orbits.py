@@ -219,10 +219,10 @@ def orbit_sweep(
         W = 2 * R + 1
         sink = W * W
         escapes = caps.max_radius is not None and caps.max_radius < R
-        succ, flagged = _square_images(image_forms(ctx, mode, max_abs=R), mode, R, R)
+        # int32 halves the pointer doubling's arrays
+        dtype = np.int32 if sink < 2**31 - 1 else np.int64
+        succ, flagged = _square_images(image_forms(ctx, mode, max_abs=R), mode, R, R, dtype=dtype)
         redecided += flagged
-        if sink < 2**31 - 1:  # int32 halves the pointer doubling's arrays
-            succ = succ.astype(np.int32)
         if escapes:  # points beyond the radius, and their preimages, go to the sink
             beyond = np.abs(np.arange(-R, R + 1)) > caps.max_radius
             far = np.append(beyond[:, None] | beyond, True)
@@ -401,23 +401,41 @@ def period8_candidates(a_max: int, closed_endpoints: bool = True) -> list[int]:
     exactly at a = 2, which closed_endpoints keeps (the chain does close
     there).
     """
+    return _period8_candidates(a_max, closed_endpoints).tolist()
+
+
+def _period8_candidates(a_max: int, closed_endpoints: bool) -> np.ndarray:
+    """period8_candidates as one int64 array."""
     if a_max > PERIOD8_AMAX_LIMIT:
         raise ValueError(
             f"a_max={a_max} exceeds {PERIOD8_AMAX_LIMIT}, past which the integer "
             "square roots are no longer exact"
         )
-    out: list[int] = []
-    for lo, hi in _bands(1, a_max, 1):
+    # settled by hand: a = 1 fails the right endpoint's test (a - 2 = -1 >
+    # sqrt2*(w - 1) = -sqrt2), and a = 2 sits exactly on that endpoint
+    out = [np.array([2] if closed_endpoints and a_max >= 2 else [], dtype=np.int64)]
+    for lo, hi in _bands(3, a_max, 1):
         a = np.arange(lo, hi + 1, dtype=np.int64)
-        w = visqrt(a * a // 2)  # floor(a/sqrt2)
-        ok = (a + 1) ** 2 >= 2 * (w + 1) ** 2  # {a/sqrt2} >= 1 - 1/sqrt2
-        # {a/sqrt2} <= sqrt2 - 1  <=>  a - 2 <= sqrt2*(w - 1)
-        s, t = a - 2, w - 1
-        ok &= np.where(t >= 0, (s <= 0) | (s * s < 2 * t * t), (s < 0) & (s * s > 2 * t * t))
-        if not closed_endpoints:
-            ok &= (s != 0) | (t != 0)  # a = 2 sits exactly on the endpoint
-        out += a[ok].tolist()
-    return out
+        u = a * a
+        u >>= 1
+        w = visqrt(u)  # floor(a/sqrt2) = isqrt(floor(a*a/2))
+        # {a/sqrt2} >= 1 - 1/sqrt2  <=>  (a+1)^2 >= 2(w+1)^2
+        np.add(a, 1, out=u)
+        u *= u
+        v = w + 1
+        v *= v
+        v <<= 1
+        ok = u >= v
+        # {a/sqrt2} <= sqrt2 - 1  <=>  a - 2 <= sqrt2*(w - 1), where both
+        # sides are positive for a >= 3 and never equal
+        np.subtract(a, 2, out=u)
+        u *= u
+        np.subtract(w, 1, out=v)
+        v *= v
+        v <<= 1
+        ok &= u < v
+        out.append(a[ok])
+    return np.concatenate(out)
 
 
 _SQRT2_MINUS_1 = quad(-1, 1, 2)
@@ -506,7 +524,7 @@ def verify_helper_identities(a: int) -> list[IdentityCheck]:
 @dataclass
 class Period8Report:
     a_max: int
-    candidates: list[int]
+    candidates: np.ndarray  # int64, ascending
     verified: int
     boundary: list[int]
     violators: list[tuple[int, list[LatticePoint]]] = field(default_factory=list)
@@ -514,6 +532,14 @@ class Period8Report:
     @property
     def ok(self) -> bool:
         return not self.violators
+
+    def __eq__(self, other):
+        # the generated __eq__ would compare the candidates entry by entry
+        if not isinstance(other, Period8Report):
+            return NotImplemented
+        return np.array_equal(self.candidates, other.candidates) and (
+            self.a_max, self.verified, self.boundary, self.violators
+        ) == (other.a_max, other.verified, other.boundary, other.violators)
 
 
 def verify_period8(
@@ -527,13 +553,16 @@ def verify_period8(
     [1-1/sqrt2, 1/sqrt2], yet (1,0) falls onto the fixed point (0,0)
     after one step.  It is reported separately; strict_boundary=True
     treats it as a candidate so its failure shows up as a violation.
+
+    The chains run in lockstep, a band of candidates at a time, keeping
+    only their last step; a violator's chain is run again alone.
     """
-    candidates = period8_candidates(a_max, closed_endpoints=not open_endpoints)
-    check = list(candidates)
+    candidates = _period8_candidates(a_max, closed_endpoints=not open_endpoints)
+    check = candidates
     boundary: list[int] = []
     if a_max >= 1:
         if strict_boundary:
-            check = sorted(set(check) | {1})
+            check = np.concatenate(([1], candidates))  # 1 is never a candidate
         else:
             boundary.append(1)
     ctx = quarter_turn_context()
@@ -541,17 +570,26 @@ def verify_period8(
     forms = image_forms(ctx, RoundingMode.FLOOR, max_abs=max_abs)
     verified = 0
     violators: list[tuple[int, list[LatticePoint]]] = []
-    for lo, hi in _bands(0, len(check) - 1, 1):
-        a = np.asarray(check[lo:hi + 1], dtype=np.int64)
-        X, Y = a, np.zeros_like(a)
-        chain = [(X, Y)]
-        for _ in range(8):
-            X, Y, _ = _exact_images(forms, X, Y, RoundingMode.FLOOR)
-            if max(np.abs(X).max(), np.abs(Y).max()) > max_abs:
-                raise ArithmeticError("a period-8 chain left the window its forms are exact on")
-            chain.append((X, Y))
+    for lo, hi in _bands(0, check.size - 1, 1):
+        a = check[lo:hi + 1]
+        for X, Y in _eight_steps(forms, a, max_abs):
+            pass  # each step frees the one before
         back = (X == a) & (Y == 0)
         verified += int(np.count_nonzero(back))
-        for i in np.flatnonzero(~back):
-            violators.append((int(a[i]), [(int(cx[i]), int(cy[i])) for cx, cy in chain]))
+        bad = a[~back]
+        if bad.size:
+            chain = [(bad, np.zeros_like(bad)), *_eight_steps(forms, bad, max_abs)]
+            for i, start in enumerate(bad.tolist()):
+                violators.append((start, [(int(cx[i]), int(cy[i])) for cx, cy in chain]))
     return Period8Report(a_max, candidates, verified, boundary, violators)
+
+
+def _eight_steps(forms, a, max_abs):
+    """The points (X, Y) after each of eight steps from every (a, 0), in
+    lockstep through the image kernel."""
+    X, Y = a, np.zeros_like(a)
+    for _ in range(8):
+        X, Y, _ = _exact_images(forms, X, Y, RoundingMode.FLOOR)
+        if max(X.max(), Y.max(), -X.min(), -Y.min()) > max_abs:
+            raise ArithmeticError("a period-8 chain left the window its forms are exact on")
+        yield X, Y

@@ -183,7 +183,8 @@ def test_numerators_match_exact_roots_on_every_view(monkeypatch):
     empty = np.zeros(0, dtype=np.int64)
     for angle in ONE_AXIS:
         for k in image_forms(context_from_text(angle), RoundingMode.FLOOR, max_abs=0):
-            assert k.floor(empty, empty)[0].size == k.frac_zero(empty, empty)[0].size == 0
+            assert k.floor(empty, empty)[0].size == k.floor(empty, empty, True)[0].size == 0
+            assert k.frac_zero(empty, empty)[0].size == 0
             Fm, Gm, _, _ = k.split_frac_lt(empty, empty, rational(1, 3))
             assert Fm.size == Gm.size == 0
 
@@ -395,7 +396,7 @@ def test_quadratic_enclosures_decide_every_point():
 def test_quadratic_forms_past_the_int64_guard():
     # 39999-400-40001 turned by pi/4: D is about 3.2e9, so the census takes
     # the grid, and at M = 450 both image forms are past the int64 guard,
-    # so their vector floor and frac_zero run the float prefilter
+    # so their vector floor runs the float prefilter
     ctx = context_from_text("quad:sin=40399*sqrt(2)/80002,cos=-39599*sqrt(2)/80002")
     M = 450
     R = kernels._domain_radius(M)
@@ -405,7 +406,7 @@ def test_quadratic_forms_past_the_int64_guard():
             count, idx, _ = _grid_census(ctx, M, mode, kind, True, 1)
             o = brute_force_census(ctx, M, mode, kind, cap=None, keep_points=True)
             assert count == o.count > 0 and _sorted_points(idx, M) == o.points
-    # trunc's images, frac_zero included, against the scalar map: at every
+    # trunc's images, truncated by floor itself, against the scalar map: at every
     # point the prefilter flags and at sampled points of the window
     mode = RoundingMode.TRUNC
     forms = image_forms(ctx, mode, max_abs=R)
@@ -533,3 +534,132 @@ def test_flagged_points_never_reach_the_scalar_map(monkeypatch):
     assert step() == want_step
     assert [images(*case) for case in cases] == want
     assert not hasattr(kernels, "discrete_rotate")
+
+
+def _floor_q_sqrt_d(q, d):
+    """floor(q*sqrt(d)) by math.isqrt: q*q*d is not a square for q != 0."""
+    r = math.isqrt(q * q * d)
+    return r if q >= 0 else -r - 1
+
+
+def _near_squares(d):
+    """Every q > 0 with q*q*d = x*x +- 1 and q*q*d < 2^52, from the powers of
+    the fundamental unit x + q*sqrt(d): the closest calls for floor(q*sqrt(d))."""
+    a, b = {2: (1, 1), 3: (2, 1), 5: (2, 1), 6: (5, 2)}[d]
+    x, q, out = a, b, []
+    while q * q * d < 2**52:
+        out.append(q)
+        x, q = x * a + q * b * d, x * b + q * a
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 6])
+def test_vfloor_sqrt_multiple_matches_isqrt(d):
+    # the sign fix is one XOR, ~r = -r - 1, where q < 0: checked at 0, +-1,
+    # the top of visqrt's range (q*q*d just under 2^52, roots near 2^26),
+    # and around every q whose q*q*d is next to a perfect square
+    top = math.isqrt((2**52 - 1) // d)
+    qs = {0, 1, top, top - 1}
+    for q in _near_squares(d):
+        qs |= {q - 1, q, q + 1}
+    qs = sorted(q for q in qs if q <= top)
+    qs += [-q for q in qs]
+    assert len(_near_squares(d)) >= 8
+    got = vfloor_sqrt_multiple(np.array(qs, dtype=np.int64), d)
+    assert got.tolist() == [_floor_q_sqrt_d(q, d) for q in qs]
+
+
+@settings(max_examples=50, deadline=None)
+@given(d=st.sampled_from([2, 3, 5, 6]), data=st.data())
+def test_vfloor_sqrt_multiple_matches_isqrt_anywhere(d, data):
+    top = math.isqrt((2**52 - 1) // d)
+    qs = data.draw(st.lists(st.integers(-top, top), min_size=1, max_size=40))
+    got = vfloor_sqrt_multiple(np.array(qs, dtype=np.int64), d)
+    assert got.tolist() == [_floor_q_sqrt_d(q, d) for q in qs]
+
+
+def _point_values(k, A, B, trunc):
+    step = k.point(trunc)
+    return [step(x, y) for x, y in zip(A.ravel().tolist(), B.ravel().tolist())]
+
+
+def test_quad_floor_divides_by_shifts_or_floor_division():
+    # D = 2 (pi/4, pi/6) floors N by a shift, D = 10 (3-4-5 rounded) by //;
+    # both against the Python-int point evaluator, on a band (pi/4 takes
+    # its roots from a table there) and on a 1-D chain of wide range
+    rng = np.random.default_rng(22)
+    wide = 10**5
+    chain = (rng.integers(-wide, wide + 1, 500), rng.integers(-wide, wide + 1, 500))
+    cases = [("pi/4", RoundingMode.FLOOR, 2), ("pi/4", RoundingMode.ROUND, 2),
+             ("pi/6", RoundingMode.FLOOR, 2), ("pyth:3,4,5", RoundingMode.ROUND, 10)]
+    for angle, mode, D in cases:
+        for max_abs, (A, B) in ((R, _window(R)), (wide, chain)):
+            for k in image_forms(context_from_text(angle), mode, max_abs=max_abs):
+                assert isinstance(k, QuadForm) and k.D == D
+                assert (k._shift is None) == (D == 10)
+                F, unc = k.floor(A, B)
+                assert unc is None
+                assert F.ravel().tolist() == _point_values(k, *np.broadcast_arrays(A, B), False)
+
+
+# angles whose forms take integer values inside the window: 3-4-5 where 5
+# divides 4x - 3y or 3x + 4y, pi/2 everywhere, pi/4 on its diagonals,
+# where Q = 0; and forms that never do (pi/6 off the axes, the floats)
+TRUNC_ANGLES = ["pyth:3,4,5", "pi/2", "pi/4", "pi/6"]
+
+
+def test_truncating_floor_matches_the_point_evaluator_and_discrete_rotate():
+    # floor(trunc=True) reads the floor's own numerator: L is an integer
+    # iff Q = 0 and F*D = N, and truncation is floor + 1 below 0 elsewhere
+    mode = RoundingMode.TRUNC
+    rng = np.random.default_rng(2022)
+    wide = 10**5
+    chain = (rng.integers(-wide, wide + 1, 300), rng.integers(-wide, wide + 1, 300))
+    negative_integers = 0
+    for angle in TRUNC_ANGLES:
+        ctx = context_from_text(angle)
+        for max_abs, (A, B) in ((R, _window(R)), (wide, chain)):
+            forms = image_forms(ctx, mode, max_abs=max_abs)
+            A, B = np.broadcast_arrays(A, B)
+            for k in forms:
+                assert isinstance(k, QuadForm)
+                T, unc = k.floor(A, B, trunc=True)
+                F, _ = k.floor(A, B)
+                assert unc is None
+                assert T.ravel().tolist() == _point_values(k, A, B, True), angle
+                negative_integers += int(((T == F) & (F < 0)).sum())
+            X, Y, redecided = _exact_images(forms, A, B, mode)
+            assert redecided == 0
+            if max_abs == R:
+                want = [discrete_rotate(ctx, p, mode) for p in zip(A.ravel().tolist(), B.ravel().tolist())]
+                assert list(zip(X.ravel().tolist(), Y.ravel().tolist())) == want, angle
+    assert negative_integers > 100  # the integer test decided some points
+
+
+def test_truncating_floor_of_the_float_prefilter():
+    # outside the slack L is never an integer, so truncation is floor + 1
+    # below 0; flagged points go to decide_floor(trunc=True).  Float
+    # angles, and a quadratic form past the int64 guard, which runs the
+    # prefilter over its own coefficients
+    mode = RoundingMode.TRUNC
+    guarded = "quad:sin=40399*sqrt(2)/80002,cos=-39599*sqrt(2)/80002"
+    rng = np.random.default_rng(7)
+    for angle, max_abs in ((FLOAT_ANGLES[0], R), ("rad:~1.0", R), (guarded, kernels._domain_radius(450))):
+        ctx = context_from_text(angle)
+        forms = image_forms(ctx, mode, max_abs=max_abs)
+        A, B = np.broadcast_arrays(*_window(R))
+        if angle == guarded:
+            assert not any(k.vector_ok for k in forms)
+            A = rng.integers(-max_abs, max_abs + 1, (20, 20))
+            B = rng.integers(-max_abs, max_abs + 1, (20, 20))
+        for k in forms:
+            T, unc = k.floor(A, B, trunc=True)
+            F, unc_floor = k.floor(A, B)
+            assert (unc == unc_floor).all()
+            assert (T == F + (F < 0)).all()
+            sure = ~unc
+            want = _point_values(k, A[sure], B[sure], True)
+            assert T[sure].tolist() == want, angle
+        X, Y, _ = _exact_images(forms, A, B, mode)
+        want = [discrete_rotate(ctx, p, mode) for p in zip(A.ravel().tolist(), B.ravel().tolist())]
+        assert list(zip(X.ravel().tolist(), Y.ravel().tolist())) == want, angle

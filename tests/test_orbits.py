@@ -118,6 +118,15 @@ def test_period8_candidates_match_brute_filter():
     assert period8_candidates(800) == brute_force_period8_filter(800)
 
 
+def test_period8_candidate_counts_are_pinned():
+    # the benchmark's a_max: a = 2 is the one candidate on the closed endpoint
+    assert len(period8_candidates(10**6)) == 121_321
+    assert len(period8_candidates(10**6, closed_endpoints=False)) == 121_320
+    for a_max in (0, 1, 2, 3):
+        assert period8_candidates(a_max) == brute_force_period8_filter(a_max)
+        assert period8_candidates(a_max, closed_endpoints=False) == []
+
+
 def test_helper_identities():
     for a in (9, 2, 3, 12, 141):
         checks = verify_helper_identities(a)
@@ -161,6 +170,34 @@ def test_period8_lockstep_chains_match_scalar_steps():
             assert rep.verified == len(check) - len(bad)
             assert rep.violators == bad
             assert ([a for a, _ in bad] == [1]) is strict
+            # the report's candidates: an array that takes len, in and iteration
+            assert len(rep.candidates) == rep.verified - strict + len(bad)
+            assert (2 in rep.candidates) is not open_ and 1 not in rep.candidates
+            assert list(rep.candidates) == period8_candidates(3000, closed_endpoints=not open_)
+    strict = verify_period8(3000, strict_boundary=True)
+    assert strict.violators == [(1, orbit_path(quarter, (1, 0), n_steps=8))]
+    assert len(strict.violators[0][1]) == 9
+
+
+def test_period8_violators_carry_their_chains(monkeypatch):
+    # the lockstep keeps only each band's last step, so a violator's chain
+    # is run again from its a: a = 4 and 5 break the chain (4 fails the
+    # floor hypothesis, 5 passes the right endpoint), planted among the
+    # candidates with bands of seven, so they fall in different bands
+    quarter = quarter_turn_context()
+    real = orbits._period8_candidates
+
+    def planted(a_max, closed_endpoints):
+        return np.sort(np.concatenate([real(a_max, closed_endpoints), [4, 5, 2999]]))
+
+    monkeypatch.setattr(orbits, "_period8_candidates", planted)
+    monkeypatch.setattr(kernels, "_BAND_POINTS", 7)
+    rep = verify_period8(3000, strict_boundary=True)
+    check = [1] + planted(3000, True).tolist()
+    chains = {a: orbit_path(quarter, (a, 0), n_steps=8) for a in check}
+    bad = [(a, c) for a, c in chains.items() if c[-1] != (a, 0)]
+    assert [a for a, _ in bad] == [1, 4, 5, 2999]
+    assert rep.violators == bad and rep.verified == len(check) - 4
 
 
 def test_period8_amax_past_the_isqrt_bound_is_rejected():
