@@ -4,9 +4,11 @@
 Cardinal angles discretize to the exact rotation (both censuses empty);
 every other angle produces collisions and holes.  At a rational slope
 the census counts residue classes (method `separable`), at other angles
-it reads the image grid (neighbor pairs and corner patterns, method
-`characterization`); the brute-force image histogram is independent of
-both, so their exact agreement is the central correctness check.
+it reads the image grid (method `characterization`): collisions are the
+colliding neighbor pairs, and holes follow from the counting identity
+(2M+1)^2 - holes + collisions = N(M), the points imaged into the window.
+The brute-force image histogram is independent of both, so their exact
+agreement is the central correctness check.
 
 The growth fits at the end document a notable finding: the 45-degree
 angle (and every other cos = +-sin + r angle we measured) grows

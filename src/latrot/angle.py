@@ -36,9 +36,7 @@ from .exactnum import (
     Scalar,
     _mpf_bounds,
     compare,
-    default_precision_bits,
     format_scalar,
-    highprec,
     parse_scalar,
     quad,
     rational,

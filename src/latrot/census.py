@@ -216,8 +216,9 @@ def _row_spans(ctx, M, R):
 
 
 def _grid_census(ctx, M, mode, kind, keep_points, threads):
-    """(count, window indices or None, counters) of collision images or
-    holes; the counters are the report's scanned_pts and redecided_pts.
+    """(count, window indices or None, colliding pairs, counters) of
+    collision images or holes; the counters are the report's scanned_pts
+    and redecided_pts.
 
     One banded pass computes the images of the domain under mode once
     per point and tallies, over the window, the colliding right and up
@@ -271,10 +272,10 @@ def _grid_census(ctx, M, mode, kind, keep_points, threads):
     counters = dict(scanned_pts=scanned, redecided_pts=redecided)
     count = pairs if collisions else W * W - n_imaged + pairs
     if not keep_points:
-        return count, None, counters
+        return count, None, pairs, counters
     if collisions:
-        return count, np.concatenate([p for _, parts in bands for p in parts]), counters
-    return count, np.flatnonzero(~imaged[:sink]), counters
+        return count, np.concatenate([p for _, parts in bands for p in parts]), pairs, counters
+    return count, np.flatnonzero(~imaged[:sink]), pairs, counters
 
 
 # --------------------------------------------------------------------------
@@ -402,8 +403,10 @@ def _interval_types(s0, c0, D, M, mode, kind):
     return table, (-rho * starts) % D, starts, lens, counts[present], cls_of, 2 * M + 1
 
 
-def _separable_census(ctx, M, mode, kind, keep_points, slope):
-    """(count, window indices or None, counters) from residue classes.
+def _separable_census(M, mode, kind, keep_points, slope):
+    """(count, window indices or None, colliding pairs, counters) from
+    residue classes; no image has more than two preimages, so a collision
+    census counts its pairs.
 
     The window's values n in [-M, M] fall into classes c, each of weight
     w_c values, such that the multiplicity of image (n, m) is a table
@@ -427,13 +430,13 @@ def _separable_census(ctx, M, mode, kind, keep_points, slope):
         count += int(weights[rows] @ (bad(rows, slice(None)) @ weights))
     counters = dict(scanned_pts=scanned, redecided_pts=0)
     if not keep_points:
-        return count, None, counters
+        return count, None, count, counters
     cols = cls_of(np.arange(-M, M + 1, dtype=np.int64))
     parts = []
     for lo, hi in _bands(-M, M, 2 * M + 1):
         n, m = np.nonzero(bad(cls_of(np.arange(lo, hi + 1, dtype=np.int64)), cols))
         parts.append(_window_index(n + lo, m - M, M))
-    return count, np.concatenate(parts), counters
+    return count, np.concatenate(parts), count, counters
 
 
 def collision_census(
@@ -443,12 +446,10 @@ def collision_census(
     *,
     oracle: bool = False,
     keep_points: bool = False,
-    count_pairs: bool = False,
     threads: int = 1,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> CensusReport:
-    return _census(ctx, M, mode, CensusKind.COLLISIONS, oracle, keep_points,
-                   count_pairs, threads, oracle_cap)
+    return _census(ctx, M, mode, CensusKind.COLLISIONS, oracle, keep_points, threads, oracle_cap)
 
 
 def hole_census(
@@ -461,49 +462,8 @@ def hole_census(
     threads: int = 1,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> CensusReport:
-    return _census(ctx, M, mode, CensusKind.HOLES, oracle, keep_points,
-                   False, threads, oracle_cap)
+    return _census(ctx, M, mode, CensusKind.HOLES, oracle, keep_points, threads, oracle_cap)
 
-
-def _census(ctx, M, mode, kind, oracle, keep_points, count_pairs, threads, oracle_cap):
-    # ROUND is FLOOR of the forms shifted by 1/2, so the grid's pairs and
-    # counting identity, and the separable route's residue classes, hold
-    # for it; TRUNC is not a translate of FLOOR, and its collisions can
-    # have more than two preimages.
-    if M < 0:
-        raise ValueError(f"window M={M} is negative")
-    if oracle or mode is RoundingMode.TRUNC:
-        return brute_force_census(
-            ctx, M, mode, kind, cap=oracle_cap, keep_points=keep_points,
-            threads=threads, count_pairs=count_pairs,
-        )
-    start = time.perf_counter()
-    slope = _rational_slope(ctx)
-    # a residue table larger than the window costs more to build than the
-    # grid's images of the window
-    if slope is not None and slope[-1] <= min(_TABLE_MAX, (2 * M + 1) ** 2):
-        method = Method.SEPARABLE
-        count, idx, counters = _separable_census(ctx, M, mode, kind, keep_points, slope)
-    else:
-        method = Method.CHARACTERIZATION
-        count, idx, counters = _grid_census(ctx, M, mode, kind, keep_points, threads)
-    return CensusReport(
-        angle=angle_text(ctx),
-        mode=mode,
-        M=M,
-        kind=kind,
-        count=count,
-        points=_sorted_points(idx, M) if keep_points else None,
-        method=method,
-        elapsed_ms=(time.perf_counter() - start) * 1000,
-        pair_count=count if count_pairs else None,
-        **counters,
-    )
-
-
-# --------------------------------------------------------------------------
-# Brute-force oracle
-# --------------------------------------------------------------------------
 
 def brute_force_census(
     ctx: AngleContext,
@@ -513,39 +473,66 @@ def brute_force_census(
     *,
     cap: int | None = DEFAULT_ORACLE_CAP,
     keep_points: bool = False,
-    count_pairs: bool = False,
     threads: int = 1,
 ) -> CensusReport:
     """Independent oracle: enumerate the map, histogram the images."""
+    return _census(ctx, M, mode, kind, True, keep_points, threads, cap)
+
+
+def _census(ctx, M, mode, kind, oracle, keep_points, threads, oracle_cap):
+    """The report of one census, by the route the angle and mode pick or,
+    under oracle, by brute force; a collision report carries its colliding
+    pairs, a hole report None."""
     if M < 0:
         raise ValueError(f"window M={M} is negative")
-    if cap is not None and M > cap:
-        raise CapExceeded(f"brute-force window M={M} exceeds the cap {cap}")
+    # ROUND is FLOOR of the forms shifted by 1/2, so the grid's pairs and
+    # counting identity, and the separable route's residue classes, hold
+    # for it; TRUNC is not a translate of FLOOR, and its collisions can
+    # have more than two preimages.
+    brute = oracle or mode is RoundingMode.TRUNC
+    if brute and oracle_cap is not None and M > oracle_cap:
+        raise CapExceeded(f"brute-force window M={M} exceeds the cap {oracle_cap}")
     start = time.perf_counter()
-    counts, redecided = _image_histogram(ctx, M, mode, threads)
-    pair_count = None
-    if kind is CensusKind.COLLISIONS:
-        mask = counts >= 2
-        if count_pairs:  # a trunc image can have more than two preimages
-            c = counts[mask]
-            pair_count = int((c * (c - 1) // 2).sum())
+    # the oracle reads no slope; a residue table larger than the window
+    # costs more to build than the grid's images of the window
+    slope = None if brute else _rational_slope(ctx)
+    if brute:
+        method = Method.BRUTE_FORCE
+        count, idx, pairs, counters = _histogram_census(ctx, M, mode, kind, threads)
+    elif slope is not None and slope[-1] <= min(_TABLE_MAX, (2 * M + 1) ** 2):
+        method = Method.SEPARABLE
+        count, idx, pairs, counters = _separable_census(M, mode, kind, keep_points, slope)
     else:
-        mask = counts == 0
-    idx = np.nonzero(mask)[0]
-    elapsed = (time.perf_counter() - start) * 1000
+        method = Method.CHARACTERIZATION
+        count, idx, pairs, counters = _grid_census(ctx, M, mode, kind, keep_points, threads)
     return CensusReport(
         angle=angle_text(ctx),
         mode=mode,
         M=M,
         kind=kind,
-        count=int(idx.size),
+        count=count,
         points=_sorted_points(idx, M) if keep_points else None,
-        method=Method.BRUTE_FORCE,
-        elapsed_ms=elapsed,
-        pair_count=pair_count,
-        scanned_pts=(2 * _domain_radius(M) + 1) ** 2,
-        redecided_pts=redecided,
+        method=method,
+        elapsed_ms=(time.perf_counter() - start) * 1000,
+        pair_count=pairs if kind is CensusKind.COLLISIONS else None,
+        **counters,
     )
+
+
+# --------------------------------------------------------------------------
+# Brute-force oracle
+# --------------------------------------------------------------------------
+
+def _histogram_census(ctx, M, mode, kind, threads):
+    """(count, window indices, colliding pairs, counters) from the
+    histogram of the images of the whole bounding square.  A trunc image
+    can have more than two preimages, so the pairs sum C(c, 2) over the
+    images counted."""
+    counts, redecided = _image_histogram(ctx, M, mode, threads)
+    mask = _bad(counts, kind)
+    c = counts[mask]
+    counters = dict(scanned_pts=(2 * _domain_radius(M) + 1) ** 2, redecided_pts=redecided)
+    return int(c.size), np.flatnonzero(mask), int((c * (c - 1) // 2).sum()), counters
 
 
 def _image_histogram(ctx, M, mode, threads):
@@ -600,12 +587,8 @@ def growth_fit(
         raise ValueError("window sizes must be strictly increasing")
     if Ms[0] < 1:
         raise ValueError("window sizes must be positive: log M fits need M >= 1")
-    run = collision_census if kind is CensusKind.COLLISIONS else hole_census
     cap = oracle_cap if oracle_cap is not None else max(Ms)
-    counts = [
-        run(ctx, M, mode, oracle=oracle, threads=threads, oracle_cap=cap).count
-        for M in Ms
-    ]
+    counts = [_census(ctx, M, mode, kind, oracle, False, threads, cap).count for M in Ms]
     if any(c == 0 for c in counts):
         raise DegenerateCounts(f"zero counts in {dict(zip(Ms, counts))}")
     lx = np.log(np.asarray(Ms, dtype=float))

@@ -293,11 +293,8 @@ def _census_report(ns):
     )
     if ns.oracle_cap is not None:
         kwargs["oracle_cap"] = ns.oracle_cap
-    if kind is CensusKind.COLLISIONS:
-        return census_mod.collision_census(
-            ns.ctx, ns.M, _MODES[ns.mode], count_pairs=ns.pairs, **kwargs
-        )
-    return census_mod.hole_census(ns.ctx, ns.M, _MODES[ns.mode], **kwargs)
+    run = census_mod.collision_census if kind is CensusKind.COLLISIONS else census_mod.hole_census
+    return run(ns.ctx, ns.M, _MODES[ns.mode], **kwargs)
 
 
 def _handle_census(ns, out, started):
@@ -316,7 +313,7 @@ def _handle_census(ns, out, started):
         "count": rep.count,
         "method": rep.method.value,
     }
-    if rep.pair_count is not None:
+    if ns.pairs:
         payload["pair_count"] = rep.pair_count
     # CSV keeps the point list for --points-file
     rows = _columns({**payload, "elapsed_ms": round(rep.elapsed_ms, 3)})

@@ -46,7 +46,7 @@ import numpy as np
 
 from .angle import AngleContext, RationalPythagorean
 from .errors import InvalidSpec
-from .exactnum import Rational, Scalar, ZERO, ONE, compare, rational
+from .exactnum import Scalar, ZERO, ONE, compare, rational
 from .kernels import FloatForm, QuadForm, _bands, _exact_box, _mod_inplace, image_forms
 from .rotation import RoundingMode
 

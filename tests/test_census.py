@@ -1,6 +1,7 @@
 import math
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +41,7 @@ QUADRANT_ANGLES = ["pi*3/4", "pi*7/6", "pi*7/4", "pyth:-3,4,5", "pyth:3,-4,5"]
 
 def grid(ctx, M, mode, kind, threads=1):
     """(count, points) read off the image grid, whatever the angle's route."""
-    count, idx, _ = _grid_census(ctx, M, mode, kind, True, threads)
+    count, idx, _, _ = _grid_census(ctx, M, mode, kind, True, threads)
     return count, _sorted_points(idx, M)
 
 
@@ -168,12 +169,33 @@ def test_monotone_in_window():
 
 
 def test_pair_count_diagnostics():
-    ctx = context_from_text("pi/4")
-    rep = collision_census(ctx, 16, count_pairs=True)
-    oracle = brute_force_census(
-        ctx, 16, RoundingMode.FLOOR, CensusKind.COLLISIONS, count_pairs=True
-    )
-    assert rep.pair_count == oracle.pair_count == rep.count  # multiplicity 2 each
+    # under floor and round every collision image has two preimages, so
+    # each route's pair count is its count; hole reports carry none
+    for text, method in (("pi/4", Method.SEPARABLE), ("pi/6", Method.CHARACTERIZATION)):
+        ctx = context_from_text(text)
+        for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
+            for oracle in (False, True):
+                rep = collision_census(ctx, 16, mode, oracle=oracle)
+                assert rep.method is (Method.BRUTE_FORCE if oracle else method)
+                assert rep.pair_count == rep.count > 0, (text, mode, oracle)
+        for mode in RoundingMode:
+            for oracle in (False, True):
+                assert hole_census(ctx, 16, mode, oracle=oracle).pair_count is None
+
+
+@pytest.mark.parametrize("text", ["pi/4", "pi/6", "pyth:3,4,5", "rad:~1.0"])
+def test_trunc_pair_count_sums_preimage_pairs(text):
+    # a trunc image can have more than two preimages: the pair count is
+    # the sum of C(k, 2) over the window's images, tallied point by point
+    ctx = context_from_text(text)
+    for M in (0, 3, 8):
+        R = _domain_radius(M)
+        images = (discrete_rotate(ctx, (a, b), RoundingMode.TRUNC)
+                  for a in range(-R, R + 1) for b in range(-R, R + 1))
+        tally = Counter(p for p in images if max(map(abs, p)) <= M)
+        rep = collision_census(ctx, M, RoundingMode.TRUNC)
+        assert rep.pair_count == sum(k * (k - 1) // 2 for k in tally.values()), M
+        assert rep.count == sum(k >= 2 for k in tally.values()) < rep.pair_count, M
 
 
 def test_census_route_follows_the_mode():
@@ -401,7 +423,7 @@ def test_band_geometry_keeps_censuses(monkeypatch, band_points):
 
 def test_characterization_scans_the_rotated_square():
     def scanned(ctx, kind):
-        return _grid_census(ctx, 256, RoundingMode.FLOOR, kind, False, 1)[2]["scanned_pts"]
+        return _grid_census(ctx, 256, RoundingMode.FLOOR, kind, False, 1)[3]["scanned_pts"]
 
     full = (2 * _domain_radius(256) + 1) ** 2
     ctx = context_from_text("pi/4")
@@ -496,12 +518,12 @@ def test_separable_agrees_with_grid_and_oracle(text):
     for M in (0, 1, 2, 17, 100):
         for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
             for kind in CensusKind:
-                n, idx, counters = census._separable_census(ctx, M, mode, kind, True, slope)
+                n, idx, _, counters = census._separable_census(M, mode, kind, True, slope)
                 assert counters["redecided_pts"] == 0
                 want = brute_force_census(ctx, M, mode, kind, keep_points=True)
                 assert (n, _sorted_points(idx, M)) == (want.count, want.points), (M, mode, kind)
                 assert grid(ctx, M, mode, kind) == (want.count, want.points), (M, mode, kind)
-    rep = collision_census(ctx, 100, RoundingMode.ROUND, count_pairs=True)
+    rep = collision_census(ctx, 100, RoundingMode.ROUND)
     assert rep.method is Method.SEPARABLE and rep.pair_count == rep.count
 
 
@@ -513,8 +535,8 @@ def test_separable_agrees_with_grid_at_large_windows(text):
     for M in (255, 512):
         for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
             for kind in CensusKind:
-                n, idx, _ = census._separable_census(ctx, M, mode, kind, True, slope)
-                gn, gidx, _ = _grid_census(ctx, M, mode, kind, True, 1)
+                n, idx, _, _ = census._separable_census(M, mode, kind, True, slope)
+                gn, gidx, _, _ = _grid_census(ctx, M, mode, kind, True, 1)
                 assert n == gn and np.array_equal(np.sort(idx), np.sort(gidx)), (M, mode, kind)
 
 
@@ -529,8 +551,8 @@ def test_residue_tables_larger_than_the_window_run_the_grid(monkeypatch):
     slope = census._rational_slope(ctx)
     rep = collision_census(ctx, 32, keep_points=True)
     assert rep.method is Method.CHARACTERIZATION and rep.count == 1
-    n, idx, counters = census._separable_census(
-        ctx, 32, RoundingMode.FLOOR, CensusKind.COLLISIONS, True, slope)
+    n, idx, _, counters = census._separable_census(
+        32, RoundingMode.FLOOR, CensusKind.COLLISIONS, True, slope)
     assert (n, _sorted_points(idx, 32)) == (rep.count, rep.points)
     assert counters["scanned_pts"] == 40001
     rep = collision_census(ctx, 100, keep_points=True)

@@ -293,6 +293,28 @@ def test_src_never_touches_global_precision():
                 assert libmp or not name.startswith("mpmath."), (path.name, node.lineno, name)
 
 
+def test_src_reads_every_module_level_import():
+    # An import its own module never reads is dead code; __init__.py
+    # imports to re-export, and __future__ imports set compiler flags.
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "latrot"
+    paths = sorted(src.glob("*.py"))
+    assert paths, src
+    for path in paths:
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                bound = alias.asname or alias.name.split(".")[0]
+                assert bound in read, (path.name, node.lineno, bound)
+
+
 def test_parse_format_roundtrip_exact():
     cases = [
         "3/5",

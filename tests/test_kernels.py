@@ -403,7 +403,7 @@ def test_quadratic_forms_past_the_int64_guard():
     for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
         assert not any(k.vector_ok for k in image_forms(ctx, mode, max_abs=R))
         for kind in CensusKind:
-            count, idx, _ = _grid_census(ctx, M, mode, kind, True, 1)
+            count, idx, _, _ = _grid_census(ctx, M, mode, kind, True, 1)
             o = brute_force_census(ctx, M, mode, kind, cap=None, keep_points=True)
             assert count == o.count > 0 and _sorted_points(idx, M) == o.points
     # trunc's images, truncated by floor itself, against the scalar map: at every
