@@ -34,6 +34,11 @@ print("{9/sqrt2} in [1-1/sqrt2, 1/sqrt2] (closed):",
       frac_in(nine_over_sqrt2, quad(2, -1, 2, 2), half_sqrt2, True, True))
 
 print()
+print("== two radicands: a high-precision value, still decided ==")
+cross = quad(0, 1, 2) + quad(0, 1, 3)
+print("sqrt2 + sqrt3 =", repr(cross), " floor", floor_exact(cross))
+
+print()
 print("== text round-trips ==")
 for text in ["3/5", "sqrt(2)/2", "(1+2*sqrt(5))/4", "~0.7390851"]:
     s = parse_scalar(text)

@@ -10,7 +10,6 @@ from .errors import (
     CapExceeded,
     DegenerateCounts,
     HypothesisViolated,
-    IncompatibleField,
     InvalidSpec,
     LatrotError,
     UndecidableAtPrecision,

@@ -28,17 +28,16 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import IncompatibleField, InvalidSpec
+from .errors import InvalidSpec
 from .exactnum import (
     HighPrec,
-    QuadIrr,
-    Rational,
     Scalar,
     _mpf_bounds,
     compare,
     format_scalar,
     parse_scalar,
     quad,
+    quad_parts,
     rational,
 )
 
@@ -201,20 +200,9 @@ def resolve(spec: AngleSpec) -> AngleContext:
 
 
 def _check_unit_circle(sin: Scalar, cos: Scalar) -> None:
-    def square_or_none(s):
-        try:
-            return s * s
-        except (IncompatibleField, TypeError):
-            return None
-
-    s2, c2 = square_or_none(sin), square_or_none(cos)
-    if s2 is None or c2 is None:
+    if not (isinstance(sin, Scalar) and isinstance(cos, Scalar)):
         raise InvalidSpec("sin/cos must be exact scalars")
-    try:
-        total = s2 + c2
-    except (IncompatibleField, TypeError) as exc:
-        raise InvalidSpec(f"sin^2 + cos^2 not verifiable: {exc}") from exc
-    if compare(total, rational(1)) != 0:
+    if compare(sin * sin + cos * cos, rational(1)) != 0:
         raise InvalidSpec("sin^2 + cos^2 != 1")
 
 
@@ -245,35 +233,22 @@ def _numeric_sincos(theta: HighPrec) -> tuple[HighPrec, HighPrec]:
 # Classification
 # --------------------------------------------------------------------------
 
-def _rational_of(s: Scalar) -> Fraction | None:
-    return s.as_fraction() if isinstance(s, Rational) else None
-
-
-def _quad_parts(s: Scalar) -> tuple[Fraction, Fraction, int | None]:
-    """s = a + b*sqrt(d) with a, b rational; d None for rational s."""
-    if isinstance(s, Rational):
-        return s.as_fraction(), Fraction(0), None
-    if isinstance(s, QuadIrr):
-        return Fraction(s.p, s.den), Fraction(s.q, s.den), s.d
-    raise TypeError(f"exact scalar expected, got {type(s).__name__}")
-
-
 def classify(sin: Scalar, cos: Scalar) -> AngleClass:
     """Arithmetic classification; exact inputs only, Numeric stays unknown."""
     if isinstance(sin, HighPrec) or isinstance(cos, HighPrec):
         return UnknownNumeric()
 
-    rs, rc = _rational_of(sin), _rational_of(cos)
-    if rs is not None and rc is not None:
-        pair = {(0, 1): 0, (1, 0): 1, (0, -1): 2, (-1, 0): 3}.get((rs, rc))
+    # sin = s0 + s1*sqrt(ds), cos = c0 + c1*sqrt(dc); d None when rational
+    ps, qs, ns, ds = quad_parts(sin)
+    pc, qc, nc, dc = quad_parts(cos)
+    s0, s1, c0, c1 = Fraction(ps, ns), Fraction(qs, ns), Fraction(pc, nc), Fraction(qc, nc)
+    if ds is None and dc is None:
+        pair = {(0, 1): 0, (1, 0): 1, (0, -1): 2, (-1, 0): 3}.get((s0, c0))
         if pair is not None:
             return CardinalMultiple(pair)
         # denominators agree for exact points on the unit circle
-        q = rs.denominator
-        return RationalPythagorean(rs.numerator, rc.numerator, q)
+        return RationalPythagorean(ps, pc, ns)
 
-    s0, s1, ds = _quad_parts(sin)
-    c0, c1, dc = _quad_parts(cos)
     if ds is not None and dc is not None and ds != dc:
         # e.g. sin = sqrt(3)/3, cos = sqrt(6)/3: no rational relation
         return GenericIndependent()

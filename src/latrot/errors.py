@@ -5,10 +5,6 @@ class LatrotError(Exception):
     """Base class for all library errors."""
 
 
-class IncompatibleField(LatrotError):
-    """Arithmetic attempted between quadratic irrationals over different radicands."""
-
-
 class UndecidableAtPrecision(LatrotError):
     """A floor/comparison decision still straddles a boundary at the precision cap.
 

@@ -13,9 +13,11 @@ Three representations cover everything the lattice machinery needs:
   certain.  If a value sits exactly on a boundary the operation raises
   :class:`UndecidableAtPrecision` rather than guessing.
 
-Arithmetic between exact variants stays exact; anything mixed with a
-``HighPrec`` degrades to ``HighPrec``.  Quadratic irrationals over
-different radicands cannot be combined (:class:`IncompatibleField`).
+Arithmetic between exact variants over one radicand stays exact.
+Anything mixed with a ``HighPrec`` degrades to ``HighPrec``, and so do
+sums, products and comparisons of quadratic irrationals over different
+radicands: a*sqrt(d1) + b*sqrt(d2) + c with a, b != 0 is irrational, so
+its floors and comparisons with single-field values are always decided.
 
 All values are immutable and safe to share between threads.  HighPrec
 arithmetic is Python-int arithmetic on enclosure endpoints, with every
@@ -44,7 +46,7 @@ from mpmath.libmp import (
     to_str,
 )
 
-from .errors import IncompatibleField, InvalidSpec, UndecidableAtPrecision
+from .errors import InvalidSpec, UndecidableAtPrecision
 
 DEFAULT_PRECISION_BITS = 128
 MAX_PRECISION_BITS = 2048
@@ -237,6 +239,16 @@ def quad(p: int, q: int, d: int, den: int = 1) -> Scalar:
     return QuadIrr(p, q, d, den)
 
 
+def quad_parts(s: Scalar) -> tuple[int, int, int, int | None]:
+    """s = (p + q*sqrt(d))/den -> (p, q, den, d); q = 0 and d None when
+    s is rational."""
+    if isinstance(s, Rational):
+        return s.numerator, 0, s.denominator, None
+    if isinstance(s, QuadIrr):
+        return s.p, s.q, s.den, s.d
+    raise TypeError(f"exact scalar expected, got {type(s).__name__}")
+
+
 ZERO = Rational(0)
 ONE = Rational(1)
 HALF = Rational(1, 2)
@@ -379,8 +391,16 @@ def _coerce_strict(x) -> Scalar:
     return s
 
 
+def _inexact(a: Scalar, b: Scalar) -> bool:
+    """Whether a op b leaves the exact variants: either is a HighPrec, or
+    both are quadratic irrationals over different radicands."""
+    if isinstance(a, QuadIrr) and isinstance(b, QuadIrr):
+        return a.d != b.d
+    return isinstance(a, HighPrec) or isinstance(b, HighPrec)
+
+
 def _add(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, HighPrec) or isinstance(b, HighPrec):
+    if _inexact(a, b):
         return _hp_add(as_highprec(a), as_highprec(b))
     if isinstance(a, Rational) and isinstance(b, Rational):
         return Rational(a.as_fraction() + b.as_fraction())
@@ -390,15 +410,13 @@ def _add(a: Scalar, b: Scalar) -> Scalar:
     if isinstance(b, Rational):
         rn, rd = b.numerator, b.denominator
         return quad(a.p * rd + rn * a.den, a.q * rd, a.d, a.den * rd)
-    if a.d != b.d:
-        raise IncompatibleField(f"sqrt({a.d}) + sqrt({b.d})")
     return quad(
         a.p * b.den + b.p * a.den, a.q * b.den + b.q * a.den, a.d, a.den * b.den
     )
 
 
 def _mul(a: Scalar, b: Scalar) -> Scalar:
-    if isinstance(a, HighPrec) or isinstance(b, HighPrec):
+    if _inexact(a, b):
         return _hp_mul(as_highprec(a), as_highprec(b))
     if isinstance(a, Rational) and isinstance(b, Rational):
         return Rational(a.as_fraction() * b.as_fraction())
@@ -407,8 +425,6 @@ def _mul(a: Scalar, b: Scalar) -> Scalar:
     if isinstance(b, Rational):
         rn, rd = b.numerator, b.denominator
         return quad(a.p * rn, a.q * rn, a.d, a.den * rd)
-    if a.d != b.d:
-        raise IncompatibleField(f"sqrt({a.d}) * sqrt({b.d})")
     return quad(
         a.p * b.p + a.q * b.q * a.d, a.p * b.q + a.q * b.p, a.d, a.den * b.den
     )
@@ -484,19 +500,17 @@ def dyadic_enclosure(s: Scalar, bits: int) -> tuple[int, int]:
     value, an integer square root for the irrational part); HighPrec
     evaluates its own enclosure at bits.
     """
-    if isinstance(s, Rational):
-        return _quad_bounds(s.numerator, 0, 2, s.denominator, bits)  # d unused at q = 0
-    if isinstance(s, QuadIrr):
-        return _quad_bounds(s.p, s.q, s.d, s.den, bits)
     if isinstance(s, HighPrec):
         return s.eval(bits)
-    raise TypeError(f"not a Scalar: {type(s).__name__}")
+    p, q, den, d = quad_parts(s)
+    return _quad_bounds(p, q, d or 2, den, bits)  # d unused at q = 0
 
 
 def compare(s1, s2) -> int:
-    """-1, 0 or +1.  Exact for exact variants; HighPrec escalates, then errors."""
+    """-1, 0 or +1.  Exact within one field; HighPrec and cross-field
+    comparisons escalate, then error."""
     s1, s2 = _coerce_strict(s1), _coerce_strict(s2)
-    if isinstance(s1, HighPrec) or isinstance(s2, HighPrec):
+    if _inexact(s1, s2):
         diff = _hp_add(as_highprec(s1), _hp_neg(as_highprec(s2)))
 
         def decide(bits):
@@ -513,8 +527,6 @@ def compare(s1, s2) -> int:
         return -_compare_quad_rational(s2, s1)
     if isinstance(s2, Rational):
         return _compare_quad_rational(s1, s2)
-    if s1.d != s2.d:
-        raise IncompatibleField(f"compare over sqrt({s1.d}) vs sqrt({s2.d})")
     # (p1 + q1 r)/den1 vs (p2 + q2 r)/den2  <=>  sign of cross difference
     A = s1.p * s2.den - s2.p * s1.den
     B = s1.q * s2.den - s2.q * s1.den

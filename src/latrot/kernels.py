@@ -73,7 +73,6 @@ from functools import cached_property
 import numpy as np
 
 from .angle import AngleContext
-from .errors import IncompatibleField
 from .exactnum import (
     HALF,
     HighPrec,
@@ -83,12 +82,12 @@ from .exactnum import (
     ZERO,
     _floor_sqrt_multiple,
     _quad_bounds,
-    as_highprec,
     compare,
     default_precision_bits,
     dyadic_enclosure,
     floor_exact,
     frac_part,
+    quad_parts,
     refine,
 )
 from .rotation import RoundingMode
@@ -152,15 +151,6 @@ def _mod_inplace(N: np.ndarray, m: int) -> np.ndarray:
     q *= m
     N -= q
     return N
-
-
-def _parts(s: Scalar) -> tuple[int, int, int, int | None]:
-    """s = (p + q*sqrt(d))/den -> (p, q, den, d); d None when rational."""
-    if isinstance(s, Rational):
-        return s.numerator, 0, s.denominator, None
-    if isinstance(s, QuadIrr):
-        return s.p, s.q, s.den, s.d
-    raise TypeError(f"exact scalar expected, got {type(s).__name__}")
 
 
 class LinearForm:
@@ -248,27 +238,13 @@ class LinearForm:
     # exact single-point decisions (shared by every kernel family)
 
     def exact_value(self, x: int, y: int) -> Scalar:
-        try:
-            return self.alpha * x + self.beta * y + self.gamma
-        except IncompatibleField:
-            return (
-                as_highprec(self.alpha) * x
-                + as_highprec(self.beta) * y
-                + as_highprec(self.gamma)
-            )
+        return self.alpha * x + self.beta * y + self.gamma
 
     def exact_floor(self, x: int, y: int) -> int:
         return floor_exact(self.exact_value(x, y))
 
     def exact_frac_lt(self, x: int, y: int, t: Scalar) -> bool:
-        f = frac_part(self.exact_value(x, y))
-        try:
-            c = compare(f, t)
-        except IncompatibleField:
-            # irrationals over different fields never coincide, so the
-            # high-precision comparison always separates them
-            c = compare(as_highprec(f), as_highprec(t))
-        return c < 0
+        return compare(frac_part(self.exact_value(x, y)), t) < 0
 
     def exact_frac_zero(self, x: int, y: int) -> bool:
         return compare(frac_part(self.exact_value(x, y)), ZERO) == 0
@@ -279,9 +255,9 @@ class QuadForm(LinearForm):
 
     def __init__(self, alpha, beta, gamma, d: int | None, max_abs: int):
         super().__init__(alpha, beta, gamma)
-        pa, qa, da, _ = _parts(alpha)
-        pb, qb, db, _ = _parts(beta)
-        pg, qg, dg, _ = _parts(gamma)
+        pa, qa, da, _ = quad_parts(alpha)
+        pb, qb, db, _ = quad_parts(beta)
+        pg, qg, dg, _ = quad_parts(gamma)
         D = math.lcm(da, db, dg)
         self.pure_rational = d is None
         self.d = d or 2

@@ -16,11 +16,9 @@ from __future__ import annotations
 from enum import Enum
 
 from .angle import AngleContext
-from .errors import IncompatibleField
 from .exactnum import (
     HALF,
     Scalar,
-    as_highprec,
     compare,
     floor_exact,
     frac_part,
@@ -37,30 +35,17 @@ class RoundingMode(Enum):
     TRUNC = "trunc"
 
 
-def _combine(a: Scalar, x: int, b: Scalar, y: int) -> Scalar:
-    """a*x + b*y; sums across different quadratic fields only exist as
-    high-precision values, so those degrade instead of erroring."""
-    try:
-        return a * x + b * y
-    except IncompatibleField:
-        return as_highprec(a) * x + as_highprec(b) * y
-
-
 def rotate(ctx: AngleContext, p: LatticePoint) -> RealPoint:
     x, y = p
-    return (
-        _combine(ctx.cos, x, -ctx.sin, y),
-        _combine(ctx.sin, x, ctx.cos, y),
-    )
+    c, s = ctx.cos, ctx.sin
+    return c * x - s * y, s * x + c * y
 
 
 def rotate_inverse(ctx: AngleContext, p: LatticePoint) -> RealPoint:
     """Image under the rotation by the opposite angle."""
     x, y = p
-    return (
-        _combine(ctx.cos, x, ctx.sin, y),
-        _combine(-ctx.sin, x, ctx.cos, y),
-    )
+    c, s = ctx.cos, ctx.sin
+    return c * x + s * y, c * y - s * x
 
 
 def _trunc_scalar(s: Scalar) -> int:

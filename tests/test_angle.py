@@ -90,6 +90,12 @@ def test_invalid_specs():
         PiMultiple(1, 5)
     with pytest.raises(InvalidSpec):
         resolve(QuadField(rational(1, 2), rational(1, 2)))  # not on unit circle
+    for sin, cos in ((0.6, 0.8), ("a", "b")):
+        with pytest.raises(InvalidSpec, match="exact scalars"):
+            resolve(QuadField(sin, cos))
+    # over two radicands sin^2 + cos^2 is irrational, so never 1
+    with pytest.raises(InvalidSpec, match=r"sin\^2 \+ cos\^2 != 1"):
+        context_from_text("quad:sin=(1+sqrt(2))/3,cos=(1+sqrt(3))/3")
 
 
 def test_parse_angle_grammar():

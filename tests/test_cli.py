@@ -187,6 +187,7 @@ def test_usage_errors_exit_2():
         ["growth", "--angle", "pi/4", "--Ms", "16,8", "--kind", "holes"],
         ["udist", "--angle", "pi/4", "--t1", "0", "--t2", "1/2", "--M", "5"],
         ["orbit", "--angle", "pi/4", "--start", "nine,zero"],
+        ["classify", "--angle", "quad:sin=(1+sqrt(2))/3,cos=(1+sqrt(3))/3"],  # off the circle
         ["pyth", "--qmax", "3"],
         ["nonsense"],
     ):

@@ -12,7 +12,7 @@ from mpmath import iv
 from mpmath.libmp import from_str, round_nearest
 
 from latrot.angle import context_from_text
-from latrot.errors import IncompatibleField, InvalidSpec, UndecidableAtPrecision
+from latrot.errors import InvalidSpec, UndecidableAtPrecision
 from latrot.exactnum import (
     HighPrec,
     QuadIrr,
@@ -105,14 +105,18 @@ def test_compare_examples():
     assert compare(quad(1, 2, 5, 3), quad(1, 2, 5, 3)) == 0
 
 
-def test_incompatible_fields():
-    with pytest.raises(IncompatibleField):
-        quad(0, 1, 2) + quad(0, 1, 3)
-    with pytest.raises(IncompatibleField):
-        quad(0, 1, 2) * quad(0, 1, 5)
-    with pytest.raises(IncompatibleField):
-        compare(quad(0, 1, 2), quad(0, 1, 3))
-    # rational operands are always compatible
+def test_cross_field_arithmetic():
+    r2, r3, r5 = quad(0, 1, 2), quad(0, 1, 3), quad(0, 1, 5)
+    # sums and products over two radicands are HighPrec, decided exactly
+    assert isinstance(r2 + r3, HighPrec)
+    assert floor_exact(r2 + r3) == 3  # 3.146...
+    assert floor_exact(r2 * r5) == 3  # sqrt(10) = 3.162...
+    assert compare(r2, r3) == -1
+    assert compare(3 * r2, 2 * r3) == 1  # 18 > 12
+    # a cross-field value exactly equal to a single-field one never guesses
+    with pytest.raises(UndecidableAtPrecision):
+        compare((r2 + r3) - r3, r2)
+    # rational operands stay exact
     assert quad(0, 1, 2) + rational(1) == quad(1, 1, 2)
 
 
