@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from . import census as census_mod
 from . import orbits as orbits_mod
 from . import udist as udist_mod
-from .angle import context_from_text, context_to_dict
+from .angle import RationalPythagorean, context_from_text, context_to_dict
 from .census import CensusKind
 from .errors import LatrotError
 from .exactnum import _ENV_BITS, format_scalar, parse_scalar
@@ -213,6 +213,8 @@ def parse_args(argv) -> argparse.Namespace:
                 ns.box = InequalityBox(parse_scalar(ns.t1), parse_scalar(ns.t2))
         except LatrotError as exc:
             raise UsageError(f"--t1/--t2: {exc}") from exc
+        if ns.residue and not isinstance(ns.ctx.classification, RationalPythagorean):
+            raise UsageError("--residue: residue counting needs a rational Pythagorean angle")
     if ns.command == "pyth" and ns.qmax < 5:
         raise UsageError("--qmax must be at least 5")
     if ns.command == "orbit":

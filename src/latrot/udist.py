@@ -19,7 +19,8 @@ restricted to odd-odd pairs, by one of two routes:
   columns by u1 and ranking their u2 turns each row's count into
   rectangle counts over a merge-sort tree, O(n log^2 n) for n window
   values; the columns within a float slack of an arc's end are
-  box-tested exactly (kernels._exact_box).
+  box-tested exactly (kernels._exact_box): the strip pairs of all
+  forms, each once, deduplicated by key.
 
 _scan_count, which box-tests every pair in bands, is the tests'
 reference for both routes.
@@ -210,8 +211,8 @@ def _arc_count(forms, ts, vals):
     (its complement shrunk by the slack) and two strips of width
     2*slack around the arc's ends.  The pairs that pass both forms
     certainly are counted by rectangle counting over the columns' ranks
-    (_torus_dominance); the strip pairs of either form are box-tested
-    exactly (kernels._exact_box), and scanned_pts counts them.
+    (_torus_dominance); the strip pairs of all forms are each box-tested
+    once (_strips, kernels._exact_box), and scanned_pts counts them.
 
     Exactness.  Let e = 2^-53 and S = |a*x| + |b*y| + |c| + 1.  The
     coefficient floats lie within a few ulps of a, b, c (the prefilter's
@@ -299,32 +300,26 @@ def _torus_dominance(seq: np.ndarray, I: np.ndarray, R: np.ndarray) -> np.ndarra
 
 
 def _strips(orders, cuts):
-    """Banded (rows, cols) index arrays of the strip pairs of either
-    form (_arc_cuts), each pair once: form 2's strip pairs whose column
-    lies in one of form 1's strips come from form 1 only."""
+    """Banded (rows, cols) index arrays of the strip pairs of any number
+    of forms (_arc_cuts), each pair once: every form's pairs come from
+    its own cuts and column order, and a pair in the strips of several
+    forms is kept once, deduplicated by its key row*n + col."""
     n = len(orders[0])
-    # six strips a row: form 1's three, then form 2's
-    lo = np.stack([c[:, j] for c in cuts for j in (0, 2, 4)])
-    size = np.stack([c[:, j + 1] for c in cuts for j in (0, 2, 4)]) - lo
-    per_row = size.sum(axis=0)
+    sizes = [c[:, 1::2] - c[:, 0::2] for c in cuts]  # each row's three strips
+    per_row = sum(sizes).sum(axis=1)
     if not per_row.any():
         return
-    both = np.concatenate(orders)
-    place = np.empty(n, np.int64)  # each column's index among form 1's
-    place[orders[0]] = np.arange(n)
     for r0, r1 in _bands(0, n - 1, int(per_row.max())):
-        sizes = size[:, r0 : r1 + 1].ravel()
-        strip = np.repeat(np.arange(sizes.size), sizes)  # each pair's strip
-        part, rows = np.divmod(strip, r1 + 1 - r0)
-        rows += r0
-        j = lo[part, rows] + np.arange(len(strip)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        second = part >= 3
-        cols = both[j % n + n * second]
-        c = cuts[0][rows[second]]
-        j = c[:, 0] + (place[cols[second]] - c[:, 0]) % n
-        keep = ~second
-        keep[second] = (c[:, 1] <= j) & (j < c[:, 2]) | (c[:, 3] <= j) & (j < c[:, 4])
-        yield rows[keep], cols[keep]
+        keys = []
+        for order, c, size in zip(orders, cuts, sizes):
+            size = size[r0 : r1 + 1].ravel()
+            strip = np.repeat(np.arange(size.size), size)  # each pair's strip
+            j = c[r0 : r1 + 1, 0::2].ravel()[strip] + np.arange(len(strip))
+            j -= np.repeat(np.cumsum(size) - size, size)
+            keys.append(strip // 3 * n + order[j % n])  # (row - r0)*n + col
+        # sorted, not np.unique: numpy 2's hashing unique is ~20x slower here
+        key = np.sort(np.concatenate(keys))
+        yield np.divmod(key[np.diff(key, prepend=-1) > 0] + r0 * n, n)
 
 
 def _classes(a: np.ndarray, b: np.ndarray, ma: int, mb: int):

@@ -29,7 +29,6 @@ from latrot.census import (
     collision_preimages,
     growth_fit,
     hole_census,
-    hole_pattern_exact,
 )
 from latrot.exactnum import floor_exact, highprec, rational
 from latrot.kernels import make_step

@@ -87,6 +87,10 @@ def test_invalid_specs():
     with pytest.raises(InvalidSpec):
         Pythagorean(4, 2)  # not coprime
     with pytest.raises(InvalidSpec):
+        Pythagorean(1, 2)  # u <= v
+    with pytest.raises(InvalidSpec):
+        Pythagorean(2, 1, sin_sign=2)  # a sign is +-1
+    with pytest.raises(InvalidSpec):
         PiMultiple(1, 5)
     with pytest.raises(InvalidSpec):
         resolve(QuadField(rational(1, 2), rational(1, 2)))  # not on unit circle
@@ -102,6 +106,7 @@ def test_parse_angle_grammar():
     assert parse_angle("pi/4") == PiMultiple(1, 4)
     assert parse_angle("pi*3/4") == PiMultiple(3, 4)
     assert parse_angle("pi") == PiMultiple(1, 1)
+    assert parse_angle("pi*3") == PiMultiple(3, 1)
     assert parse_angle("0") == PiMultiple(0, 1)
     assert parse_angle("pyth:3,4,5") == Pythagorean(2, 1, Orientation.SIN_ODD, 1, 1)
     assert parse_angle("pyth:4,3,5") == Pythagorean(2, 1, Orientation.SIN_EVEN, 1, 1)

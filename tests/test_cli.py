@@ -188,12 +188,24 @@ def test_usage_errors_exit_2():
         ["udist", "--angle", "pi/4", "--t1", "0", "--t2", "1/2", "--M", "5"],
         ["orbit", "--angle", "pi/4", "--start", "nine,zero"],
         ["classify", "--angle", "quad:sin=(1+sqrt(2))/3,cos=(1+sqrt(3))/3"],  # off the circle
+        ["classify", "--angle", "pyth:3,4"],
+        ["classify", "--angle", "quad:sin=1/2"],
+        ["classify", "--angle", "rad:1/2"],
+        ["classify", "--angle", "pyth:0,5,5"],
+        ["census", "--angle", "pi/4", "--M", "5", "--kind", "holes", "--threads", "0"],
+        ["period8", "--amax", "0"],
+        ["growth", "--angle", "pi/4", "--Ms", "1,2,x", "--kind", "holes"],
         ["pyth", "--qmax", "3"],
         ["nonsense"],
     ):
         code, out, err = run_cli(*argv)
         assert code == 2, argv
         assert "usage error" in err
+    # residue counting needs a rational Pythagorean angle
+    for angle in ("pi/4", "pi/2", "rad:~1.0"):
+        code, out, err = run_cli("udist", "--angle", angle, "--t1", "1/2", "--t2", "1/2",
+                                 "--M", "5", "--residue")
+        assert code == 2 and out == "" and "usage error: --residue" in err, angle
 
 
 def test_orbit_caps_validated(tmp_path):
@@ -210,6 +222,18 @@ def test_orbit_caps_validated(tmp_path):
     cfg.write_text("max_steps=-1\n")
     code, _, err = run_cli("sweep", "--angle", "pi/4", "--M", "5", "--config", str(cfg))
     assert code == 2 and "--max-steps" in err
+    for text, message in (("format\n", "expected key=value"), ("format=xml\n", "format='xml'")):
+        cfg.write_text(text)
+        code, out, err = run_cli("sweep", "--angle", "pi/4", "--M", "5", "--config", str(cfg))
+        assert code == 2 and out == "" and message in err, text
+    code, out, err = run_cli("sweep", "--angle", "pi/4", "--M", "5",
+                             "--config", str(tmp_path / "missing.cfg"))
+    assert code == 2 and out == "" and "cannot read config" in err
+    # a cap above every period of the window changes nothing
+    base = ("sweep", "--angle", "pi/4", "--M", "5", "--format", "json")
+    code, capped, _ = run_cli(*base, "--max-steps", "50")
+    assert code == 0
+    assert strip_timing(capped, "json") == strip_timing(run_cli(*base)[1], "json")
 
 
 def test_nonpositive_windows_and_negative_caps_are_usage_errors():

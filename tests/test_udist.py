@@ -1,6 +1,7 @@
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,8 +18,11 @@ from latrot.udist import (
     count_solutions_residue,
     gen_primitive_triples,
     residue_d1,
+    _arc_cuts,
     _coord_values,
+    _frac,
     _scan_count,
+    _strips,
     verify_case3_congruences,
 )
 
@@ -246,6 +250,33 @@ def test_one_row_bands_keep_counts(monkeypatch):
                 assert scan == want, text
         if text == "pyth:3,4,5":
             assert want == {p: count_solutions_residue(ctx, box, 21, p) for p in Parity}
+
+
+def test_strips_take_any_number_of_forms(monkeypatch):
+    # each form's strip pairs come from its own cuts and column order, so
+    # the pairs of several forms are the union of each form's, each pair
+    # once, and a repeated form adds none; pi/4's forms share the origin
+    vals = _coord_values(30, Parity.ALL)
+    orders, cuts = [], []
+    forms = kernels.image_forms(context_from_text("pi/4"), RoundingMode.FLOOR, max_abs=30)
+    for k, t in zip(forms, (rational(1, 2), rational(1, 3))):
+        f = k._prefilter
+        u = _frac(f.fa * vals)
+        orders.append(np.argsort(u, kind="stable"))
+        cuts.append(_arc_cuts(u[orders[-1]], _frac(f.fb * vals + f.fg), t, f.slack))
+
+    def pairs(*ks):
+        got = [p for rows, cols in _strips([orders[k] for k in ks], [cuts[k] for k in ks])
+               for p in zip(rows.tolist(), cols.tolist())]
+        assert len(got) == len(set(got)), ks
+        return set(got)
+
+    one, two = pairs(0), pairs(1)
+    assert (30, 30) in one & two
+    assert pairs(0, 1) == pairs(0, 1, 0) == one | two
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "_BAND_POINTS", 1)
+        assert pairs(1, 0, 1) == one | two
 
 
 def test_residue_counter_rejects_irrational():
