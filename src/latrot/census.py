@@ -39,8 +39,18 @@ first two routes hold for every such translate of the floor map:
 
 The characterization clips its domain to the rotated square that holds
 every preimage of the window, half the area of the bounding square it
-sits in; brute force scans the whole bounding square, so it stays
-independent of that clip.
+sits in, and images only the rows b >= 0 of it: the forms are linear,
+so with floor(-x) = -floor(x) - 1 + [x integer] the rows b < 0 follow
+from the point symmetry
+
+    image(-p) = -image(p) - (d, d) + t(p),
+
+d = 1 under floor and 0 under round (whose forms carry the 1/2, so
+L(-p) = 1 - L(p)), with the tie bit t(p) in {0, 1}^2 set in each
+coordinate whose form value is an exact integer.  Row 0 is its own
+mirror, so its points and right pairs count once.  Brute force scans
+the whole bounding square, so it stays independent of that clip and
+of the symmetry.
 
 Scans run over rows in kernels._bands' cache-sized bands, which
 kernels._run_bands hands to worker threads; the merge (integer sums and
@@ -64,8 +74,9 @@ from .angle import AngleContext, CardinalMultiple, LinearRelation, RationalPytha
 from .errors import CapExceeded, DegenerateCounts
 from .exactnum import ZERO, _floor_sqrt_multiple, compare, floor_exact
 from .kernels import (
-    _SQRT_SAFE, _band, _bands, _domain_radius, _exact_images, _mod_inplace, _run_bands,
-    _sorted_points, _square_images, _window_index, image_forms, vfloor_sqrt_multiple,
+    _SQRT_SAFE, _band, _bands, _domain_radius, _exact_images, _grid_index, _mod_inplace,
+    _outside, _run_bands, _sorted_points, _square_images, _window_index, image_forms,
+    vfloor_sqrt_multiple,
 )
 from .rotation import RoundingMode, cell_corners, discrete_rotate, quantize, rotate_inverse
 from .udist import _count_residue_class
@@ -220,62 +231,129 @@ def _grid_census(ctx, M, mode, kind, keep_points, threads):
     collision images or holes; the counters are the report's scanned_pts
     and redecided_pts.
 
-    One banded pass computes the images of the domain under mode once
-    per point and tallies, over the window, the colliding right and up
-    neighbour pairs and N, the points imaged into it.  Each band reads a
-    one-row halo above it, so every pair anchored in the band is read
-    there; it scans only the columns of its rows' spans, halo row
-    included (_row_spans), and a band whose spans are all empty is
-    skipped: every preimage of the window lies inside its row's span.
-    No image has more than two preimages and the two of a collision are
-    unit neighbours, so the collisions are the pairs, and summing the
-    multiplicities over the window, (2M+1)^2 - holes + collisions = N.
-    Hole points are the window entries no image of the band's own rows
-    marks.  Each band re-decides the points its float prefilter flags,
-    halo row included, and reads exact images.
+    One banded pass images the rows b >= 0 of the domain under mode once
+    per point, and reads the rows b < 0 off the point symmetry: the
+    forms are linear, so with floor(-x) = -floor(x) - 1 + [x integer],
+
+        image(-p) = -image(p) - (d, d) + t(p),
+
+    with d = 1 under floor and d = 0 under round (whose forms carry the
+    1/2, so L(-p) = 1 - L(p)), and t(p) in {0, 1}^2 set in each
+    coordinate whose form value at p is an integer, a tie
+    (_exact_images finds them).  The pass tallies, over the window W,
+    the colliding right and up neighbour pairs and N, the points imaged
+    into it.  Row 0 is its own mirror: its points and right pairs, and
+    the up pairs anchored in rows -1 and 0, count once, directly (row -1
+    is read as the first band's lower halo).  The rows b >= 1 count
+    directly and mirrored: a point or right pair in row b mirrors to one
+    in row -b, an up pair anchored in row b to one anchored in row -b-1.
+    The mirrored tally reads the images moved by their tie bits,
+    image(p) - t(p), whose mirrors are the images of -p: a mirrored pair
+    collides iff its moved images agree and lie in W' = -W - (d, d).
+
+    Each band reads a one-row halo above it, so every pair anchored in
+    the band is read there; it scans only the columns of its rows' spans
+    and of their mirrors', halo rows included (_row_spans), and a band
+    whose spans are all empty is skipped: every preimage of the window
+    lies inside its row's span.  No image has more than two preimages
+    and the two of a collision are unit neighbours, so the collisions
+    are the pairs, and summing the multiplicities over the window,
+    (2M+1)^2 - holes + collisions = N.  Hole points are the window
+    entries that no image of the bands' own rows, and no mirror of one
+    from the rows b >= 1, marks.  Each band re-decides the points its
+    float prefilter flags, halo rows included, and reads exact images.
     """
     R = _domain_radius(M)
     W = 2 * M + 1
     sink = W * W
+    d = int(mode is RoundingMode.FLOOR)
     forms = image_forms(ctx, mode, max_abs=R)
     lo, hi = _row_spans(ctx, M, R)
+    # each row scans its own span and its mirror's
+    lo, hi = np.minimum(lo, -hi[::-1]), np.maximum(hi, -lo[::-1])
     collisions = kind is CensusKind.COLLISIONS
-    # the window's entries an image marks, and the sink
-    imaged = np.zeros(sink + 1, dtype=bool) if keep_points and not collisions else None
+    # the window cells that the rows' images mark, and those that the
+    # mirrored rows' moved images mark, each with its sink: cell k of the
+    # latter is imaged at cell sink - 1 - k
+    marks = [np.zeros(sink + 1, dtype=bool) for _ in range(2)] if keep_points and not collisions \
+        else None
 
     def worker(span):
         blo, bhi = span
-        top = min(bhi + 1, R)
-        c0, c1 = lo[blo + R:top + R + 1].min(), hi[blo + R:top + R + 1].max()
+        first = int(blo == 0)
+        r0, top = blo - first, min(bhi + 1, R)  # the rows read
+        c0, c1 = lo[r0 + R:top + R + 1].min(), hi[r0 + R:top + R + 1].max()
         if c0 > c1:
             return (0, 0, 0, 0), []
-        A, B = _band(np.arange(c0, c1 + 1, dtype=np.int64), blo, top)
-        X, Y, redecided = _exact_images(forms, A, B, mode)
-        I = _window_index(X, Y, M)
-        inside = I != sink
-        rows = bhi - blo + 1
-        pairs, parts = 0, []
-        # (anchor, partner) of the right pairs in the band's own rows and
-        # of the up pairs, whose anchors stop below the last row read; a
-        # pair collides when I[a] == I[b] != sink
-        for a, b in ((np.s_[:rows, :-1], np.s_[:rows, 1:]), (np.s_[:-1], np.s_[1:])):
-            hit = (I[a] == I[b]) & inside[a]
-            pairs += int(np.count_nonzero(hit))
-            if keep_points and collisions:
-                parts.append(I[a][hit])
-        if imaged is not None:
-            imaged[I[:rows]] = True
-        return (X.size, redecided, pairs, int(np.count_nonzero(inside[:rows]))), parts
+        A, B = _band(np.arange(c0, c1 + 1, dtype=np.int64), r0, top)
+        X, Y, redecided, (t1, t2) = _exact_images(forms, A, B, mode, ties=True)
+        n = X.shape[1]
+        own = slice(first, first + bhi - blo + 1)  # the band's own rows, locally
+        m = 2 * first  # the local row of b = 1: the rows from m on are mirrored
+        t1, t2 = t1[t1 >= m * n], t2[t2 >= m * n]
 
-    bands = _run_bands(-R, R, 2 * R + 1, worker, threads)
-    scanned, redecided, pairs, n_imaged = map(sum, zip(*(t for t, _ in bands)))
+        def equal(C):
+            """C[a] == C[b] over the right pairs (a, b) of the own rows,
+            flat, and over the up pairs."""
+            flat = C[own].reshape(-1)
+            right = flat[:-1] == flat[1:]
+            right[n - 1::n] = False  # a row's last point and the next row's first
+            return right, C[:-1] == C[1:]
+
+        def tally(eq, inside, r, mirrored):
+            """(pairs, [their window cells]) of the right pairs of the own
+            rows from local row r on and of the up pairs anchored there
+            that collide in the window, by their codes' equality eq and
+            the window mask inside of the (moved) images."""
+            rr = max(r, own.start)
+            right = eq[0][(rr - own.start) * n:] & inside[rr:own.stop].reshape(-1)[:-1]
+            up = eq[1][r:] & inside[r:-1]
+            count = np.count_nonzero(right) + np.count_nonzero(up)
+            if not (keep_points and collisions):
+                return count, []
+            at = np.concatenate([np.flatnonzero(right) + rr * n, np.flatnonzero(up) + r * n])
+            I = _grid_index(X.reshape(-1)[at], Y.reshape(-1)[at], W)
+            return count, [sink - 1 - I if mirrored else I]
+
+        # the window is 0 <= x, y < W; C is equal on neighbours exactly when
+        # their images are, which differ by at most 1 in each coordinate
+        X += M
+        Y += M
+        inside = ~_outside(X, Y, W)
+        C = Y * 3
+        C += X
+        eq = equal(C)
+        pairs, parts = tally(eq, inside, 0, False)
+        n_imaged = np.count_nonzero(inside[own])
+        if marks is not None:
+            marks[0][_grid_index(X[own], Y[own], W)] = True
+        # the mirrored rows: image(-p) = -(image(p) - t(p)) - (d, d) lies in
+        # W iff image(p) - t(p) + (d, d) does
+        if t1.size or t2.size:
+            X.reshape(-1)[t1] -= 1
+            Y.reshape(-1)[t2] -= 1
+            C.reshape(-1)[t1] -= 1
+            C.reshape(-1)[t2] -= 3
+            eq = equal(C)
+        X += d
+        Y += d
+        inside = ~_outside(X, Y, W)
+        more, parts_m = tally(eq, inside, m, True)
+        pairs += more
+        n_imaged += np.count_nonzero(inside[m:own.stop])
+        if marks is not None:
+            marks[1][_grid_index(X[m:own.stop], Y[m:own.stop], W)] = True
+        return (X.size, redecided, pairs, n_imaged), parts + parts_m
+
+    bands = _run_bands(0, R, 2 * R + 1, worker, threads)
+    scanned, redecided, pairs, n_imaged = (int(sum(v)) for v in zip(*(t for t, _ in bands)))
     counters = dict(scanned_pts=scanned, redecided_pts=redecided)
     count = pairs if collisions else W * W - n_imaged + pairs
     if not keep_points:
         return count, None, pairs, counters
     if collisions:
         return count, np.concatenate([p for _, parts in bands for p in parts]), pairs, counters
-    return count, np.flatnonzero(~imaged[:sink]), pairs, counters
+    return count, np.flatnonzero(~(marks[0][:-1] | marks[1][-2::-1])), pairs, counters
 
 
 # --------------------------------------------------------------------------
@@ -553,7 +631,9 @@ def collision_preimages(
     counts = np.bincount(I)
     counts[-1] = 0  # the sink
     hot = np.flatnonzero(counts[I] >= 2)  # preimages' window indices at R
-    keys = np.unique(I[hot])
+    # sorted, not np.unique: numpy 2's hashing unique is ~20x slower here
+    keys = np.sort(I[hot])
+    keys = keys[np.diff(keys, prepend=-1) > 0]
     point = dict(zip(keys.tolist(), _sorted_points(keys, M)))
     out: dict[tuple[int, int], list[tuple[int, int]]] = {}
     for i, pre in zip(I[hot].tolist(), _sorted_points(hot, R)):

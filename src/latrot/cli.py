@@ -320,7 +320,7 @@ def _handle_census(ns, out, started):
     # CSV keeps the point list for --points-file
     rows = _columns({**payload, "elapsed_ms": round(rep.elapsed_ms, 3)})
     if ns.emit_points:
-        payload["points"] = [[x, y] for x, y in rep.points or []]
+        payload["points"] = rep.points  # json writes each (x, y) as [x, y]
     _write(ns, out, payload, rows, rep.elapsed_ms,
            scanned_pts=rep.scanned_pts, redecided_pts=rep.redecided_pts)
 

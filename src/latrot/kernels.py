@@ -97,6 +97,7 @@ _SQRT_SAFE = 1 << 52  # float-assisted isqrt is exact below this
 _REL_SLACK = 1e-12  # float slack per unit of |alpha*x| + |beta*y| + |gamma| + 1
 _MIN_SLACK = 1e-9
 _BAND_POINTS = 1 << 16  # points per band of every vector scan
+_NONE = np.empty(0, dtype=np.int64)
 
 
 def visqrt(x: np.ndarray) -> np.ndarray:
@@ -197,12 +198,18 @@ class LinearForm:
             for x, y in zip(xs, ys)
         ]
 
-    def decide_floor(self, xs, ys, trunc: bool = False) -> list:
+    def decide_floor(self, xs, ys, trunc: bool = False, ties: bool = False):
         """floor(L), or L truncated toward 0 when trunc, at each point:
         one pass at the form's precision, then the points left open at
         doubling precision (exactnum.refine, which raises
-        UndecidableAtPrecision at its cap)."""
+        UndecidableAtPrecision at its cap).
+
+        With ties, returns (floors, integral), integral[i] telling whether
+        L is an integer there.  A point whose enclosure reaches down to
+        its floor F then stays open until L is known to be F (lo == hi)
+        or above it, which also decides floor(-L)."""
         out = [None] * len(xs)
+        integral = [False] * len(xs)
 
         def settle(bits):
             todo = [i for i, v in enumerate(out) if v is None]
@@ -211,14 +218,17 @@ class LinearForm:
                 F = lo >> bits
                 if hi >> bits != F:
                     continue
-                if trunc and F < 0 and lo == F << bits:
-                    if hi == lo:  # L = F only if lo == hi
-                        out[i] = F
+                if lo == F << bits and (ties or trunc and F < 0):
+                    if hi != lo:  # L = F only if lo == hi
+                        continue
+                    integral[i] = True
+                    out[i] = F
                 else:
                     out[i] = F + 1 if trunc and F < 0 else F
             return None if None in out else out
 
-        return refine(settle, self._bits, "floor")
+        out = refine(settle, self._bits, "floor")
+        return (out, integral) if ties else out
 
     def decide_frac_lt(self, xs, ys, t: Scalar) -> list:
         """{L} < t at each point where the enclosures of L - floor(L) and
@@ -414,6 +424,25 @@ class QuadForm(LinearForm):
             F, G = self.pA * tden * cols, self._numerator(0 * rows, rows, tden)[0]
         return _mod_inplace(F, m), _mod_inplace(G, m), m, bound
 
+    def ties(self, X, Y) -> np.ndarray:
+        """Flat indices, in order, of the points (X, Y) where L is an
+        integer: Q = 0 and D divides P.  Q = 0 holds on a line of the
+        window, found on Q's compact axes (_flat_nonzero), and P is taken
+        there only; a rational form tests every point."""
+        shape = np.broadcast_shapes(X.shape, Y.shape)
+        Q = self._q(X, Y)
+        if isinstance(Q, int):
+            if Q:
+                return _NONE
+            P = _affine(self.pA, self.pB, self.pG, X, Y)
+            return np.flatnonzero(_mod_inplace(P, self.D) == 0)
+        at = _flat_nonzero(Q == 0, shape)
+        if not at.size:
+            return _NONE
+        X, Y = (np.broadcast_to(V, shape)[np.unravel_index(at, shape)] for V in (X, Y))
+        P = self.pA * X + self.pB * Y + self.pG
+        return at[_mod_inplace(P, self.D) == 0]
+
     def frac_zero(self, X, Y):
         # no caller in latrot (floor(trunc=True) decides integers itself);
         # kept because perfbench/tracer.py patches it by name
@@ -465,8 +494,10 @@ class FloatForm(LinearForm):
         """floor(L), {L}, and the entries within the slack of an integer."""
         L = _affine(self.fa, self.fb, self.fg, X, Y)
         F = np.floor(L)
-        f = L - F
-        return F, f, (f < self.slack) | (f > 1 - self.slack)
+        L -= F  # {L}
+        unc = L < self.slack
+        unc |= L > 1 - self.slack
+        return F, L, unc
 
     def floor(self, X, Y, trunc: bool = False):
         F, _, unc = self._floors(X, Y)
@@ -559,13 +590,39 @@ def _run_bands(lo, hi, width, worker, threads):
         return list(pool.map(worker, spans))
 
 
+def _grid_index(x, y, side: int) -> np.ndarray:
+    """The index of (x, y) in the square 0 <= x, y < side, row by row from
+    y = 0, x fastest, or the sink side^2 for a point outside it."""
+    x, y = np.asarray(x), np.asarray(y)
+    I = np.asarray(y * side)
+    I += x
+    np.copyto(I, side * side, where=_outside(x, y, side))
+    return I
+
+
+def _outside(x: np.ndarray, y: np.ndarray, side: int) -> np.ndarray:
+    """Mask of the points (x, y) outside the square 0 <= x, y < side:
+    read as unsigned, a negative coordinate is past side too, so it
+    takes one compare per axis."""
+    u = np.dtype(f"u{x.dtype.itemsize}")
+    return (x.view(u) >= side) | (y.view(u) >= side)
+
+
 def _window_index(X, Y, M: int) -> np.ndarray:
     """The index of (X, Y) in the window |x|,|y| <= M, row by row from
     y = -M, x fastest, or the sink (2M+1)^2 for a point outside it."""
-    W = 2 * M + 1
-    I = np.asarray((Y + M) * W + X + M)
-    np.copyto(I, W * W, where=(np.abs(X) > M) | (np.abs(Y) > M))
-    return I
+    return _grid_index(X + M, Y + M, 2 * M + 1)
+
+
+def _flat_nonzero(mask: np.ndarray, shape) -> np.ndarray:
+    """np.flatnonzero of mask broadcast to shape, without the broadcast
+    pass when mask is one row or one column of a 2-D shape."""
+    if mask.shape == shape or len(shape) != 2:
+        return np.flatnonzero(np.broadcast_to(mask, shape))
+    m, n = shape
+    rows = np.flatnonzero(mask[:, 0]) if mask.shape[0] > 1 else np.arange(m * bool(mask.any()))
+    cols = np.flatnonzero(mask[0]) if mask.shape[1] > 1 else np.arange(n)
+    return (rows[:, None] * n + cols).reshape(-1)
 
 
 def _sorted_points(idx: np.ndarray, M: int) -> list[tuple[int, int]]:
@@ -595,18 +652,34 @@ def _images(forms, A, B, mode: RoundingMode = RoundingMode.FLOOR):
     return X, Y, unc
 
 
-def _exact_images(forms, A, B, mode):
+def _exact_images(forms, A, B, mode, ties: bool = False):
     """Exact images (X, Y) of the points (A, B), and how many flagged
     points they hold: _images, with the flagged points re-decided in one
-    batch per form (decide_floor)."""
+    batch per form (decide_floor).
+
+    With ties, a fourth item: per form, the flat indices, in order, of
+    the points where its value is an integer.  An exact vector form
+    finds them itself (QuadForm.ties); elsewhere they are among the
+    flagged points, where decide_floor tells them apart."""
     X, Y, unc = _images(forms, A, B, mode)
-    if unc is None:
-        return X, Y, 0
-    idx = np.nonzero(unc)
-    xs, ys = A[idx].tolist(), B[idx].tolist()
-    trunc = mode is RoundingMode.TRUNC
-    X[idx], Y[idx] = (k.decide_floor(xs, ys, trunc) for k in forms)
-    return X, Y, len(xs)
+    found = [k.ties(A, B) if isinstance(k, QuadForm) and k.vector_ok else None
+             for k in forms] if ties else None
+    redecided = 0
+    if unc is not None and unc.any():
+        idx = np.nonzero(unc)
+        xs, ys = A[idx].tolist(), B[idx].tolist()
+        trunc = mode is RoundingMode.TRUNC
+        for i, (k, V) in enumerate(zip(forms, (X, Y))):
+            if not ties:
+                V[idx] = k.decide_floor(xs, ys, trunc)
+                continue
+            V[idx], integral = k.decide_floor(xs, ys, trunc, ties=True)
+            if found[i] is None:
+                found[i] = np.ravel_multi_index(idx, unc.shape)[np.array(integral, dtype=bool)]
+        redecided = len(xs)
+    if not ties:
+        return X, Y, redecided
+    return X, Y, redecided, [_NONE if f is None else f for f in found]
 
 
 def _square_images(forms, mode, R: int, M: int, threads: int = 1, dtype=np.int64):

@@ -33,6 +33,7 @@ from latrot.orbits import detect_cycle
 from latrot.rotation import RoundingMode, discrete_rotate
 
 FLOAT_PI4 = "rad:~" + repr(math.pi / 4)
+FLOAT_ATAN_3_4 = "rad:~" + repr(math.atan2(3, 4))
 CROSS_FIELD = "quad:sin=sqrt(3)/3,cos=sqrt(6)/3"
 BIG_TRIPLE = "pyth:39999,400,40001"
 EXACT_ANGLES = ["pi/4", "pi/6", "pi/3", "pyth:3,4,5", "pyth:5,12,13"]
@@ -80,7 +81,9 @@ def test_characterization_equals_oracle(text):
 
 
 def test_characterization_equals_oracle_numeric():
-    for text in ["rad:~1.0", "quad:sin=sqrt(3)/3,cos=sqrt(6)/3"]:
+    # float pi/4 and float atan2(3, 4) flag whole diagonals and lattices
+    # for exact re-decision
+    for text in ["rad:~1.0", "quad:sin=sqrt(3)/3,cos=sqrt(6)/3", FLOAT_PI4, FLOAT_ATAN_3_4]:
         ctx = context_from_text(text)
         for M in (5, 20):
             assert (
@@ -262,12 +265,13 @@ def test_threads_do_not_change_results(monkeypatch):
     # One-row bands, so every up pair straddles a band edge, and
     # angles whose float prefilter flags points for exact re-decision,
     # which runs in the pool threads; a short switch interval interleaves
-    # their evaluations of the shared sin/cos nodes.
+    # their evaluations of the shared sin/cos nodes; pi/6 has a tie on
+    # every other row of the mirrored half.
     monkeypatch.setattr(kernels, "_BAND_POINTS", 1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        for text in ["pyth:5,12,13", "rad:~1.0", FLOAT_PI4, CROSS_FIELD]:
+        for text in ["pyth:5,12,13", "rad:~1.0", FLOAT_PI4, CROSS_FIELD, "pi/6"]:
             ctx = context_from_text(text)
             for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
                 for run, kind in (
@@ -411,7 +415,10 @@ def test_band_geometry_keeps_censuses(monkeypatch, band_points):
     # holds the whole clipped domain
     if band_points is not None:
         monkeypatch.setattr(kernels, "_BAND_POINTS", band_points)
-    for text in ["pi/4", "pi/2", "pyth:20,21,29", "pi*7/6", "rad:~-2.2", CROSS_FIELD]:
+    # pi/2, pi/4, 20-21-29, pi/6 and pi/3 make every point, a diagonal, a
+    # sublattice or an axis a tie; float pi/4 flags its diagonals
+    for text in ["pi/4", "pi/2", "pyth:20,21,29", "pi*7/6", "rad:~-2.2", CROSS_FIELD,
+                 "pi/6", "pi/3", FLOAT_PI4, BIG_TRIPLE]:
         ctx = context_from_text(text)
         for M in (0, 1, 2, 17, 100):
             for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
@@ -425,13 +432,35 @@ def test_characterization_scans_the_rotated_square():
     def scanned(ctx, kind):
         return _grid_census(ctx, 256, RoundingMode.FLOOR, kind, False, 1)[3]["scanned_pts"]
 
+    # the rows b >= 0 of the rotated square, half its bounding square,
+    # plus the halo rows; the rows b < 0 are read off the symmetry
     full = (2 * _domain_radius(256) + 1) ** 2
-    ctx = context_from_text("pi/4")
-    assert scanned(ctx, CensusKind.HOLES) <= 0.65 * full
-    oracle = brute_force_census(ctx, 256, RoundingMode.FLOOR, CensusKind.HOLES)
+    for text in ("pi/4", "pi/6", "rad:~1.0"):
+        assert scanned(context_from_text(text), CensusKind.HOLES) <= 0.34 * full, text
+    oracle = brute_force_census(context_from_text("pi/4"), 256, RoundingMode.FLOOR, CensusKind.HOLES)
     assert oracle.scanned_pts == full
     # at pi/2 the rows past the window hold no preimage at all
-    assert scanned(context_from_text("pi/2"), CensusKind.COLLISIONS) < 0.72 * full
+    assert scanned(context_from_text("pi/2"), CensusKind.COLLISIONS) < 0.36 * full
+
+
+@pytest.mark.parametrize("text", ["pi/6", "pi/4", "pi/2", "pyth:3,4,5", CROSS_FIELD, FLOAT_PI4])
+def test_mirrored_ties_are_the_integer_values(text):
+    # the grid reads image(-p) = -image(p) - (d, d) + t(p): the ties t it
+    # gets from the image kernel are every point of the half domain where
+    # a form's exact value is an integer, and nothing else
+    ctx = context_from_text(text)
+    M = 6
+    R = _domain_radius(M)
+    A, B = _band(np.arange(-R, R + 1, dtype=np.int64), -1, R)
+    for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
+        forms = image_forms(ctx, mode, max_abs=R)
+        X, Y, _, ties = _exact_images(forms, A, B, mode, ties=True)
+        for k, V, t in zip(forms, (X, Y), ties):
+            want = [i for i, (x, y) in enumerate(zip(A.ravel().tolist(), B.ravel().tolist()))
+                    if k.exact_frac_zero(x, y)]
+            assert t.tolist() == want, (mode, k.alpha)
+            assert V.ravel()[t].tolist() == [k.exact_floor(int(A.flat[i]), int(B.flat[i]))
+                                            for i in want]
 
 
 def test_census_counts_the_redecided_points():

@@ -288,6 +288,13 @@ def test_square_images_match_discrete_rotate(angle, mode, R, data, threads, one_
     ys, xs = np.mgrid[-M:M + 1, -M:M + 1]
     idx = _window_index(xs, ys, M).ravel()
     assert idx.tolist() == list(range(W * W))
+    # int32 coordinates and Python ints index alike, and every point past
+    # the window, on either side, goes to the sink
+    ys2, xs2 = np.mgrid[-M - 2:M + 3, -M - 2:M + 3]
+    wide = _window_index(xs2, ys2, M)
+    assert np.array_equal(_window_index(xs2.astype(np.int32), ys2.astype(np.int32), M), wide)
+    assert np.count_nonzero(wide == sink) == xs2.size - W * W
+    assert _window_index(-M - 1, 0, M) == sink and _window_index(M, -M, M) == W - 1
     points = list(zip(xs.ravel().tolist(), ys.ravel().tolist()))
     assert _sorted_points(idx[::-1], M) == points
     hit = np.unique(I[I < sink])
