@@ -33,9 +33,13 @@ first two routes hold for every such translate of the floor map:
     hits.  (A single point is tested by hole_test_exact; the weaker
     test "no corner of the cell *containing* the inverse-rotated point
     maps onto (n, m)" is necessary but not sufficient.)
-* brute force (any rounding mode): histogram the images and read off
-  multiplicities.  Trunc always runs it: truncation is not a translate
-  of floor, and its collisions can have more than two preimages.
+* brute force (trunc, and any rounding mode under oracle): histogram
+  the images and read off multiplicities.  Truncation is not a
+  translate of floor, and its collisions can have more than two
+  preimages, so trunc takes this route; it images one quadrant of the
+  bounding square and reads the other three off the quarter turn,
+  which commutes with truncation (_image_histogram).  The oracle images
+  the whole square, so it checks trunc too.
 
 The characterization clips its domain to the rotated square that holds
 every preimage of the window, half the area of the bounding square it
@@ -48,9 +52,9 @@ from the point symmetry
 d = 1 under floor and 0 under round (whose forms carry the 1/2, so
 L(-p) = 1 - L(p)), with the tie bit t(p) in {0, 1}^2 set in each
 coordinate whose form value is an exact integer.  Row 0 is its own
-mirror, so its points and right pairs count once.  Brute force scans
+mirror, so its points and right pairs count once.  The oracle scans
 the whole bounding square, so it stays independent of that clip and
-of the symmetry.
+of both symmetries.
 
 Scans run over rows in kernels._bands' cache-sized bands, which
 kernels._run_bands hands to worker threads; the merge (integer sums and
@@ -566,7 +570,8 @@ def _census(ctx, M, mode, kind, oracle, keep_points, threads, oracle_cap):
     # ROUND is FLOOR of the forms shifted by 1/2, so the grid's pairs and
     # counting identity, and the separable route's residue classes, hold
     # for it; TRUNC is not a translate of FLOOR, and its collisions can
-    # have more than two preimages.
+    # have more than two preimages: it runs the histogram, over one
+    # quadrant and its quarter turns unless the oracle asks for all.
     brute = oracle or mode is RoundingMode.TRUNC
     if brute and oracle_cap is not None and M > oracle_cap:
         raise CapExceeded(f"brute-force window M={M} exceeds the cap {oracle_cap}")
@@ -576,7 +581,8 @@ def _census(ctx, M, mode, kind, oracle, keep_points, threads, oracle_cap):
     slope = None if brute else _rational_slope(ctx)
     if brute:
         method = Method.BRUTE_FORCE
-        count, idx, pairs, counters = _histogram_census(ctx, M, mode, kind, threads)
+        count, idx, pairs, counters = _histogram_census(ctx, M, mode, kind, keep_points,
+                                                        threads, quarter=not oracle)
     elif slope is not None and slope[-1] <= min(_TABLE_MAX, (2 * M + 1) ** 2):
         method = Method.SEPARABLE
         count, idx, pairs, counters = _separable_census(M, mode, kind, keep_points, slope)
@@ -601,23 +607,45 @@ def _census(ctx, M, mode, kind, oracle, keep_points, threads, oracle_cap):
 # Brute-force oracle
 # --------------------------------------------------------------------------
 
-def _histogram_census(ctx, M, mode, kind, threads):
-    """(count, window indices, colliding pairs, counters) from the
-    histogram of the images of the whole bounding square.  A trunc image
+def _histogram_census(ctx, M, mode, kind, keep_points, threads, quarter):
+    """(count, window indices or None, colliding pairs, counters) from the
+    histogram of the window's images (_image_histogram).  A trunc image
     can have more than two preimages, so the pairs sum C(c, 2) over the
     images counted."""
-    counts, redecided = _image_histogram(ctx, M, mode, threads)
+    counts, redecided, scanned = _image_histogram(ctx, M, mode, threads, quarter)
     mask = _bad(counts, kind)
     c = counts[mask]
-    counters = dict(scanned_pts=(2 * _domain_radius(M) + 1) ** 2, redecided_pts=redecided)
-    return int(c.size), np.flatnonzero(mask), int((c * (c - 1) // 2).sum()), counters
+    counters = dict(scanned_pts=scanned, redecided_pts=redecided)
+    idx = np.flatnonzero(mask) if keep_points else None
+    return int(c.size), idx, int((c * (c - 1) // 2).sum()), counters
 
 
-def _image_histogram(ctx, M, mode, threads):
-    """(histogram of the window's images, flagged points re-decided)."""
+def _image_histogram(ctx, M, mode, threads, quarter=False):
+    """(histogram of the window's images, flagged points re-decided,
+    points imaged) over the whole bounding square |a|,|b| <= R.
+
+    With quarter (trunc only) it images the quadrant 1 <= a <= R,
+    0 <= b <= R alone, R(R+1) points, and reads the other three off the
+    quarter turn s(x, y) = (-y, x): the rotation commutes with s and
+    trunc(-x) = -trunc(x), so T(s(p)) = s(T(p)) exactly, and the square,
+    the window and T(0) = 0 are s-invariant.  The quadrant's turns by
+    0, 1, 2 and 3 quarters and the origin tile the square, so the
+    histogram is the quadrant's plus its turns, plus the origin once."""
     R = _domain_radius(M)
-    I, redecided = _square_images(image_forms(ctx, mode, max_abs=R), mode, R, M, threads)
-    return np.bincount(I)[:-1], redecided
+    forms = image_forms(ctx, mode, max_abs=R)
+    if not quarter:
+        I, redecided = _square_images(forms, mode, R, M, threads)
+        return np.bincount(I)[:-1], redecided, I.size - 1
+    I, redecided = _square_images(forms, mode, R, M, threads, corner=(1, 0))
+    W = 2 * M + 1
+    # H[y + M, x + M]; int32 holds every count (a trunc image's
+    # preimages lie in one rotated 2x2 box) and halves the bytes the
+    # turns move
+    H = np.bincount(I)[:-1].astype(np.int32).reshape(W, W)
+    H += H[::-1, ::-1]  # the half turn, p -> -p
+    H += np.rot90(H)  # a quarter turn; H is now invariant under the half
+    H[M, M] += 1
+    return H.reshape(-1), redecided, I.size - 1
 
 
 def collision_preimages(

@@ -49,10 +49,11 @@ are re-decided as above; the quadratic point evaluator uses Python ints
 and needs no guard.
 
 _exact_images is the one image kernel every scan runs: the censuses'
-image grids, _square_images (the brute-force histogram and the orbit
-sweeps' successor arrays) and the period-8 chains all read their images
-from it.  Its _images evaluates each form once under every mode: floor,
-the form shifted by 1/2 under round, and floor(trunc=True) under trunc.
+image grids, _square_images (the brute-force histogram, the trunc
+census's quadrant and the orbit sweeps' successor arrays) and the
+period-8 chains all read their images from it.  Its _images evaluates
+each form once under every mode: floor, the form shifted by 1/2 under
+round, and floor(trunc=True) under trunc.
 _exact_box is udist's fractional-part box test.  Both re-decide
 flagged points as above.  Every scan numbers window points one way,
 _window_index's (y, x) order, which _sorted_points, a plain sort, reads.
@@ -682,26 +683,29 @@ def _exact_images(forms, A, B, mode, ties: bool = False):
     return X, Y, redecided, [_NONE if f is None else f for f in found]
 
 
-def _square_images(forms, mode, R: int, M: int, threads: int = 1, dtype=np.int64):
+def _square_images(forms, mode, R: int, M: int, threads: int = 1, dtype=np.int64,
+                   corner=None):
     """(images, redecided): images[i] is the window index in |x|,|y| <= M
     (_window_index, sink included) of the image of point i of the square
-    |a|,|b| <= R, plus one trailing sink entry, so that at M = R the sink
-    is its own successor; redecided counts the flagged points.  images
-    has the given dtype, by default int64, the index type bincount and
-    fancy indexing read without a copy; a narrower one must hold the
+    |a|,|b| <= R, or with corner (a0, b0) of its part a >= a0, b >= b0,
+    in (b, a) order, plus one trailing sink entry, so that at M = R the
+    sink is its own successor; redecided counts the flagged points.
+    images has the given dtype, by default int64, the index type bincount
+    and fancy indexing read without a copy; a narrower one must hold the
     sink."""
-    W = 2 * R + 1
-    out = np.empty(W * W + 1, dtype=dtype)
+    a0, b0 = (-R, -R) if corner is None else corner
+    cols = np.arange(a0, R + 1, dtype=np.int64)
+    W = cols.size
+    out = np.empty((R - b0 + 1) * W + 1, dtype=dtype)
     out[-1] = (2 * M + 1) ** 2
-    cols = np.arange(-R, R + 1, dtype=np.int64)
 
     def worker(span):
         blo, bhi = span
         X, Y, redecided = _exact_images(forms, *_band(cols, blo, bhi), mode)
-        out[(blo + R) * W:(bhi + R + 1) * W] = _window_index(X, Y, M).ravel()
+        out[(blo - b0) * W:(bhi - b0 + 1) * W] = _window_index(X, Y, M).ravel()
         return redecided
 
-    return out, sum(_run_bands(-R, R, W, worker, threads))
+    return out, sum(_run_bands(b0, R, W, worker, threads))
 
 
 def _exact_box(forms, A, B, ts):

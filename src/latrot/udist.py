@@ -250,6 +250,18 @@ def _arc_count(forms, ts, vals):
                        redecided_pts=redecided, scalar_pts=scalar)
 
 
+def _search_sorted(keys: np.ndarray, needles: np.ndarray) -> np.ndarray:
+    """np.searchsorted(keys, needles), for needles of any shape, searched
+    in sorted order and scattered back: binary searches for ascending
+    needles walk nearby paths of keys and stay in cache, which repays
+    the argsort several times over for needles in random order."""
+    flat = needles.reshape(-1)
+    order = np.argsort(flat)
+    out = np.empty(flat.size, dtype=np.intp)
+    out[order] = np.searchsorted(keys, flat[order])
+    return out.reshape(needles.shape)
+
+
 def _arc_cuts(us: np.ndarray, v: np.ndarray, t: Scalar, slack: float) -> np.ndarray:
     """Each row's cuts through the columns sorted by u (us), as a
     (rows, 6) array c0 <= ... <= c5 = c0 + n of indices into those
@@ -265,7 +277,7 @@ def _arc_cuts(us: np.ndarray, v: np.ndarray, t: Scalar, slack: float) -> np.ndar
     ft = float(t)
     c = np.array([-slack, slack, ft - slack, ft + slack, 1 - slack]) - v[:, None]
     F = np.floor(c)
-    cut = F.astype(np.int64) * n + np.searchsorted(us, c - F)
+    cut = F.astype(np.int64) * n + _search_sorted(us, c - F)
     np.maximum.accumulate(cut, axis=1, out=cut)
     cut = np.minimum(cut, cut[:, :1] + n)
     return np.column_stack([cut, cut[:, 0] + n])
@@ -295,7 +307,7 @@ def _torus_dominance(seq: np.ndarray, I: np.ndarray, R: np.ndarray) -> np.ndarra
             keys = np.sort(keys // (2 * n) * n + keys % n, kind="stable")
         hit = np.flatnonzero(i >> lev & 1)
         start = i[hit] >> (lev + 1) << (lev + 1)
-        out[hit] += np.searchsorted(keys, (start >> lev) * n + r[hit]) - start
+        out[hit] += _search_sorted(keys, (start >> lev) * n + r[hit]) - start
     return out
 
 

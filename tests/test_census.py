@@ -203,8 +203,9 @@ def test_trunc_pair_count_sums_preimage_pairs(text):
 
 def test_census_route_follows_the_mode():
     # round is a translate of floor: rational slopes count residue classes
-    # and other angles read the image grid; trunc is not, and always runs
-    # the histogram
+    # and other angles read the image grid; trunc is not, and runs the
+    # histogram of one quadrant and its quarter turns, which the oracle's
+    # histogram of the whole square checks
     ctx = context_from_text("pyth:3,4,5")
     rep = collision_census(ctx, 8, RoundingMode.ROUND, keep_points=True)
     assert rep.method is Method.SEPARABLE
@@ -219,10 +220,15 @@ def test_census_route_follows_the_mode():
     # angle: 8-15-17 at M=48 has 2212 collisions and 2212 holes
     assert rep.count == 0
     assert grid(ctx, 8, RoundingMode.ROUND, CensusKind.HOLES) == (0, [])
-    trunc = collision_census(ctx, 8, RoundingMode.TRUNC)
-    assert trunc.method is Method.BRUTE_FORCE
-    assert trunc.count > 0
-    assert hole_census(ctx, 8, RoundingMode.TRUNC).method is Method.BRUTE_FORCE
+    R = _domain_radius(8)
+    for run in (collision_census, hole_census):
+        trunc = run(ctx, 8, RoundingMode.TRUNC, keep_points=True)
+        oracle = run(ctx, 8, RoundingMode.TRUNC, oracle=True, keep_points=True)
+        assert trunc.method is oracle.method is Method.BRUTE_FORCE
+        assert (trunc.scanned_pts, oracle.scanned_pts) == (R * (R + 1), (2 * R + 1) ** 2)
+        assert (trunc.count, trunc.points, trunc.pair_count) == (
+            oracle.count, oracle.points, oracle.pair_count)
+        assert trunc.count > 0
 
 
 def test_oracle_cap():
@@ -273,7 +279,7 @@ def test_threads_do_not_change_results(monkeypatch):
     try:
         for text in ["pyth:5,12,13", "rad:~1.0", FLOAT_PI4, CROSS_FIELD, "pi/6"]:
             ctx = context_from_text(text)
-            for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
+            for mode in RoundingMode:
                 for run, kind in (
                     (collision_census, CensusKind.COLLISIONS),
                     (hole_census, CensusKind.HOLES),
@@ -281,8 +287,8 @@ def test_threads_do_not_change_results(monkeypatch):
                     a = run(ctx, 20, mode, keep_points=True, threads=1)
                     b = run(ctx, 20, mode, keep_points=True, threads=4)
                     o = brute_force_census(ctx, 20, mode, kind, keep_points=True, threads=4)
-                    assert (a.count, a.points) == (b.count, b.points) == (o.count, o.points), (
-                        text, mode)
+                    assert (a.count, a.points, a.pair_count) == (b.count, b.points, b.pair_count) \
+                        == (o.count, o.points, o.pair_count), (text, mode)
     finally:
         sys.setswitchinterval(interval)
 
@@ -374,6 +380,18 @@ SPAN_ANGLES = [
 ]
 
 
+@settings(max_examples=200, deadline=None)
+@given(text=st.sampled_from(SPAN_ANGLES + EXACT_ANGLES + [FLOAT_PI4, FLOAT_ATAN_3_4]),
+       a=st.integers(-10**6, 10**6), b=st.integers(-10**6, 10**6))
+def test_trunc_commutes_with_the_quarter_turn(text, a, b):
+    # the trunc census images one quadrant and reads the rest off
+    # T(s(p)) = s(T(p)) for s(x, y) = (-y, x): the rotation commutes with
+    # s, and trunc(-x) = -trunc(x) with no tie term
+    ctx = context_from_text(text)
+    x, y = discrete_rotate(ctx, (a, b), RoundingMode.TRUNC)
+    assert discrete_rotate(ctx, (-b, a), RoundingMode.TRUNC) == (-y, x)
+
+
 @settings(max_examples=120, deadline=None)
 @given(text=st.sampled_from(SPAN_ANGLES), M=st.integers(0, 40))
 def test_row_spans_hold_every_needed_point(text, M):
@@ -400,7 +418,7 @@ def test_counting_identity_premise(text, M, mode):
     # points imaged into the window: it needs every image to have at most
     # two preimages, which the brute-force histogram checks
     ctx = context_from_text(text)
-    hist, _ = census._image_histogram(ctx, M, mode, 1)
+    hist, _, _ = census._image_histogram(ctx, M, mode, 1)
     assert hist.max(initial=0) <= 2
     holes = int(np.count_nonzero(hist == 0))
     collisions = int(np.count_nonzero(hist == 2))
@@ -409,10 +427,12 @@ def test_counting_identity_premise(text, M, mode):
         assert _grid_census(ctx, M, mode, kind, False, 1)[0] == want, kind
 
 
-@pytest.mark.parametrize("band_points", [1, None, 1 << 40], ids=["one-row", "default", "one-band"])
+@pytest.mark.parametrize("band_points", [1, 300, None, 1 << 40],
+                         ids=["one-row", "300-point", "default", "one-band"])
 def test_band_geometry_keeps_censuses(monkeypatch, band_points):
     # one-row bands read every up pair across a band edge; one band
-    # holds the whole clipped domain
+    # holds the whole clipped domain; the trunc route's quadrant and the
+    # oracle's square split into bands of different rows
     if band_points is not None:
         monkeypatch.setattr(kernels, "_BAND_POINTS", band_points)
     # pi/2, pi/4, 20-21-29, pi/6 and pi/3 make every point, a diagonal, a
@@ -426,6 +446,13 @@ def test_band_geometry_keeps_censuses(monkeypatch, band_points):
                     want = brute_force_census(ctx, M, mode, kind, keep_points=True)
                     assert grid(ctx, M, mode, kind) == (want.count, want.points), (
                         text, M, mode, kind)
+            for run, kind in ((collision_census, CensusKind.COLLISIONS),
+                              (hole_census, CensusKind.HOLES)):
+                want = brute_force_census(ctx, M, RoundingMode.TRUNC, kind, keep_points=True)
+                for threads in (1, 2):
+                    got = run(ctx, M, RoundingMode.TRUNC, keep_points=True, threads=threads)
+                    assert (got.count, got.points, got.pair_count) == (
+                        want.count, want.points, want.pair_count), (text, M, kind, threads)
 
 
 def test_characterization_scans_the_rotated_square():

@@ -269,17 +269,21 @@ def _rotated(angle, mode):
 )
 def test_square_images_match_discrete_rotate(angle, mode, R, data, threads, one_row_bands):
     M = data.draw(st.integers(0, R), label="M")
+    # the whole square, the trunc census's quadrant, or any corner's part
+    corner = data.draw(st.sampled_from([None, (1, 0)])
+                       | st.tuples(st.integers(-R, R), st.integers(-R, R)), label="corner")
+    a0, b0 = (-R, -R) if corner is None else corner
     W, sink = 2 * M + 1, (2 * M + 1) ** 2
     with pytest.MonkeyPatch.context() as mp:
         if one_row_bands:
             mp.setattr(kernels, "_BAND_POINTS", 1)
         forms = image_forms(context_from_text(angle), mode, max_abs=R)
-        I, _ = _square_images(forms, mode, R, M, threads)
-    assert I.shape == ((2 * R + 1) ** 2 + 1,) and I[-1] == sink
-    # the square's points in (b, a) order, a fastest
+        I, _ = _square_images(forms, mode, R, M, threads, corner=corner)
+    assert I.shape == ((R + 1 - a0) * (R + 1 - b0) + 1,) and I[-1] == sink
+    # the points in (b, a) order, a fastest
     want = []
-    for b in range(-R, R + 1):
-        for a in range(-R, R + 1):
+    for b in range(b0, R + 1):
+        for a in range(a0, R + 1):
             x, y = _rotated(angle, mode)[a, b]
             want.append((y + M) * W + x + M if max(abs(x), abs(y)) <= M else sink)
     assert I[:-1].tolist() == want, (angle, mode, R, M)

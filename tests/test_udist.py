@@ -22,6 +22,7 @@ from latrot.udist import (
     _coord_values,
     _frac,
     _scan_count,
+    _search_sorted,
     _strips,
     verify_case3_congruences,
 )
@@ -277,6 +278,26 @@ def test_strips_take_any_number_of_forms(monkeypatch):
     with monkeypatch.context() as m:
         m.setattr(kernels, "_BAND_POINTS", 1)
         assert pairs(1, 0, 1) == one | two
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    keys=st.lists(st.integers(-8, 8), max_size=40),
+    needles=st.lists(st.integers(-10, 10), max_size=60),
+    scale=st.sampled_from([None, 0.25]),
+    rows=st.sampled_from([None, 1, 3]),
+)
+def test_search_sorted_equals_searchsorted(keys, needles, scale, rows):
+    # small ranges repeat keys and needles; integer keys (the merge-sort
+    # tree's) and float ones (the arc cuts'), flat and by rows
+    keys, needles = np.sort(np.array(keys, dtype=np.int64)), np.array(needles, dtype=np.int64)
+    if scale is not None:
+        keys, needles = keys * scale, needles * scale
+    if rows is not None and needles.size % rows == 0:
+        needles = needles.reshape(rows, -1)
+    got = _search_sorted(keys, needles)
+    assert got.shape == needles.shape
+    assert np.array_equal(got, np.searchsorted(keys, needles))
 
 
 def test_residue_counter_rejects_irrational():
