@@ -192,32 +192,35 @@ def hole_pattern_exact(ctx: AngleContext, a: int, b: int) -> tuple[int, int] | N
 def _row_spans(ctx, M, R):
     """Column spans (lo, hi) of the domain rows b = -R..R, at index b + R:
     row b's span holds every a whose rotated point A(a, b) = (a*cos -
-    b*sin, a*sin + b*cos) lies in [-M-2, M+3]^2; an empty span is
+    b*sin, a*sin + b*cos) lies in [-M-3, M+3]^2; an empty span is
     (R + 1, -R - 1).
 
     A superset filter, not a floor decision.  The census needs every
     preimage of the window in its row's span, both points of each
     colliding pair among them; the box holds more.  A point whose image
     lies in [-M-1, M+1]^2, a unit past the window, has A(a, b) in
-    [-M-1, M+2)^2 under floor, a unit inside that box on every side.
-    Under round the image is floor(A + 1/2), which puts A(a, b) in
-    [-M-3/2, M+3/2)^2, half a unit inside the box on the low side.  The
-    spans solve each coordinate a*k + off in [-M-2, M+3] for a, with
-    float cos and sin (k is one of them, off the other's term in b).
-    Over |a|, |b| <= R the float coordinate is off from the exact one by
-    at most R*(|cos - cos_f| + |sin - sin_f|) plus the rounding of off,
-    far below that half unit for any window a scan can hold (the float
-    prefilter's much finer slack assumes the same accuracy of cos_f and
-    sin_f), so every such a solves it.  Each bound on a, a quotient by k,
-    is rounded outward and widened by one column, which covers the
-    rounding of the quotient.  A k that is 0 in float bounds the row
-    instead.
+    [-M-1, M+2)^2 under floor; under round the image is floor(A + 1/2),
+    which puts A(a, b) in [-M-3/2, M+3/2)^2.  Either way the box leaves
+    at least one unit on every side.  The spans solve each coordinate
+    a*k + off in [-M-3, M+3] for a, with float cos and sin (k is one of
+    them, off the other's term in b).  Over |a|, |b| <= R the float
+    coordinate is off from the exact one by at most R*(|cos - cos_f| +
+    |sin - sin_f|) plus the rounding of off, far below that unit for any
+    window a scan can hold (the float prefilter's much finer slack
+    assumes the same accuracy of cos_f and sin_f), so every such a
+    solves it.  Each bound on a, a quotient by k, is rounded outward and
+    widened by one column, which covers the rounding of the quotient.
+    A k that is 0 in float bounds the row instead.
+
+    The box is symmetric and float negation is exact, so row -b's span
+    is row b's negated, lo == -hi[::-1], as the grid's mirrored rows
+    need.
     """
     b = np.arange(-R, R + 1, dtype=np.float64)
     c, s = float(ctx.cos), float(ctx.sin)
     lo = np.full(b.size, -R, dtype=np.float64)
     hi = np.full(b.size, R, dtype=np.float64)
-    L, H = -M - 2, M + 3
+    L, H = -M - 3, M + 3
     for k, off in ((c, -s * b), (s, c * b)):  # the coordinate a*k + off
         if k == 0:
             hi[(off < L) | (off > H)] = -R - 1
@@ -256,8 +259,9 @@ def _grid_census(ctx, M, mode, kind, keep_points, threads):
     collides iff its moved images agree and lie in W' = -W - (d, d).
 
     Each band reads a one-row halo above it, so every pair anchored in
-    the band is read there; it scans only the columns of its rows' spans
-    and of their mirrors', halo rows included (_row_spans), and a band
+    the band is read there; it scans only the columns of its rows'
+    spans, halo rows included (_row_spans: each row's span is its
+    mirror's negated, so it holds the mirrors' points too), and a band
     whose spans are all empty is skipped: every preimage of the window
     lies inside its row's span.  No image has more than two preimages
     and the two of a collision are unit neighbours, so the collisions
@@ -273,8 +277,6 @@ def _grid_census(ctx, M, mode, kind, keep_points, threads):
     d = int(mode is RoundingMode.FLOOR)
     forms = image_forms(ctx, mode, max_abs=R)
     lo, hi = _row_spans(ctx, M, R)
-    # each row scans its own span and its mirror's
-    lo, hi = np.minimum(lo, -hi[::-1]), np.maximum(hi, -lo[::-1])
     collisions = kind is CensusKind.COLLISIONS
     # the window cells that the rows' images mark, and those that the
     # mirrored rows' moved images mark, each with its sink: cell k of the

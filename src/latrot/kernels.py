@@ -21,8 +21,8 @@ point evaluator for orbit steps:
   G mod m.  When Q depends on both (as at pi/4), each root is taken once
   from a table over the call's own Q range if that range is smaller
   than the call, else point by point.  floor divides N by D, by a shift
-  when D is a power of two, and truncation reads the same N: L is an
-  integer iff Q = 0 and D divides N.
+  when D is a power of two, and truncation and the ties read the same
+  N: L is an integer iff Q = 0 and D divides N.
 * float prefilter        -- for high-precision or cross-field angles:
   evaluate in float64 and flag any decision within a conservative slack
   of a boundary.  The slack dominates the float64 error bound
@@ -51,9 +51,13 @@ and needs no guard.
 _exact_images is the one image kernel every scan runs: the censuses'
 image grids, _square_images (the brute-force histogram, the trunc
 census's quadrant and the orbit sweeps' successor arrays) and the
-period-8 chains all read their images from it.  Its _images evaluates
-each form once under every mode: floor, the form shifted by 1/2 under
-round, and floor(trunc=True) under trunc.
+period-8 chains all read their images from it.  It evaluates each form
+once under every mode: floor, the form shifted by 1/2 under round, and
+floor(trunc=True) under trunc.  The image grid's tie indices, the
+points where a form's value is an integer, come from that same call
+(floor(ties=True)): an exact form reads them off its floor's numerator,
+and under the float prefilter they are flagged points that
+decide_floor tells apart.
 _exact_box is udist's fractional-part box test.  Both re-decide
 flagged points as above.  Every scan numbers window points one way,
 _window_index's (y, x) order, which _sorted_points, a plain sort, reads.
@@ -165,7 +169,10 @@ class LinearForm:
     point, decide_frac_lt leaves None where the enclosures cannot
     separate a point, which exact_frac_lt then decides.  floor(X, Y,
     trunc) returns floor(L), or L truncated toward 0 when trunc, and
-    point(trunc) the scalar evaluator (x, y) -> the same.
+    point(trunc) the scalar evaluator (x, y) -> the same.  floor(...,
+    ties=True) returns a third item: the flat indices, in order, of the
+    points where L is an integer, or None when they are left among the
+    flagged points.
     """
 
     def __init__(self, alpha: Scalar, beta: Scalar, gamma: Scalar):
@@ -365,24 +372,31 @@ class QuadForm(LinearForm):
                 N += Pm[2]
         return N, Q
 
-    def floor(self, X, Y, trunc: bool = False):
+    def floor(self, X, Y, trunc: bool = False, ties: bool = False):
         if not self.vector_ok:
-            return self._prefilter.floor(X, Y, trunc)
+            return self._prefilter.floor(X, Y, trunc, ties)
         N, Q = self._numerator(X, Y, 1)
-        out = None if trunc else N  # truncation reads N again
+        # L is an integer iff Q = 0 and D divides N (= P there)
+        const = isinstance(Q, int)  # Q is 0 over a rational form
+        if ties and not const:
+            # Q = 0 on a line of the window, found on Q's compact axes; its
+            # N is tested before the floor overwrites N
+            at = _flat_nonzero(Q == 0, N.shape)
+            at = at[_mod_inplace(N.reshape(-1)[at], self.D) == 0]
+        rem = trunc or ties and const  # the remainders N - F*D are read
         if self._shift is None:
-            F = np.floor_divide(N, self.D, out=out)
+            F = np.floor_divide(N, self.D, out=None if rem else N)
         else:
-            F = np.right_shift(N, self._shift, out=out)
-        if not trunc:
-            return F, None
-        # L is an integer iff Q = 0 and F*D = N; elsewhere below 0,
-        # truncation is floor + 1
-        N -= F * self.D
-        if not isinstance(Q, int) or Q:
-            N |= Q
-        F += (F < 0) & (N != 0)
-        return F, None
+            F = np.right_shift(N, self._shift, out=None if rem else N)
+        if rem:
+            N -= F * self.D
+            if ties and const:
+                at = _NONE if Q else np.flatnonzero(N == 0)
+            if trunc:  # below 0 and off the integers, truncation is floor + 1
+                if not const or Q:
+                    N |= Q
+                F += (F < 0) & (N != 0)
+        return (F, None, at) if ties else (F, None)
 
     def _frac_test(self, t: Scalar):
         """(tden, modulus, bound) of the one-remainder test {L} < t, or
@@ -425,25 +439,6 @@ class QuadForm(LinearForm):
             F, G = self.pA * tden * cols, self._numerator(0 * rows, rows, tden)[0]
         return _mod_inplace(F, m), _mod_inplace(G, m), m, bound
 
-    def ties(self, X, Y) -> np.ndarray:
-        """Flat indices, in order, of the points (X, Y) where L is an
-        integer: Q = 0 and D divides P.  Q = 0 holds on a line of the
-        window, found on Q's compact axes (_flat_nonzero), and P is taken
-        there only; a rational form tests every point."""
-        shape = np.broadcast_shapes(X.shape, Y.shape)
-        Q = self._q(X, Y)
-        if isinstance(Q, int):
-            if Q:
-                return _NONE
-            P = _affine(self.pA, self.pB, self.pG, X, Y)
-            return np.flatnonzero(_mod_inplace(P, self.D) == 0)
-        at = _flat_nonzero(Q == 0, shape)
-        if not at.size:
-            return _NONE
-        X, Y = (np.broadcast_to(V, shape)[np.unravel_index(at, shape)] for V in (X, Y))
-        P = self.pA * X + self.pB * Y + self.pG
-        return at[_mod_inplace(P, self.D) == 0]
-
     def frac_zero(self, X, Y):
         # no caller in latrot (floor(trunc=True) decides integers itself);
         # kept because perfbench/tracer.py patches it by name
@@ -461,24 +456,18 @@ class QuadForm(LinearForm):
         if self.pure_rational and not trunc:  # Q is 0: skip it on the orbit hot path
             return lambda x, y: (pA * x + pB * y + pG) // D
 
-        def floor(x, y):
+        def value(x, y):
             P = pA * x + pB * y + pG
             Q = qA * x + qB * y + qG
             if Q == 0:
-                return P // D
-            r = isqrt(Q * Q * d)
-            return (P + r) // D if Q > 0 else (P - r - 1) // D
+                F = P // D
+            else:
+                r = isqrt(Q * Q * d)
+                F = (P + r) // D if Q > 0 else (P - r - 1) // D
+            # below 0, truncation is floor + 1 unless L is the integer F
+            return F + 1 if trunc and F < 0 and (Q or F * D != P) else F
 
-        def truncate(x, y):
-            P = pA * x + pB * y + pG
-            Q = qA * x + qB * y + qG
-            if Q == 0:
-                return P // D if P >= 0 else -(-P // D)
-            r = isqrt(Q * Q * d)  # L is irrational: truncate is floor + 1 below 0
-            F = (P + r) // D if Q > 0 else (P - r - 1) // D
-            return F + 1 if F < 0 else F
-
-        return truncate if trunc else floor
+        return value
 
 
 class FloatForm(LinearForm):
@@ -500,12 +489,13 @@ class FloatForm(LinearForm):
         unc |= L > 1 - self.slack
         return F, L, unc
 
-    def floor(self, X, Y, trunc: bool = False):
+    def floor(self, X, Y, trunc: bool = False, ties: bool = False):
         F, _, unc = self._floors(X, Y)
         F = F.astype(np.int64)
         if trunc:  # outside the slack L is never an integer
             F += F < 0
-        return F, unc
+        # the ties are among the flagged points, where decide_floor finds them
+        return (F, unc, None) if ties else (F, unc)
 
     def frac_lt(self, X, Y, t: Scalar):
         _, f, unc = self._floors(X, Y)
@@ -640,36 +630,27 @@ def _band(cols: np.ndarray, blo: int, bhi: int):
     return np.broadcast_arrays(cols[None, :], rows[:, None])
 
 
-def _images(forms, A, B, mode: RoundingMode = RoundingMode.FLOOR):
-    """Images of the points (A, B) under mode, one evaluation of each form
-    (floor, truncating under trunc); returns (X, Y, unc), where unc (None
-    for exact kernels) flags the entries to re-decide."""
+def _exact_images(forms, A, B, mode, ties: bool = False):
+    """Exact images (X, Y) of the points (A, B) under mode, and how many
+    flagged points they hold: one evaluation of each form (floor,
+    truncating under trunc), with the points its float prefilter flags
+    re-decided in one batch per form (decide_floor).
+
+    With ties, a fourth item: per form, the flat indices, in order, of
+    the points where its value is an integer.  An exact vector form
+    reads them off its floor's numerator; elsewhere they are among the
+    flagged points, where decide_floor tells them apart."""
     trunc = mode is RoundingMode.TRUNC
-    (X, unc), (Y, u2) = (k.floor(A, B, trunc) for k in forms)
+    (X, unc, *t1), (Y, u2, *t2) = (k.floor(A, B, trunc, ties) for k in forms)
     if unc is None:
         unc = u2
     elif u2 is not None:
         unc |= u2
-    return X, Y, unc
-
-
-def _exact_images(forms, A, B, mode, ties: bool = False):
-    """Exact images (X, Y) of the points (A, B), and how many flagged
-    points they hold: _images, with the flagged points re-decided in one
-    batch per form (decide_floor).
-
-    With ties, a fourth item: per form, the flat indices, in order, of
-    the points where its value is an integer.  An exact vector form
-    finds them itself (QuadForm.ties); elsewhere they are among the
-    flagged points, where decide_floor tells them apart."""
-    X, Y, unc = _images(forms, A, B, mode)
-    found = [k.ties(A, B) if isinstance(k, QuadForm) and k.vector_ok else None
-             for k in forms] if ties else None
+    found = t1 + t2
     redecided = 0
     if unc is not None and unc.any():
         idx = np.nonzero(unc)
         xs, ys = A[idx].tolist(), B[idx].tolist()
-        trunc = mode is RoundingMode.TRUNC
         for i, (k, V) in enumerate(zip(forms, (X, Y))):
             if not ties:
                 V[idx] = k.decide_floor(xs, ys, trunc)

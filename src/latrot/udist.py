@@ -22,8 +22,8 @@ restricted to odd-odd pairs, by one of two routes:
   box-tested exactly (kernels._exact_box): the strip pairs of all
   forms, each once, deduplicated by key.
 
-_scan_count, which box-tests every pair in bands, is the tests'
-reference for both routes.
+The tests check both routes against a reference that box-tests every
+pair (kernels._exact_box) in bands.
 
 count_solutions_residue is a third counter, for angles with sin = p1/q,
 cos = p2/q.  With h the inverse of p2 modulo q scaled by p1 (2uv*h ==
@@ -179,21 +179,6 @@ def count_solutions(
     if counters is not None:
         counters.update(tally)
     return total
-
-
-def _scan_count(forms, ts, vals):
-    """Box-test every pair of vals: the tests' reference for the
-    separable and arc routes."""
-    total = redecided = scalar = 0
-    # banded over row indices, so odd-odd rows keep their step of 2
-    for i0, i1 in _bands(0, len(vals) - 1, len(vals)):
-        A, B = np.broadcast_arrays(vals[None, :], vals[i0 : i1 + 1, None])
-        m, r, s = _exact_box(forms, A, B, ts)
-        total += int(np.count_nonzero(m))
-        redecided += r
-        scalar += s
-    return total, dict(method="scan", scanned_pts=len(vals) ** 2,
-                       redecided_pts=redecided, scalar_pts=scalar)
 
 
 def _frac(z: np.ndarray) -> np.ndarray:

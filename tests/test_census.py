@@ -402,6 +402,11 @@ def test_row_spans_hold_every_needed_point(text, M):
     R = _domain_radius(M)
     A, B = _band(np.arange(-R, R + 1, dtype=np.int64), -R, R)
     lo, hi = _row_spans(ctx, M, R)
+    # the grid images only the rows b >= 0 and reads each row -b off row
+    # b's span, so the spans are closed under p -> -p
+    full = lo <= hi
+    assert (full == full[::-1]).all()
+    assert (lo[full] == -hi[::-1][full]).all()
     inside = (A >= lo[B + R]) & (A <= hi[B + R])
     for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
         forms = image_forms(ctx, mode, max_abs=R)
@@ -470,24 +475,30 @@ def test_characterization_scans_the_rotated_square():
     assert scanned(context_from_text("pi/2"), CensusKind.COLLISIONS) < 0.36 * full
 
 
-@pytest.mark.parametrize("text", ["pi/6", "pi/4", "pi/2", "pyth:3,4,5", CROSS_FIELD, FLOAT_PI4])
+@pytest.mark.parametrize("text", ["pi/6", "pi/4", "pi/2", "pyth:3,4,5", CROSS_FIELD, FLOAT_PI4,
+                                  BIG_TRIPLE])
 def test_mirrored_ties_are_the_integer_values(text):
     # the grid reads image(-p) = -image(p) - (d, d) + t(p): the ties t it
     # gets from the image kernel are every point of the half domain where
-    # a form's exact value is an integer, and nothing else
+    # a form's exact value is an integer, and nothing else.  An exact form
+    # reads them off its floor's numerator (D = 40001 at the big triple is
+    # no power of two); past the int64 guard, which max_abs = 2^62 trips
+    # for every form here, they are flagged points
     ctx = context_from_text(text)
     M = 6
     R = _domain_radius(M)
     A, B = _band(np.arange(-R, R + 1, dtype=np.int64), -1, R)
+    points = list(zip(A.ravel().tolist(), B.ravel().tolist()))
     for mode in (RoundingMode.FLOOR, RoundingMode.ROUND):
-        forms = image_forms(ctx, mode, max_abs=R)
-        X, Y, _, ties = _exact_images(forms, A, B, mode, ties=True)
-        for k, V, t in zip(forms, (X, Y), ties):
-            want = [i for i, (x, y) in enumerate(zip(A.ravel().tolist(), B.ravel().tolist()))
-                    if k.exact_frac_zero(x, y)]
-            assert t.tolist() == want, (mode, k.alpha)
-            assert V.ravel()[t].tolist() == [k.exact_floor(int(A.flat[i]), int(B.flat[i]))
-                                            for i in want]
+        for max_abs in (R, 2**62):
+            forms = image_forms(ctx, mode, max_abs=max_abs)
+            vector = max_abs == R and text not in (CROSS_FIELD, FLOAT_PI4)
+            assert [getattr(k, "vector_ok", False) for k in forms] == [vector] * 2
+            X, Y, _, ties = _exact_images(forms, A, B, mode, ties=True)
+            for k, V, t in zip(forms, (X, Y), ties):
+                want = [i for i, (x, y) in enumerate(points) if k.exact_frac_zero(x, y)]
+                assert t.tolist() == want, (mode, max_abs, k.alpha)
+                assert V.ravel().tolist() == [k.exact_floor(x, y) for x, y in points]
 
 
 def test_census_counts_the_redecided_points():

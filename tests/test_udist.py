@@ -21,7 +21,6 @@ from latrot.udist import (
     _arc_cuts,
     _coord_values,
     _frac,
-    _scan_count,
     _search_sorted,
     _strips,
     verify_case3_congruences,
@@ -103,13 +102,24 @@ def test_congruence_examples_and_random():
     assert verify_case3_congruences(t2, samples).all_passed
 
 
+def _scan_count(forms, ts, vals):
+    """The reference count for the separable and arc routes: every pair
+    of vals box-tested (kernels._exact_box), banded over row indices so
+    that odd-odd rows keep their step of 2."""
+    total = 0
+    for i0, i1 in kernels._bands(0, len(vals) - 1, len(vals)):
+        A, B = np.broadcast_arrays(vals[None, :], vals[i0 : i1 + 1, None])
+        total += int(np.count_nonzero(kernels._exact_box(forms, A, B, ts)[0]))
+    return total
+
+
 def _routes(ctx, box, M, parity):
     """The count from count_solutions, the route it took, and the
     reference scan's count for the same window."""
     counters = {}
     got = count_solutions(ctx, box, M, parity, counters)
     forms = kernels.image_forms(ctx, RoundingMode.FLOOR, max_abs=M)
-    scan, _ = _scan_count(forms, (box.t1, box.t2), _coord_values(M, parity))
+    scan = _scan_count(forms, (box.t1, box.t2), _coord_values(M, parity))
     return got, counters["method"], scan
 
 
@@ -191,7 +201,7 @@ def test_arc_route_matches_the_scan(text, t1, t2, M, parity):
     counters = {}
     got = count_solutions(ctx, box, M, parity, counters)
     forms = kernels.image_forms(ctx, RoundingMode.FLOOR, max_abs=M)
-    want, _ = _scan_count(forms, (t1, t2), _coord_values(M, parity))
+    want = _scan_count(forms, (t1, t2), _coord_values(M, parity))
     assert got == want
     if counters["method"] == "arcs":
         assert counters["scanned_pts"] <= len(_coord_values(M, parity)) ** 2
@@ -246,7 +256,7 @@ def test_one_row_bands_keep_counts(monkeypatch):
             m.setattr(kernels, "_BAND_POINTS", 1)
             assert {p: count_solutions(ctx, box, 21, p) for p in Parity} == want, text
             if text != "pyth:3,4,5":
-                scan = {p: _scan_count(forms, (box.t1, box.t2), _coord_values(21, p))[0]
+                scan = {p: _scan_count(forms, (box.t1, box.t2), _coord_values(21, p))
                         for p in Parity}
                 assert scan == want, text
         if text == "pyth:3,4,5":
