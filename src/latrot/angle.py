@@ -381,8 +381,3 @@ def context_to_dict(ctx: AngleContext) -> dict:
 
 def context_to_json(ctx: AngleContext) -> str:
     return json.dumps(context_to_dict(ctx))
-
-
-def context_from_json(text: str) -> AngleContext:
-    data = json.loads(text)
-    return context_from_text(data["angle"])

@@ -21,12 +21,13 @@ point evaluator for orbit steps:
   G mod m.  When Q depends on both (as at pi/4), each root is taken once
   from a table over the call's own Q range if that range is smaller
   than the call, else point by point.  floor divides N by D, by a shift
-  when D is a power of two, and truncation and the ties read the same
-  N: L is an integer iff Q = 0 and D divides N.
+  when D is a power of two, and its integer points read the same N: L
+  is an integer iff Q = 0 and D divides N.
 * float prefilter        -- for high-precision or cross-field angles:
   evaluate in float64 and flag any decision within a conservative slack
   of a boundary.  The slack dominates the float64 error bound
-  (~6*|L|*2^-53) by >100x, so unflagged decisions are provably correct.
+  (~6*|L|*2^-53) by >100x, so unflagged decisions are provably correct,
+  and an integer L is always flagged.
 
 Flagged points are re-decided in one batch per form, in Python-int
 interval arithmetic: with integer enclosures lo <= c*2^k <= hi of the
@@ -34,10 +35,11 @@ coefficients at k bits (exactnum.dyadic_enclosure; k is the
 coefficients' own precision, 128 by default), a point's sums give
 integers lo <= L*2^k <= hi, and floor(L) is decided when lo and hi have
 the same floor at 2^k.  A quadratic form encloses each point exactly
-from its P and Q, so an integer L has lo == hi.  Truncation is decided
-when L is known to be an integer (lo == hi) or not (lo above the
-floor); the points left open are enclosed again at doubling precision
-(exactnum.refine), until UndecidableAtPrecision on a true boundary.
+from its P and Q, so an integer L has lo == hi.  decide_floor also
+tells whether L is an integer: it is when lo == hi at the floor, and
+is not when lo lies above it; the points left open are enclosed again
+at doubling precision (exactnum.refine), until UndecidableAtPrecision
+on a true boundary.
 {L} < t when the enclosures of L - floor(L) and of t lie apart; only a
 point they cannot separate goes on to exact_frac_lt.
 
@@ -51,13 +53,13 @@ and needs no guard.
 _exact_images is the one image kernel every scan runs: the censuses'
 image grids, _square_images (the brute-force histogram, the trunc
 census's quadrant and the orbit sweeps' successor arrays) and the
-period-8 chains all read their images from it.  It evaluates each form
-once under every mode: floor, the form shifted by 1/2 under round, and
-floor(trunc=True) under trunc.  The image grid's tie indices, the
-points where a form's value is an integer, come from that same call
-(floor(ties=True)): an exact form reads them off its floor's numerator,
-and under the float prefilter they are flagged points that
-decide_floor tells apart.
+period-8 chains all read their images from it.  It takes one floor
+of each form under every mode (round floors the form shifted by 1/2),
+and is the one vector place that truncates: trunc(L) is the floor + 1
+below 0, except at the points where L is an integer, which are also
+the image grid's ties.  It asks the forms for those points: an exact
+form reads them off its floor's numerator, and under the float
+prefilter they are flagged points that decide_floor tells apart.
 _exact_box is udist's fractional-part box test.  Both re-decide
 flagged points as above.  Every scan numbers window points one way,
 _window_index's (y, x) order, which _sorted_points, a plain sort, reads.
@@ -164,15 +166,15 @@ class LinearForm:
 
     Vector methods return (values, uncertain) where `uncertain` is None
     when every entry is exact, else a boolean mask of entries the caller
-    must re-decide.  The decide_* methods re-decide a batch of points
-    from integer enclosures of L*2^bits: decide_floor settles every
-    point, decide_frac_lt leaves None where the enclosures cannot
-    separate a point, which exact_frac_lt then decides.  floor(X, Y,
-    trunc) returns floor(L), or L truncated toward 0 when trunc, and
-    point(trunc) the scalar evaluator (x, y) -> the same.  floor(...,
-    ties=True) returns a third item: the flat indices, in order, of the
-    points where L is an integer, or None when they are left among the
-    flagged points.
+    must re-decide.  floor(X, Y, ties) returns (floor(L), uncertain,
+    integer points): with ties, the flat indices, in order, of the
+    points where L is an integer, else None, which it also is when they
+    are left among the flagged points.  The decide_* methods re-decide a
+    batch of points from integer enclosures of L*2^bits: decide_floor
+    settles every point's floor and whether L is an integer there,
+    decide_frac_lt leaves None where the enclosures cannot separate a
+    point, which exact_frac_lt then decides.  point(trunc) is the scalar
+    evaluator (x, y) -> floor(L), or L truncated toward 0 when trunc.
     """
 
     def __init__(self, alpha: Scalar, beta: Scalar, gamma: Scalar):
@@ -206,16 +208,13 @@ class LinearForm:
             for x, y in zip(xs, ys)
         ]
 
-    def decide_floor(self, xs, ys, trunc: bool = False, ties: bool = False):
-        """floor(L), or L truncated toward 0 when trunc, at each point:
-        one pass at the form's precision, then the points left open at
-        doubling precision (exactnum.refine, which raises
-        UndecidableAtPrecision at its cap).
-
-        With ties, returns (floors, integral), integral[i] telling whether
-        L is an integer there.  A point whose enclosure reaches down to
-        its floor F then stays open until L is known to be F (lo == hi)
-        or above it, which also decides floor(-L)."""
+    def decide_floor(self, xs, ys):
+        """(floors, integral) at the points: floor(L), and whether L is an
+        integer there.  One pass at the form's precision, then the points
+        left open at doubling precision (exactnum.refine, which raises
+        UndecidableAtPrecision at its cap).  A point whose enclosure
+        reaches down to its floor F stays open until L is known to be F
+        (lo == hi) or above it."""
         out = [None] * len(xs)
         integral = [False] * len(xs)
 
@@ -226,17 +225,14 @@ class LinearForm:
                 F = lo >> bits
                 if hi >> bits != F:
                     continue
-                if lo == F << bits and (ties or trunc and F < 0):
+                if lo == F << bits:
                     if hi != lo:  # L = F only if lo == hi
                         continue
                     integral[i] = True
-                    out[i] = F
-                else:
-                    out[i] = F + 1 if trunc and F < 0 else F
+                out[i] = F
             return None if None in out else out
 
-        out = refine(settle, self._bits, "floor")
-        return (out, integral) if ties else out
+        return refine(settle, self._bits, "floor"), integral
 
     def decide_frac_lt(self, xs, ys, t: Scalar) -> list:
         """{L} < t at each point where the enclosures of L - floor(L) and
@@ -372,31 +368,26 @@ class QuadForm(LinearForm):
                 N += Pm[2]
         return N, Q
 
-    def floor(self, X, Y, trunc: bool = False, ties: bool = False):
+    def floor(self, X, Y, ties: bool = False):
         if not self.vector_ok:
-            return self._prefilter.floor(X, Y, trunc, ties)
+            return self._prefilter.floor(X, Y, ties)
         N, Q = self._numerator(X, Y, 1)
+        at = None
         # L is an integer iff Q = 0 and D divides N (= P there)
-        const = isinstance(Q, int)  # Q is 0 over a rational form
-        if ties and not const:
+        if ties and not isinstance(Q, int):
             # Q = 0 on a line of the window, found on Q's compact axes; its
             # N is tested before the floor overwrites N
             at = _flat_nonzero(Q == 0, N.shape)
             at = at[_mod_inplace(N.reshape(-1)[at], self.D) == 0]
-        rem = trunc or ties and const  # the remainders N - F*D are read
+        rem = ties and at is None  # Q is constant: the remainders N - F*D are read
         if self._shift is None:
             F = np.floor_divide(N, self.D, out=None if rem else N)
         else:
             F = np.right_shift(N, self._shift, out=None if rem else N)
         if rem:
             N -= F * self.D
-            if ties and const:
-                at = _NONE if Q else np.flatnonzero(N == 0)
-            if trunc:  # below 0 and off the integers, truncation is floor + 1
-                if not const or Q:
-                    N |= Q
-                F += (F < 0) & (N != 0)
-        return (F, None, at) if ties else (F, None)
+            at = _NONE if Q else np.flatnonzero(N == 0)
+        return F, None, at
 
     def _frac_test(self, t: Scalar):
         """(tden, modulus, bound) of the one-remainder test {L} < t, or
@@ -440,7 +431,7 @@ class QuadForm(LinearForm):
         return _mod_inplace(F, m), _mod_inplace(G, m), m, bound
 
     def frac_zero(self, X, Y):
-        # no caller in latrot (floor(trunc=True) decides integers itself);
+        # no caller in latrot (floor(ties=True) finds the integers itself);
         # kept because perfbench/tracer.py patches it by name
         # L is an integer iff Q = 0 and D divides P
         if not self.vector_ok:
@@ -489,13 +480,11 @@ class FloatForm(LinearForm):
         unc |= L > 1 - self.slack
         return F, L, unc
 
-    def floor(self, X, Y, trunc: bool = False, ties: bool = False):
+    def floor(self, X, Y, ties: bool = False):
         F, _, unc = self._floors(X, Y)
-        F = F.astype(np.int64)
-        if trunc:  # outside the slack L is never an integer
-            F += F < 0
-        # the ties are among the flagged points, where decide_floor finds them
-        return (F, unc, None) if ties else (F, unc)
+        # outside the slack L is never an integer: the integer points are
+        # among the flagged ones, where decide_floor finds them
+        return F.astype(np.int64), unc, None
 
     def frac_lt(self, X, Y, t: Scalar):
         _, f, unc = self._floors(X, Y)
@@ -516,9 +505,10 @@ class FloatForm(LinearForm):
             L = fa * x + fb * y + fg
             F = floor(L)
             s = max(_MIN_SLACK, (abs(x) + abs(y)) * k + k0)
+            integral = False  # outside the slack L is not an integer
             if not s <= L - F <= 1 - s:
-                return self.decide_floor([x], [y], trunc)[0]
-            return F + 1 if trunc and F < 0 else F  # L is not an integer
+                (F,), (integral,) = self.decide_floor([x], [y])
+            return F + 1 if trunc and F < 0 and not integral else F
 
         return value
 
@@ -632,36 +622,40 @@ def _band(cols: np.ndarray, blo: int, bhi: int):
 
 def _exact_images(forms, A, B, mode, ties: bool = False):
     """Exact images (X, Y) of the points (A, B) under mode, and how many
-    flagged points they hold: one evaluation of each form (floor,
-    truncating under trunc), with the points its float prefilter flags
-    re-decided in one batch per form (decide_floor).
+    flagged points they hold: one floor of each form, with the points
+    its float prefilter flags re-decided in one batch per form
+    (decide_floor).  Under trunc, truncation is the floor + 1 below 0,
+    except at the points where the form's value is an integer.
 
     With ties, a fourth item: per form, the flat indices, in order, of
-    the points where its value is an integer.  An exact vector form
-    reads them off its floor's numerator; elsewhere they are among the
-    flagged points, where decide_floor tells them apart."""
+    those integer points.  An exact vector form reads them off its
+    floor's numerator; elsewhere they are among the flagged points,
+    where decide_floor tells them apart."""
     trunc = mode is RoundingMode.TRUNC
-    (X, unc, *t1), (Y, u2, *t2) = (k.floor(A, B, trunc, ties) for k in forms)
+    (X, unc, t1), (Y, u2, t2) = (k.floor(A, B, ties or trunc) for k in forms)
     if unc is None:
         unc = u2
     elif u2 is not None:
         unc |= u2
-    found = t1 + t2
+    found = [t1, t2]
     redecided = 0
     if unc is not None and unc.any():
         idx = np.nonzero(unc)
         xs, ys = A[idx].tolist(), B[idx].tolist()
         for i, (k, V) in enumerate(zip(forms, (X, Y))):
-            if not ties:
-                V[idx] = k.decide_floor(xs, ys, trunc)
-                continue
-            V[idx], integral = k.decide_floor(xs, ys, trunc, ties=True)
+            V[idx], integral = k.decide_floor(xs, ys)
             if found[i] is None:
                 found[i] = np.ravel_multi_index(idx, unc.shape)[np.array(integral, dtype=bool)]
         redecided = len(xs)
+    found = [_NONE if f is None else f for f in found]
+    if trunc:
+        for V, at in zip((X, Y), found):
+            up = V < 0
+            up.reshape(-1)[at] = False  # trunc(L) = L = floor(L)
+            V += up
     if not ties:
         return X, Y, redecided
-    return X, Y, redecided, [_NONE if f is None else f for f in found]
+    return X, Y, redecided, found
 
 
 def _square_images(forms, mode, R: int, M: int, threads: int = 1, dtype=np.int64,

@@ -12,7 +12,7 @@ restricted to odd-odd pairs, by one of two routes:
   each form's test is (F(x) + G(y)) mod m < bound
   (QuadForm.split_frac_lt), so a pair passes by its column class and
   its row class alone, and the count sums products of class sizes over
-  the class pairs that pass;
+  the class pairs that pass, while they are fewer than the arcs' work;
 * arcs, for every other form or bound: with u = {a*x} per column and
   v = {b*y + c} per row from the forms' float coefficients, a pair
   passes a form iff u lies in the arc [-v, t - v) mod 1.  Sorting the
@@ -48,7 +48,9 @@ import numpy as np
 from .angle import AngleContext, RationalPythagorean
 from .errors import InvalidSpec
 from .exactnum import Scalar, ZERO, ONE, compare, rational
-from .kernels import FloatForm, QuadForm, _bands, _exact_box, _mod_inplace, image_forms
+from .kernels import (
+    _BAND_POINTS, FloatForm, QuadForm, _bands, _exact_box, _mod_inplace, image_forms,
+)
 from .rotation import RoundingMode
 
 
@@ -333,14 +335,16 @@ def _classes(a: np.ndarray, b: np.ndarray, ma: int, mb: int):
 
 def _separable_count(forms, ts, vals):
     """(count, counters) when both forms split by axis
-    (QuadForm.split_frac_lt), else None.
+    (QuadForm.split_frac_lt) into few enough class pairs, else None.
 
     With N_k(x, y) = F_k(x) + G_k(y), a pair passes when (F_k(x) +
     G_k(y)) mod m_k < bound_k for k = 1, 2; that depends on x only
     through its column class (F1(x) mod m1, F2(x) mod m2) and on y only
     through its row class.  Each class pair that passes adds the product
     of the classes' sizes.  There are never more class pairs than
-    points, so this never does more work than box-testing every pair."""
+    points, but with moduli near n they are about n^2: past one band and
+    past n*bit_length(n)^2, the arc route's order of work, it returns
+    None and the arcs count."""
     if not all(isinstance(k, QuadForm) for k in forms):
         return None
     splits = [k.split_frac_lt(vals, vals, t) for k, t in zip(forms, ts)]
@@ -349,6 +353,9 @@ def _separable_count(forms, ts, vals):
     (F1, G1, m1, b1), (F2, G2, m2, b2) = splits
     c1, c2, wc = _classes(F1, F2, m1, m2)
     r1, r2, wr = _classes(G1, G2, m1, m2)
+    n = len(vals)
+    if len(wc) * len(wr) > max(_BAND_POINTS, n * n.bit_length() ** 2):
+        return None
     total = 0
     for i0, i1 in _bands(0, len(wr) - 1, len(wc)):
         ok = _mod_inplace(c1[None, :] + r1[i0 : i1 + 1, None], m1) < b1
@@ -359,7 +366,7 @@ def _separable_count(forms, ts, vals):
 
 
 def _count_residue_class(M: int, s: int, modulus: int) -> int:
-    """|{a in [-M, M] : a == s (mod modulus)}| for 0 <= s < modulus."""
+    """|{a in [-M, M] : a == s (mod modulus)}| for 0 <= s < modulus, elementwise."""
     return (M - s) // modulus + (M + s) // modulus + 1
 
 
@@ -390,15 +397,16 @@ def count_solutions_residue(
     ]
     if not valid:
         return 0
+    valid = np.array(valid, dtype=np.int64)
+    # the rows b by their residue h*b mod q, each distinct one summed once
+    rb, rows = np.unique(_coord_values(M, parity) % q * h % q, return_counts=True)
     total = 0
-    bs = range(-M, M + 1) if parity is Parity.ALL else range(-M + (1 - M % 2), M + 1, 2)
-    for b in bs:
-        rb = (h * b) % q
-        for d1 in valid:
-            r = (rb + d1) % q
-            if parity is Parity.ALL:
-                total += _count_residue_class(M, r, q)
-            else:
-                s = r if r % 2 == 1 else r + q  # q odd: CRT with a == 1 (mod 2)
-                total += _count_residue_class(M, s, 2 * q)
+    for i0, i1 in _bands(0, len(rb) - 1, len(valid)):
+        r = _mod_inplace(rb[i0 : i1 + 1, None] + valid, q)
+        if parity is Parity.ALL:
+            per = _count_residue_class(M, r, q)
+        else:
+            r[r % 2 == 0] += q  # q odd: CRT with a == 1 (mod 2)
+            per = _count_residue_class(M, r, 2 * q)
+        total += int(rows[i0 : i1 + 1] @ per.sum(axis=1))
     return total

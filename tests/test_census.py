@@ -320,8 +320,8 @@ def test_kernels_match_exact_layer():
         k1, k2 = image_forms(ctx, RoundingMode.FLOOR, max_abs=R)
         flat = (rng.integers(-R, R + 1, size=150), rng.integers(-R, R + 1, size=150))
         for X, Y in (flat, (bandA, bandB)):
-            F1, u1 = k1.floor(X, Y)
-            F2, u2 = k2.floor(X, Y)
+            F1, u1, _ = k1.floor(X, Y)
+            F2, u2, _ = k2.floor(X, Y)
             lts = [k1.frac_lt(X, Y, t) for t in bnds]
             assert F1.shape == F2.shape == X.shape
             assert all(L.shape == X.shape for L, _ in lts)

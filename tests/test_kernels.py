@@ -40,7 +40,7 @@ from latrot.kernels import (
     vfloor_sqrt_multiple,
     visqrt,
 )
-from latrot.rotation import RoundingMode, discrete_rotate
+from latrot.rotation import RoundingMode, discrete_rotate, quantize
 
 # quadratic fields sqrt(2) and sqrt(3), and rational angles (Q = 0)
 ANGLES = ["pi/4", "pi/6", "pi/3", "pi*7/6", "pi*3/4", "pyth:3,4,5", "pyth:-20,21,29"]
@@ -55,9 +55,17 @@ def _window(R):
 
 def _flagged(forms, A, B, mode):
     """The points (A, B) either form's float prefilter flags, or None."""
-    flags = [k.floor(A, B, mode is RoundingMode.TRUNC)[1] for k in forms]
+    flags = [k.floor(A, B)[1] for k in forms]
     flags = [u for u in flags if u is not None]
     return np.logical_or.reduce(flags) if flags else None
+
+
+def _decided(k, xs, ys, mode):
+    """k.decide_floor at the points, truncated under trunc: floor + 1
+    below 0 except where the batch finds L an integer."""
+    floors, integral = k.decide_floor(xs, ys)
+    trunc = mode is RoundingMode.TRUNC
+    return [F + 1 if trunc and F < 0 and not i else F for F, i in zip(floors, integral)]
 
 
 @settings(max_examples=150, deadline=None)
@@ -155,8 +163,8 @@ def test_numerators_match_exact_roots_on_every_view(monkeypatch):
                     # floor: the point evaluator at sampled points, and the
                     # exact numerators everywhere
                     sizes.clear()
-                    F, unc = k.floor(X, Y)
-                    assert unc is None
+                    F, unc, at = k.floor(X, Y)
+                    assert unc is None and at is None
                     assert (F == _exact_numerators(k, X, Y, 1) // k.D).all(), (angle, mode, name)
                     if name == "band":
                         rows, ncols = X.shape
@@ -189,7 +197,8 @@ def test_numerators_match_exact_roots_on_every_view(monkeypatch):
     empty = np.zeros(0, dtype=np.int64)
     for angle in ONE_AXIS:
         for k in image_forms(context_from_text(angle), RoundingMode.FLOOR, max_abs=0):
-            assert k.floor(empty, empty)[0].size == k.floor(empty, empty, True)[0].size == 0
+            F, _, at = k.floor(empty, empty, ties=True)
+            assert k.floor(empty, empty)[0].size == F.size == at.size == 0
             assert k.frac_zero(empty, empty)[0].size == 0
             Fm, Gm, _, _ = k.split_frac_lt(empty, empty, rational(1, 3))
             assert Fm.size == Gm.size == 0
@@ -372,7 +381,8 @@ def test_enclosure_batch_matches_discrete_rotate(angle, mode, points, bound):
     assert list(zip(X.tolist(), Y.tolist())) == want
     # every point, flagged or not: the coefficients' 128 bits decide it
     for c, k in enumerate(forms):
-        assert k.decide_floor(xs, ys, mode is RoundingMode.TRUNC) == [w[c] for w in want]
+        assert _decided(k, xs, ys, mode) == [w[c] for w in want]
+        assert k.decide_floor(xs, ys)[1] == [k.exact_frac_zero(x, y) for x, y in points]
     if mode is RoundingMode.FLOOR:
         t = parse_scalar(bound)
         for k in forms:
@@ -396,8 +406,9 @@ def test_quadratic_enclosures_decide_every_point():
         for mode in RoundingMode:
             want = [discrete_rotate(ctx, p, mode) for p in zip(xs, ys)]
             for c, k in enumerate(image_forms(ctx, mode, max_abs=R)):
-                got = k.decide_floor(xs, ys, mode is RoundingMode.TRUNC)
-                assert got == [w[c] for w in want], (angle, mode)
+                assert _decided(k, xs, ys, mode) == [w[c] for w in want], (angle, mode)
+                integral = [k.exact_frac_zero(x, y) for x, y in zip(xs, ys)]
+                assert k.decide_floor(xs, ys)[1] == integral, (angle, mode)
                 if mode is not RoundingMode.FLOOR:
                     continue
                 for t in bounds:
@@ -443,15 +454,17 @@ def test_enclosures_of_general_forms():
     # -1 + 2^-10 encloses as [-256, -255] at 8 bits: the floor is -1, but
     # whether L is the integer -1 stays open until a finer enclosure,
     # which the batch reaches from an 8-bit start too
-    for value, want in (("-0.9990234375", 0), ("-1", -1), ("-1.5", -1)):
+    for value, want, trunc in (("-0.9990234375", ([-1], [False]), 0), ("-1", ([-1], [True]), -1),
+                               ("-1.5", ([-2], [False]), -1)):
         k = make_form(highprec(value), ZERO, ZERO, max_abs=1)
-        assert k.decide_floor([1], [0], trunc=True) == [want], value
+        assert k.decide_floor([1], [0]) == want, value
+        assert _decided(k, [1], [0], RoundingMode.TRUNC) == [trunc], value
         k._bits = 8
-        assert k.decide_floor([1], [0], trunc=True) == [want], value
+        assert k.decide_floor([1], [0]) == want, value
     # an irrational constant term: L = x + sqrt(2)/2
     k = make_form(rational(1), ZERO, quad(0, 1, 2, 2), max_abs=5)
     xs = list(range(-5, 6))
-    assert k.decide_floor(xs, [0] * 11) == xs
+    assert k.decide_floor(xs, [0] * 11) == (xs, [False] * 11)
     assert k.decide_frac_lt(xs, [0] * 11, rational(1, 2)) == [False] * 11
     assert k.decide_frac_lt(xs, [0] * 11, rational(3, 4)) == [True] * 11
 
@@ -490,8 +503,7 @@ def test_open_points_escalate_to_the_exact_answer():
             for c, k in enumerate(forms):
                 k._bits = 8
                 calls = _spy_enclosures(k)
-                got = k.decide_floor(xs, ys, mode is RoundingMode.TRUNC)
-                assert got == [w[c] for w in want], (angle, mode)
+                assert _decided(k, xs, ys, mode) == [w[c] for w in want], (angle, mode)
                 bits, sizes = zip(*calls)
                 assert sizes[0] == len(xs) and list(sizes) == sorted(sizes, reverse=True)
                 assert all(b == 2 * a for a, b in zip(bits, bits[1:])), bits
@@ -614,69 +626,98 @@ def test_quad_floor_divides_by_shifts_or_floor_division():
             for k in image_forms(context_from_text(angle), mode, max_abs=max_abs):
                 assert isinstance(k, QuadForm) and k.D == D
                 assert (k._shift is None) == (D == 10)
-                F, unc = k.floor(A, B)
+                F, unc, _ = k.floor(A, B)
                 assert unc is None
                 assert F.ravel().tolist() == _point_values(k, *np.broadcast_arrays(A, B), False)
 
 
+GUARDED = "quad:sin=40399*sqrt(2)/80002,cos=-39599*sqrt(2)/80002"
 # angles whose forms take integer values inside the window: 3-4-5 where 5
-# divides 4x - 3y or 3x + 4y, pi/2 everywhere, pi/4 on its diagonals,
-# where Q = 0; and forms that never do (pi/6 off the axes, the floats)
+# divides 4x - 3y or 3x + 4y, pi/2 everywhere, pi/6 on its Q = 0 lines
+# x = 0 (L1 = -y/2) and y = 0 (L2 = x/2), pi/4 on its diagonals, where
+# Q = 0 and L = 0; the float forms are integers at the origin only
 TRUNC_ANGLES = ["pyth:3,4,5", "pi/2", "pi/4", "pi/6"]
 
 
+def _integer_points(k, A, B):
+    """Flat indices of the points (A, B) where L is an integer."""
+    points = zip(A.ravel().tolist(), B.ravel().tolist())
+    return [i for i, (x, y) in enumerate(points) if k.exact_frac_zero(x, y)]
+
+
 def test_truncating_floor_matches_the_point_evaluator_and_discrete_rotate():
-    # floor(trunc=True) reads the floor's own numerator: L is an integer
-    # iff Q = 0 and F*D = N, and truncation is floor + 1 below 0 elsewhere
+    # floor(ties=True) reads the integer points off the floor's own
+    # numerator, Q = 0 and D dividing N; _exact_images truncates to
+    # floor + 1 below 0 everywhere else
     mode = RoundingMode.TRUNC
     rng = np.random.default_rng(2022)
     wide = 10**5
     chain = (rng.integers(-wide, wide + 1, 300), rng.integers(-wide, wide + 1, 300))
-    negative_integers = 0
+    negative_integers = dict.fromkeys(TRUNC_ANGLES, 0)
     for angle in TRUNC_ANGLES:
         ctx = context_from_text(angle)
         for max_abs, (A, B) in ((R, _window(R)), (wide, chain)):
             forms = image_forms(ctx, mode, max_abs=max_abs)
             A, B = np.broadcast_arrays(A, B)
-            for k in forms:
-                assert isinstance(k, QuadForm)
-                T, unc = k.floor(A, B, trunc=True)
-                F, _ = k.floor(A, B)
-                assert unc is None
-                assert T.ravel().tolist() == _point_values(k, A, B, True), angle
-                negative_integers += int(((T == F) & (F < 0)).sum())
             X, Y, redecided = _exact_images(forms, A, B, mode)
             assert redecided == 0
+            for k, V in zip(forms, (X, Y)):
+                assert isinstance(k, QuadForm)
+                F, unc, at = k.floor(A, B, ties=True)
+                assert unc is None
+                assert at.tolist() == _integer_points(k, A, B), angle
+                assert V.ravel().tolist() == _point_values(k, A, B, True), angle
+                negative_integers[angle] += int(np.count_nonzero(F.reshape(-1)[at] < 0))
             if max_abs == R:
                 want = [discrete_rotate(ctx, p, mode) for p in zip(A.ravel().tolist(), B.ravel().tolist())]
                 assert list(zip(X.ravel().tolist(), Y.ravel().tolist())) == want, angle
-    assert negative_integers > 100  # the integer test decided some points
+    # the integer test decided points below 0, except at pi/4, whose only
+    # integer value is 0
+    assert negative_integers.pop("pi/4") == 0
+    assert min(negative_integers.values()) > 10, negative_integers
 
 
 def test_truncating_floor_of_the_float_prefilter():
-    # outside the slack L is never an integer, so truncation is floor + 1
-    # below 0; flagged points go to decide_floor(trunc=True).  Float
-    # angles, and a quadratic form past the int64 guard, which runs the
-    # prefilter over its own coefficients
+    # outside the slack L is never an integer: the prefilter flags every
+    # integer point, floor(ties=True) leaves them there (None), and
+    # _exact_images truncates to floor + 1 below 0 off the points
+    # decide_floor finds integral.  Float angles, and a quadratic form
+    # past the int64 guard, which runs the prefilter over its own
+    # coefficients.  Their image forms are integers only where they are 0
+    # (the origin, and the guarded form's Q = 0 lines, out to
+    # |x| = 2*40399 here); shifted by -1 they are -1 there, which the
+    # images and the point evaluators keep, against the scalar exact layer
     mode = RoundingMode.TRUNC
-    guarded = "quad:sin=40399*sqrt(2)/80002,cos=-39599*sqrt(2)/80002"
     rng = np.random.default_rng(7)
-    for angle, max_abs in ((FLOAT_ANGLES[0], R), ("rad:~1.0", R), (guarded, kernels._domain_radius(450))):
+    line = np.arange(-2, 3, dtype=np.int64)
+    for angle, max_abs in ((FLOAT_ANGLES[0], R), ("rad:~1.0", R), (GUARDED, 2 * 40399)):
         ctx = context_from_text(angle)
         forms = image_forms(ctx, mode, max_abs=max_abs)
         A, B = np.broadcast_arrays(*_window(R))
-        if angle == guarded:
+        if angle == GUARDED:
             assert not any(k.vector_ok for k in forms)
             A = rng.integers(-max_abs, max_abs + 1, (20, 20))
             B = rng.integers(-max_abs, max_abs + 1, (20, 20))
         for k in forms:
-            T, unc = k.floor(A, B, trunc=True)
-            F, unc_floor = k.floor(A, B)
-            assert (unc == unc_floor).all()
-            assert (T == F + (F < 0)).all()
+            F, unc, at = k.floor(A, B, ties=True)
+            assert at is None
+            assert unc.reshape(-1)[_integer_points(k, A, B)].all()
             sure = ~unc
-            want = _point_values(k, A[sure], B[sure], True)
-            assert T[sure].tolist() == want, angle
+            T = F[sure] + (F[sure] < 0)
+            assert T.tolist() == _point_values(k, A[sure], B[sure], True), angle
         X, Y, _ = _exact_images(forms, A, B, mode)
         want = [discrete_rotate(ctx, p, mode) for p in zip(A.ravel().tolist(), B.ravel().tolist())]
         assert list(zip(X.ravel().tolist(), Y.ravel().tolist())) == want, angle
+        A, B = np.append(A, 0), np.append(B, 0)
+        if angle == GUARDED:
+            A = np.concatenate([A, 40399 * line, 39599 * line])
+            B = np.concatenate([B, -39599 * line, 40399 * line])
+        points = list(zip(A.tolist(), B.tolist()))
+        shifted = [make_form(k.alpha, k.beta, k.gamma + rational(-1), max_abs=max_abs) for k in forms]
+        want = [quantize(tuple(k.exact_value(x, y) for k in shifted), mode) for x, y in points]
+        X, Y, _ = _exact_images(shifted, A, B, mode)
+        assert list(zip(X.tolist(), Y.tolist())) == want, angle
+        steps = [k.point(True) for k in shifted]
+        assert [tuple(f(x, y) for f in steps) for x, y in points] == want, angle
+        negative = [i for k in shifted for i in _integer_points(k, A, B)]
+        assert len(negative) >= (12 if angle == GUARDED else 2), angle

@@ -219,6 +219,27 @@ def test_arc_route_at_large_windows():
         assert abs(count / 20001**2 - 1 / 6) < 1e-3, text
 
 
+def test_residue_counter_at_a_large_hypotenuse():
+    # q = 40001: about q/6 residues pass the box, and the residue counter
+    # sums their classes over them as one array per row residue; from
+    # M = 1000 the class pairs (about n^2 for n window values) send the
+    # direct count to the arcs, quadratic on the separable route
+    ctx = context_from_text("pyth:39999,400,40001")
+    box = InequalityBox(rational(1, 2), rational(1, 3))
+    for M in (0, 1, 7, 200, 1000):
+        for parity in Parity:
+            counters = {}
+            got = count_solutions(ctx, box, M, parity, counters)
+            assert count_solutions_residue(ctx, box, M, parity) == got, (M, parity)
+            if M <= 7:
+                assert counters["method"] == "separable", (M, parity)
+    assert counters["method"] == "arcs"
+    t0 = time.perf_counter()
+    assert count_solutions(ctx, box, 8000, Parity.ALL, counters) == 42462237
+    assert time.perf_counter() - t0 < 2.0
+    assert counters["method"] == "arcs"
+
+
 def test_negative_windows_are_rejected():
     box = InequalityBox(rational(1, 2), rational(1, 3))
     for text in ("pi/4", "pyth:3,4,5"):
