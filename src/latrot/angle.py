@@ -37,7 +37,6 @@ from .exactnum import (
     format_scalar,
     parse_scalar,
     quad,
-    quad_parts,
     rational,
 )
 
@@ -239,8 +238,8 @@ def classify(sin: Scalar, cos: Scalar) -> AngleClass:
         return UnknownNumeric()
 
     # sin = s0 + s1*sqrt(ds), cos = c0 + c1*sqrt(dc); d None when rational
-    ps, qs, ns, ds = quad_parts(sin)
-    pc, qc, nc, dc = quad_parts(cos)
+    ps, qs, ns, ds = sin.p, sin.q, sin.den, sin.d
+    pc, qc, nc, dc = cos.p, cos.q, cos.den, cos.d
     s0, s1, c0, c1 = Fraction(ps, ns), Fraction(qs, ns), Fraction(pc, nc), Fraction(qc, nc)
     if ds is None and dc is None:
         pair = {(0, 1): 0, (1, 0): 1, (0, -1): 2, (-1, 0): 3}.get((s0, c0))

@@ -2,10 +2,11 @@
 
 Three representations cover everything the lattice machinery needs:
 
-* ``Rational``    -- fractions in lowest terms.
-* ``QuadIrr``     -- (p + q*sqrt(d))/den with integer p, q, den > 0 and
-  squarefree d >= 2.  Floors and comparisons are decided purely by integer
-  square comparisons, never by floating point.
+* ``QuadIrr``     -- (p + q*sqrt(d))/den with integer p, q != 0, den > 0
+  and squarefree d >= 2.
+* ``Rational``    -- its q = 0 case: p/den in lowest terms, q = 0, d None.
+  Exact arithmetic, floors and comparisons are one integer formula each
+  over both, decided by integer square comparisons, never by floats.
 * ``HighPrec``    -- a lazily re-evaluable value that yields, at any
   precision bits, integers lo <= value*2^bits <= hi: the same integer
   enclosures the kernels decide flagged floors from.  Floor/comparison
@@ -79,7 +80,7 @@ def _is_squarefree(d: int) -> bool:
 
 
 def _floor_sqrt_multiple(q: int, d: int) -> int:
-    """floor(q * sqrt(d)) for integer q and a non-square d >= 2.
+    """floor(q * sqrt(d)) for integer q and non-square d >= 2; 0 at q = 0.
 
     q*sqrt(d) is irrational for q != 0, so the negative branch never sits
     on an integer.
@@ -96,95 +97,82 @@ class Scalar:
     __slots__ = ()
 
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _add(self, other)
+        return _binary(_add, self, other)
 
     def __radd__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _add(other, self)
+        return _binary(_add, other, self)
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _add(self, _neg(other))
+        return _binary(_sub, self, other)
 
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _add(other, _neg(self))
+        return _binary(_sub, other, self)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _mul(self, other)
+        return _binary(_mul, self, other)
 
     def __rmul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return _mul(other, self)
+        return _binary(_mul, other, self)
 
     def __neg__(self):
         return _neg(self)
 
     def __lt__(self, other):
-        return compare(self, _coerce_strict(other)) < 0
+        return compare(self, other) < 0
 
     def __le__(self, other):
-        return compare(self, _coerce_strict(other)) <= 0
+        return compare(self, other) <= 0
 
     def __gt__(self, other):
-        return compare(self, _coerce_strict(other)) > 0
+        return compare(self, other) > 0
 
     def __ge__(self, other):
-        return compare(self, _coerce_strict(other)) >= 0
+        return compare(self, other) >= 0
 
     def __str__(self):
         return format_scalar(self)
 
 
 class Rational(Scalar):
-    __slots__ = ("_frac",)
+    """p/den in lowest terms, den > 0: QuadIrr's (p + q*sqrt(d))/den at
+    q = 0, with the same fields (q = 0, d None)."""
+
+    __slots__ = ("p", "den")
+    q = 0
+    d = None
 
     def __init__(self, numerator, denominator=1):
-        if isinstance(numerator, Fraction) and denominator == 1:
-            self._frac = numerator
-        else:
-            self._frac = Fraction(numerator, denominator)
+        if type(numerator) is int is type(denominator) and denominator:
+            g = math.gcd(numerator, denominator)
+            g = -g if denominator < 0 else g
+            self.p, self.den = numerator // g, denominator // g
+        else:  # Fractions and other rationals, and den = 0's error
+            f = Fraction(numerator, denominator)
+            self.p, self.den = f.numerator, f.denominator
 
     @property
     def numerator(self) -> int:
-        return self._frac.numerator
+        return self.p
 
     @property
     def denominator(self) -> int:
-        return self._frac.denominator
-
-    def as_fraction(self) -> Fraction:
-        return self._frac
+        return self.den
 
     def __eq__(self, other):
-        if isinstance(other, Rational):
-            return self._frac == other._frac
         if isinstance(other, (int, Fraction)):
-            return self._frac == other
+            other = Rational(other)
+        if isinstance(other, Rational):
+            return self.p == other.p and self.den == other.den
         return NotImplemented
 
     def __hash__(self):
-        return hash(("latrot.Rational", self._frac))
+        return hash(("latrot.Rational", self.p, self.den))
 
     def __float__(self):
-        return float(self._frac)
+        return self.p / self.den
 
     def __repr__(self):
-        return f"Rational({self.numerator}, {self.denominator})"
+        return f"Rational({self.p}, {self.den})"
 
 
 class QuadIrr(Scalar):
@@ -237,16 +225,6 @@ def quad(p: int, q: int, d: int, den: int = 1) -> Scalar:
     if q == 0:
         return Rational(p, den)
     return QuadIrr(p, q, d, den)
-
-
-def quad_parts(s: Scalar) -> tuple[int, int, int, int | None]:
-    """s = (p + q*sqrt(d))/den -> (p, q, den, d); q = 0 and d None when
-    s is rational."""
-    if isinstance(s, Rational):
-        return s.numerator, 0, s.denominator, None
-    if isinstance(s, QuadIrr):
-        return s.p, s.q, s.den, s.d
-    raise TypeError(f"exact scalar expected, got {type(s).__name__}")
 
 
 ZERO = Rational(0)
@@ -368,7 +346,7 @@ def _hp_neg(a: HighPrec) -> HighPrec:
 
 
 # --------------------------------------------------------------------------
-# Arithmetic dispatch
+# Arithmetic: one formula over (p + q*sqrt(d))/den, a Rational's q = 0
 # --------------------------------------------------------------------------
 
 def _coerce(x):
@@ -391,6 +369,14 @@ def _coerce_strict(x) -> Scalar:
     return s
 
 
+def _binary(op, a, b):
+    """op on the coerced operands; NotImplemented when one is not exact."""
+    a, b = _coerce(a), _coerce(b)
+    if a is None or b is None:
+        return NotImplemented
+    return op(a, b)
+
+
 def _inexact(a: Scalar, b: Scalar) -> bool:
     """Whether a op b leaves the exact variants: either is a HighPrec, or
     both are quadratic irrationals over different radicands."""
@@ -402,40 +388,28 @@ def _inexact(a: Scalar, b: Scalar) -> bool:
 def _add(a: Scalar, b: Scalar) -> Scalar:
     if _inexact(a, b):
         return _hp_add(as_highprec(a), as_highprec(b))
-    if isinstance(a, Rational) and isinstance(b, Rational):
-        return Rational(a.as_fraction() + b.as_fraction())
-    if isinstance(a, Rational):
-        a, b = b, a
-    # a is QuadIrr
-    if isinstance(b, Rational):
-        rn, rd = b.numerator, b.denominator
-        return quad(a.p * rd + rn * a.den, a.q * rd, a.d, a.den * rd)
     return quad(
-        a.p * b.den + b.p * a.den, a.q * b.den + b.q * a.den, a.d, a.den * b.den
+        a.p * b.den + b.p * a.den, a.q * b.den + b.q * a.den, a.d or b.d, a.den * b.den
     )
+
+
+def _sub(a: Scalar, b: Scalar) -> Scalar:
+    return _add(a, _neg(b))
 
 
 def _mul(a: Scalar, b: Scalar) -> Scalar:
     if _inexact(a, b):
         return _hp_mul(as_highprec(a), as_highprec(b))
-    if isinstance(a, Rational) and isinstance(b, Rational):
-        return Rational(a.as_fraction() * b.as_fraction())
-    if isinstance(a, Rational):
-        a, b = b, a
-    if isinstance(b, Rational):
-        rn, rd = b.numerator, b.denominator
-        return quad(a.p * rn, a.q * rn, a.d, a.den * rd)
+    d = a.d or b.d or 0  # 0 when both are rational, where a.q * b.q = 0
     return quad(
-        a.p * b.p + a.q * b.q * a.d, a.p * b.q + a.q * b.p, a.d, a.den * b.den
+        a.p * b.p + a.q * b.q * d, a.p * b.q + a.q * b.p, d, a.den * b.den
     )
 
 
 def _neg(a: Scalar) -> Scalar:
-    if isinstance(a, Rational):
-        return Rational(-a.as_fraction())
-    if isinstance(a, QuadIrr):
-        return QuadIrr(-a.p, -a.q, a.d, a.den)
-    return _hp_neg(a)
+    if isinstance(a, HighPrec):
+        return _hp_neg(a)
+    return quad(-a.p, -a.q, a.d, a.den)
 
 
 # --------------------------------------------------------------------------
@@ -466,14 +440,12 @@ def refine(decide, start: int, what: str):
 def floor_exact(s: Scalar) -> int:
     """Provably correct floor(s).
 
-    Rational: integer division.  QuadIrr: integer square comparisons.
+    Rational and QuadIrr: integer division of p + floor(q*sqrt(d)).
     HighPrec: its integer enclosure at doubling precision (refine);
     raises UndecidableAtPrecision when the enclosure still straddles an
     integer at the cap (the value may actually be an integer).
     """
-    if isinstance(s, Rational):
-        return s.numerator // s.denominator
-    if isinstance(s, QuadIrr):
+    if isinstance(s, (QuadIrr, Rational)):
         return (s.p + _floor_sqrt_multiple(s.q, s.d)) // s.den
     if isinstance(s, HighPrec):
 
@@ -502,8 +474,7 @@ def dyadic_enclosure(s: Scalar, bits: int) -> tuple[int, int]:
     """
     if isinstance(s, HighPrec):
         return s.eval(bits)
-    p, q, den, d = quad_parts(s)
-    return _quad_bounds(p, q, d or 2, den, bits)  # d unused at q = 0
+    return _quad_bounds(s.p, s.q, s.d, s.den, bits)
 
 
 def compare(s1, s2) -> int:
@@ -520,23 +491,10 @@ def compare(s1, s2) -> int:
             return 0 if lo == hi else None  # lo == hi == 0: exactly equal
 
         return refine(decide, diff.precision_bits, "comparison")
-    if isinstance(s1, Rational) and isinstance(s2, Rational):
-        a, b = s1.as_fraction(), s2.as_fraction()
-        return (a > b) - (a < b)
-    if isinstance(s1, Rational):
-        return -_compare_quad_rational(s2, s1)
-    if isinstance(s2, Rational):
-        return _compare_quad_rational(s1, s2)
     # (p1 + q1 r)/den1 vs (p2 + q2 r)/den2  <=>  sign of cross difference
     A = s1.p * s2.den - s2.p * s1.den
     B = s1.q * s2.den - s2.q * s1.den
-    return _sign_p_plus_q_sqrt(A, B, s1.d)
-
-
-def _compare_quad_rational(a: QuadIrr, b: Rational) -> int:
-    A = a.p * b.denominator - b.numerator * a.den
-    B = a.q * b.denominator
-    return _sign_p_plus_q_sqrt(A, B, a.d)
+    return _sign_p_plus_q_sqrt(A, B, s1.d or s2.d)
 
 
 def frac_part(s: Scalar) -> Scalar:

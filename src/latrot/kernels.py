@@ -94,7 +94,6 @@ from .exactnum import (
     dyadic_enclosure,
     floor_exact,
     frac_part,
-    quad_parts,
     refine,
 )
 from .rotation import RoundingMode
@@ -269,9 +268,9 @@ class QuadForm(LinearForm):
 
     def __init__(self, alpha, beta, gamma, d: int | None, max_abs: int):
         super().__init__(alpha, beta, gamma)
-        pa, qa, da, _ = quad_parts(alpha)
-        pb, qb, db, _ = quad_parts(beta)
-        pg, qg, dg, _ = quad_parts(gamma)
+        pa, qa, da = alpha.p, alpha.q, alpha.den
+        pb, qb, db = beta.p, beta.q, beta.den
+        pg, qg, dg = gamma.p, gamma.q, gamma.den
         D = math.lcm(da, db, dg)
         self.pure_rational = d is None
         self.d = d or 2

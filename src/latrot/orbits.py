@@ -132,13 +132,14 @@ def detect_cycle(
 def _detect_brent(start, step, caps, radius) -> OrbitRecord:
     """Brent's search, answered as the visited map answers: a cycle is
     periodic when mu + lam <= max_steps, and the search, which finds any
-    such cycle within 3 * max_steps steps, runs that far."""
+    such cycle within 3 * max_steps steps, runs that far.  Steps used and
+    max norm are the map's too: over mu + lam, the escape or max_steps."""
     limit = 3 * caps.max_steps
     power = lam = 1
     tortoise = start
     hare = step(start)
     steps = 1
-    maxn = max(_norm(start), _norm(hare))
+    maxn = capped = max(_norm(start), _norm(hare))  # capped: up to max_steps
     while maxn <= radius and tortoise != hare and steps < limit:
         if power == lam:
             tortoise = hare
@@ -148,24 +149,22 @@ def _detect_brent(start, step, caps, radius) -> OrbitRecord:
         steps += 1
         lam += 1
         maxn = max(maxn, _norm(hare))
-    if maxn > radius:  # no cycle closes before the first step beyond the radius
-        status = OrbitStatus.ESCAPED if steps <= caps.max_steps else OrbitStatus.UNDETERMINED
-        return OrbitRecord(start, 0, None, status, maxn, steps)
-    if tortoise != hare:
-        return OrbitRecord(start, 0, None, OrbitStatus.UNDETERMINED, maxn, steps)
-    tortoise = hare = start
-    for _ in range(lam):
-        hare = step(hare)
-        steps += 1
-    mu = 0
-    while tortoise != hare:
-        tortoise = step(tortoise)
-        hare = step(hare)
-        steps += 2
-        mu += 1
-    if mu + lam > caps.max_steps:
-        return OrbitRecord(start, 0, None, OrbitStatus.UNDETERMINED, maxn, steps)
-    return OrbitRecord(start, mu, lam, OrbitStatus.PERIODIC, maxn, steps)
+        if steps <= caps.max_steps:
+            capped = maxn
+    if maxn > radius and steps <= caps.max_steps:
+        return OrbitRecord(start, 0, None, OrbitStatus.ESCAPED, maxn, steps)
+    if tortoise == hare and maxn <= radius:  # the search passed mu + lam
+        tortoise = hare = start
+        for _ in range(lam):
+            hare = step(hare)
+        mu = 0
+        while tortoise != hare:
+            tortoise = step(tortoise)
+            hare = step(hare)
+            mu += 1
+        if mu + lam <= caps.max_steps:
+            return OrbitRecord(start, mu, lam, OrbitStatus.PERIODIC, maxn, mu + lam)
+    return OrbitRecord(start, 0, None, OrbitStatus.UNDETERMINED, capped, caps.max_steps)
 
 
 def orbit_path(

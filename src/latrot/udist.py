@@ -47,7 +47,7 @@ import numpy as np
 
 from .angle import AngleContext, RationalPythagorean
 from .errors import InvalidSpec
-from .exactnum import Scalar, ZERO, ONE, compare, rational
+from .exactnum import Scalar, ZERO, ONE, compare, floor_exact
 from .kernels import (
     _BAND_POINTS, FloatForm, QuadForm, _bands, _exact_box, _mod_inplace, image_forms,
 )
@@ -380,7 +380,8 @@ def count_solutions_residue(
 
     Independent of count_solutions: admissible residues d1 are read off
     the exact fractional values {p2*d1/q}, {p1*d1/q}, then lattice pairs
-    are counted per class in closed form.
+    are counted per class in closed form: {p*d1/q} < t iff p*d1 mod q <
+    ceil(q*t), one integer test over d1 = 0..q-1 per side.
     """
     if M < 0:
         raise ValueError(f"window M={M} is negative")
@@ -388,16 +389,17 @@ def count_solutions_residue(
     if not isinstance(cls, RationalPythagorean):
         raise InvalidSpec("residue counting needs a rational Pythagorean angle")
     p1, p2, q = cls.p1, cls.p2, cls.q
+    if q >= 1 << 31:  # residue products below q^2 must fit int64
+        raise InvalidSpec(f"residue counting needs a hypotenuse q < 2^31, got {q}")
     h = p1 * pow(p2, -1, q) % q
-    valid = [
-        d1
-        for d1 in range(q)
-        if compare(rational((p2 * d1) % q, q), box.t1) < 0
-        and compare(rational((p1 * d1) % q, q), box.t2) < 0
-    ]
-    if not valid:
+    B1, B2 = (-floor_exact(-q * t) for t in (box.t1, box.t2))
+    valid = []
+    for lo in range(0, q, _BAND_POINTS):
+        d1 = np.arange(lo, min(q, lo + _BAND_POINTS), dtype=np.int64)
+        valid.append(d1[(p2 * d1 % q < B1) & (p1 * d1 % q < B2)])
+    valid = np.concatenate(valid)
+    if not len(valid):
         return 0
-    valid = np.array(valid, dtype=np.int64)
     # the rows b by their residue h*b mod q, each distinct one summed once
     rb, rows = np.unique(_coord_values(M, parity) % q * h % q, return_counts=True)
     total = 0

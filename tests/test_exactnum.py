@@ -181,6 +181,65 @@ def test_quad_floor_bound_property(p, q, d, den):
     assert compare(s - rational(f), rational(1)) < 0
 
 
+def _sign_ref(A: Fraction, B: Fraction, d: int) -> int:
+    """Sign of A + B*sqrt(d) from the squares A^2 and B^2*d, which never
+    tie for B != 0 since d is not a square."""
+    sa, sb = (A > 0) - (A < 0), (B > 0) - (B < 0)
+    if sb == 0 or sa == sb:
+        return sa
+    if sa == 0:
+        return sb
+    return sa if A * A > B * B * d else sb
+
+
+def _parts_ref(s):
+    """s as the Fraction pair (A, B) with s = A + B*sqrt(d)."""
+    if isinstance(s, Rational):
+        return Fraction(s.numerator, s.denominator), Fraction(0)
+    assert isinstance(s, QuadIrr)
+    return Fraction(s.p, s.den), Fraction(s.q, s.den)
+
+
+@st.composite
+def _same_field_pair(draw):
+    d = draw(st.sampled_from([2, 3, 5, 6, 7]))
+    nonzero = st.integers(-60, 60).filter(bool)
+
+    def operand():
+        p, q, den = draw(st.integers(-10**4, 10**4)), draw(st.integers(-50, 50)), draw(nonzero)
+        ref = (Fraction(p, den), Fraction(q, den))
+        if q == 0 and draw(st.booleans()):
+            return Rational(Fraction(p, den)), ref
+        return quad(p, q, d, den), ref
+
+    a = operand()
+    b = a if draw(st.integers(0, 4)) == 0 else operand()
+    return d, a, b
+
+
+@settings(max_examples=400, deadline=None)
+@given(_same_field_pair())
+def test_mixed_exact_arithmetic_matches_fraction_pairs(case):
+    d, (a, (A1, B1)), (b, (A2, B2)) = case
+    want = {
+        "sum": (A1 + A2, B1 + B2),
+        "difference": (A1 - A2, B1 - B2),
+        "product": (A1 * A2 + B1 * B2 * d, A1 * B2 + A2 * B1),
+        "negation": (-A1, -B1),
+    }
+    got = {"sum": a + b, "difference": a - b, "product": a * b, "negation": -a}
+    for op, (A, B) in want.items():
+        assert _parts_ref(got[op]) == (A, B), op
+        assert isinstance(got[op], Rational) == (B == 0), op
+    assert compare(a, b) == _sign_ref(A1 - A2, B1 - B2, d)
+    assert (a < b, a == b, a > b) == tuple(_sign_ref(A1 - A2, B1 - B2, d) == c for c in (-1, 0, 1))
+    f = floor_exact(a)
+    assert _sign_ref(A1 - f, B1, d) >= 0 and _sign_ref(A1 - f - 1, B1, d) < 0
+    if B1 == 0:  # a Rational equals the int and Fraction of its value only
+        assert a == A1 and a != A1 + Fraction(1, 7)
+        assert (a == f) == (A1 == f)
+
+
 def test_quad_floor_agrees_with_highprec_rendering():
     import random
 

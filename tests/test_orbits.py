@@ -66,12 +66,15 @@ def test_detect_cycle_reverification():
 
 
 def test_brent_fallback_agrees():
+    # Brent's search answers with the visited map's whole record: status,
+    # preperiod, period, max norm and steps used
     quarter = quarter_turn_context()
     brent_caps = OrbitCaps(max_steps=10**6, memory_states=8)
     for start in [(9, 0), (5, 3), (17, -29), (100, 3)]:
-        a = detect_cycle(quarter, start)
-        b = detect_cycle(quarter, start, caps=brent_caps)
-        assert (a.preperiod, a.period, a.status) == (b.preperiod, b.period, b.status)
+        assert detect_cycle(quarter, start) == detect_cycle(quarter, start, caps=brent_caps)
+    for text, start in (("pi/4", (9, 0)), ("pyth:3,4,5", (55, 56)), ("rad:~1.0", (30, 7))):
+        ctx = context_from_text(text)
+        assert detect_cycle(ctx, start) == detect_cycle(ctx, start, caps=brent_caps), text
     # Under a binding step budget or a max_radius too: Brent searches past
     # max_steps and answers undetermined by mu + lam > max_steps.
     ctx = context_from_text("pyth:3,4,5")
@@ -89,8 +92,7 @@ def test_brent_fallback_agrees():
                 for start in starts:
                     a = detect_cycle(ctx, start, mode, caps)
                     b = detect_cycle(ctx, start, mode, brent)
-                    assert (a.preperiod, a.period, a.status) == (b.preperiod, b.period, b.status), (
-                        text, mode, caps, start)
+                    assert a == b, (text, mode, caps, start)
 
 
 def test_caps_statuses():

@@ -132,8 +132,12 @@ def test_direct_and_residue_counters_agree():
     cases = [(text, boxes) for text in
              ["pi/6", "pi/3", "pi*2/3", "pi*5/6", "pi*-1/6", "pi/2", "pi",
               *triples, "pyth:5,12,13", "pyth:20,21,29"]]
-    # a bound with denominator q = 40001: one remainder in int64 decides it
-    cases.append(("pyth:39999,400,40001", [InequalityBox(rational(20000, 40001), rational(1, 2))]))
+    # a bound with denominator q = 40001: one remainder in int64 decides it;
+    # the residue counter reads every side, rational or not, by ceil(q*t)
+    big = [(rational(20000, 40001), rational(1, 2)), (rational(1, 2), rational(1, 3)),
+           (quad(0, 1, 3, 3), rational(1, 2)), (parse_scalar("~0.4142"), quad(0, 1, 2, 2)),
+           (rational(1), rational(1, 40001))]
+    cases.append(("pyth:39999,400,40001", [InequalityBox(*b) for b in big]))
     # each remainder fits int64, the pair of them as one class key does
     # not: the classes key on their ranks
     cases.append(("pyth:3,4,5", [InequalityBox(rational(1, 10**9 + 7), rational(1, 10**9 + 9))]))
@@ -332,10 +336,12 @@ def test_search_sorted_equals_searchsorted(keys, needles, scale, rows):
 
 
 def test_residue_counter_rejects_irrational():
+    box = InequalityBox(rational(1, 2), rational(1, 2))
     with pytest.raises(InvalidSpec):
-        count_solutions_residue(
-            context_from_text("pi/4"), InequalityBox(rational(1, 2), rational(1, 2)), 5
-        )
+        count_solutions_residue(context_from_text("pi/4"), box, 5)
+    # q = 46341^2 + 2^2 > 2^31: residue products p*d1 would pass int64
+    with pytest.raises(InvalidSpec, match="q < 2\\^31"):
+        count_solutions_residue(context_from_text("pyth:185364,2147488277,2147488285"), box, 5)
 
 
 def test_odd_odd_never_exceeds_all():
